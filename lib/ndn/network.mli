@@ -215,6 +215,13 @@ type producer_config = {
 
 val default_producer_config : producer_config
 
+val install_producer :
+  config:producer_config -> prefix:Name.t -> key:string -> Node.t -> unit
+(** Serve [prefix] from the node: each matching interest is answered
+    with a fresh object signed under [key] by the node's label, whose
+    [payload_size]-byte payload is the name's hex SHA-256 repeated —
+    deterministic, so repeated runs are byte-identical. *)
+
 val lan :
   ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> ?producer:producer_config ->
   unit -> probe_setup

@@ -984,24 +984,16 @@ let build_route b (d : route_decl) =
          d.route_node d.route_via)
 
 let register_producer node (d : producer_decl) =
-  let prefix = Name.of_string d.producer_prefix in
-  let payload_of name =
-    let h = Ndn_crypto.Sha256.hex_digest (Name.to_string name) in
-    let buf = Buffer.create d.payload_size in
-    while Buffer.length buf < d.payload_size do
-      Buffer.add_string buf h
-    done;
-    Buffer.sub buf 0 d.payload_size
-  in
-  Node.add_producer node ~prefix ~production_delay_ms:d.production_delay_ms
-    (fun interest ->
-      let name = interest.Interest.name in
-      if Name.is_prefix ~prefix name then
-        Some
-          (Data.create ~producer_private:d.producer_private
-             ~producer:d.producer_node ~key:d.producer_key
-             ~payload:(payload_of name) name)
-      else None)
+  Network.install_producer
+    ~config:
+      {
+        producer_private = d.producer_private;
+        strict_match = false;
+        payload_size = d.payload_size;
+        production_delay_ms = d.production_delay_ms;
+      }
+    ~prefix:(Name.of_string d.producer_prefix)
+    ~key:d.producer_key node
 
 let build_producer b (d : producer_decl) =
   let* node = find_node b d.producer_node in

@@ -54,26 +54,27 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-
+(* Each Σ/σ group rotates one word three ways; on the doubled word
+   [x lor (x lsl 32)] a 32-bit right-rotation by n is a plain [lsr n],
+   exact because every bit read (at most bit 56) survives in the 63-bit
+   int, so a group costs three shifts and one mask. *)
+(* ndnlint: hot *)
 let process_block ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let base = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block base) lsl 24)
-      lor (Char.code (Bytes.get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.get block (base + 3))
+    Array.unsafe_set w i
+      (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask32)
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
+    let x = Array.unsafe_get w (i - 15) in
+    let xx = x lor (x lsl 32) in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask32 in
+    let y = Array.unsafe_get w (i - 2) in
+    let yy = y lor (y lsl 32) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10)) land mask32 in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask32)
   done;
   let a = ref ctx.h0
   and b = ref ctx.h1
@@ -84,12 +85,14 @@ let process_block ctx block off =
   and g = ref ctx.h6
   and h = ref ctx.h7 in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land mask32 land !g) in
-    let temp1 = (!h + s1 + ch + k.(i) + w.(i)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask32 in
+    let ee = !e lor (!e lsl 32) in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask32 in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    (* Five words below 2^32: the sum fits, so mask only the outputs. *)
+    let temp1 = !h + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let aa = !a lor (!a lsl 32) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask32 in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     h := !g;
     g := !f;
     f := !e;
@@ -97,7 +100,7 @@ let process_block ctx block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (temp1 + temp2) land mask32
+    a := (temp1 + s0 + maj) land mask32
   done;
   ctx.h0 <- (ctx.h0 + !a) land mask32;
   ctx.h1 <- (ctx.h1 + !b) land mask32;
@@ -140,38 +143,28 @@ let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) ~off:0 ~len:(String.l
 
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
-  let total_bits = ctx.total_len * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total_len + 1 + 8) mod block_size in
-    if rem = 0 then 1 else 1 + (block_size - rem)
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail
-      (pad_len + i)
-      (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xFF))
-  done;
-  (* Bypass the total_len update: feed via the internal path. *)
-  ctx.total_len <- ctx.total_len - Bytes.length tail;
-  feed_bytes ctx tail ~off:0 ~len:(Bytes.length tail);
+  (* Padding, in place: 0x80, zeros, 64-bit big-endian bit length —
+     spilling into a second block when fewer than 9 bytes are free. *)
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= block_size - 8 then begin
+    Bytes.fill buf (n + 1) (block_size - n - 1) '\000';
+    process_block ctx buf 0;
+    Bytes.fill buf 0 (block_size - 8) '\000'
+  end
+  else Bytes.fill buf (n + 1) (block_size - 8 - n - 1) '\000';
+  Bytes.set_int64_be buf (block_size - 8) (Int64.of_int (ctx.total_len * 8));
+  process_block ctx buf 0;
   ctx.finalized <- true;
   let out = Bytes.create digest_size in
-  let put i v =
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
-  in
-  put 0 ctx.h0;
-  put 1 ctx.h1;
-  put 2 ctx.h2;
-  put 3 ctx.h3;
-  put 4 ctx.h4;
-  put 5 ctx.h5;
-  put 6 ctx.h6;
-  put 7 ctx.h7;
+  Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);
+  Bytes.set_int32_be out 4 (Int32.of_int ctx.h1);
+  Bytes.set_int32_be out 8 (Int32.of_int ctx.h2);
+  Bytes.set_int32_be out 12 (Int32.of_int ctx.h3);
+  Bytes.set_int32_be out 16 (Int32.of_int ctx.h4);
+  Bytes.set_int32_be out 20 (Int32.of_int ctx.h5);
+  Bytes.set_int32_be out 24 (Int32.of_int ctx.h6);
+  Bytes.set_int32_be out 28 (Int32.of_int ctx.h7);
   Bytes.unsafe_to_string out
 
 let digest s =

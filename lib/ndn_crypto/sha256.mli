@@ -2,9 +2,11 @@
 
     Used for content-object signatures and as the compression function
     behind {!Hmac}, which in turn drives the unpredictable-name
-    countermeasure of the paper (Section V-A).  Performance is adequate
-    for simulation workloads; this is not a constant-time
-    implementation and must not be used against real adversaries. *)
+    countermeasure of the paper (Section V-A).  Signing is a large share
+    of a simulated LAN attack, so the kernel loads big-endian words,
+    computes each Σ/σ group as shifts of one doubled word under a single
+    mask, and pads in place without allocating.  Not constant-time:
+    never use it against real adversaries. *)
 
 type ctx
 (** Streaming hash context. *)
