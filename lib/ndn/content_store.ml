@@ -34,7 +34,12 @@ type 'meta t = {
   tracer : Sim.Trace.t;
   owner : string; (* label of the node this store belongs to *)
   table : 'meta node Name.Tbl.t;
-  index : unit Name_trie.t; (* prefix index for NDN extension matching *)
+  (* Prefix index for NDN extension matching, built from [table] on the
+     first non-exact lookup and maintained only while [indexed]: an
+     exact-only store (the trace replay) never pays the trie's Map
+     path-copying on insert and evict. *)
+  index : unit Name_trie.t;
+  mutable indexed : bool;
   mutable head : 'meta node option;
   mutable tail : 'meta node option;
   (* LFU: lazy min-heap of (count-at-push, seq, name). Stale tops are
@@ -67,6 +72,7 @@ let create ?(policy = Eviction.Lru) ?rng ?(tracer = Sim.Trace.disabled)
     owner;
     table = Name.Tbl.create 256;
     index = Name_trie.create ();
+    indexed = false;
     head = None;
     tail = None;
     lfu_heap = Sim.Heap.create ();
@@ -155,7 +161,7 @@ let slots_remove t name =
 let remove_node t node =
   let name = node.entry.data.Data.name in
   Name.Tbl.remove t.table name;
-  Name_trie.remove t.index name;
+  if t.indexed then Name_trie.remove t.index name;
   detach t node;
   if t.policy = Eviction.Random_replacement then slots_remove t name
 
@@ -226,7 +232,7 @@ let insert t ~now data meta =
   in
   let rec node = { entry; prev = None; next = None; self = Some node } in
   Name.Tbl.replace t.table name node;
-  Name_trie.add t.index name ();
+  if t.indexed then Name_trie.add t.index name ();
   push_front t node;
   if t.policy = Eviction.Lfu then begin
     Sim.Heap.add t.lfu_heap ~time:0. ~seq:t.lfu_seq name;
@@ -303,11 +309,24 @@ let find_exact t ~now name =
     end
     else hit t ~now node
 
-let find_matching_node t ~exact name =
+(* Index every cached name, walking the recency list so the build
+   order is deterministic; the trie is a set, so any order gives the
+   same index. *)
+let build_index t =
+  let rec go = function
+    | None -> ()
+    | Some node ->
+      Name_trie.add t.index node.entry.data.Data.name ();
+      go node.next
+  in
+  go t.head;
+  t.indexed <- true
+
+let find_matching_node t name =
   match Name.Tbl.find_opt t.table name with
   | Some node -> Some node
-  | None when exact -> None
   | None ->
+    if not t.indexed then build_index t;
     (* NDN prefix semantics: any cached extension of the interest name
        can satisfy it — unless the object demands strict matching
        (unpredictable-name content, paper footnote 5). *)
@@ -330,7 +349,7 @@ let lookup t ~now ?(exact = false) name =
   else begin
     t.lookups <- t.lookups + 1;
     let rec attempt () =
-      match find_matching_node t ~exact name with
+      match find_matching_node t name with
       | None -> ( try miss t ~now name with Not_found -> None)
       | Some node ->
         if expire_if_stale t ~now node then attempt ()
@@ -356,6 +375,7 @@ let set_meta t name meta =
 let clear t =
   Name.Tbl.reset t.table;
   Name_trie.clear t.index;
+  t.indexed <- false;
   t.head <- None;
   t.tail <- None;
   Sim.Heap.clear t.lfu_heap;

@@ -43,7 +43,13 @@ val lookup : 'meta t -> now:float -> ?exact:bool -> Name.t -> 'meta entry option
     unless [exact] — the smallest cached name extending the query whose
     object does not carry {!Data.t.strict_match}.  A successful lookup
     refreshes recency and increments [access_count].  Stale entries
-    (per {!Data.t.freshness_ms}) are expired, not returned. *)
+    (per {!Data.t.freshness_ms}) are expired, not returned.
+
+    Extension matching uses a prefix index of the cached names.  It is
+    built on the first non-exact lookup and maintained from then on
+    ({!clear} drops it), so a store only ever probed with
+    [~exact:true] never pays for it.  The answers do not depend on when
+    it was built. *)
 
 val find_exact : 'meta t -> now:float -> Name.t -> 'meta entry
 (** Exact-name lookup with the same side effects as

@@ -167,6 +167,21 @@ let finalize ctx =
   Bytes.set_int32_be out 28 (Int32.of_int ctx.h7);
   Bytes.unsafe_to_string out
 
+let resume ctx ~from =
+  if from.finalized then invalid_arg "Sha256.resume: source context finalized";
+  if from.buf_len <> 0 then invalid_arg "Sha256.resume: source not on a block boundary";
+  ctx.h0 <- from.h0;
+  ctx.h1 <- from.h1;
+  ctx.h2 <- from.h2;
+  ctx.h3 <- from.h3;
+  ctx.h4 <- from.h4;
+  ctx.h5 <- from.h5;
+  ctx.h6 <- from.h6;
+  ctx.h7 <- from.h7;
+  ctx.buf_len <- 0;
+  ctx.total_len <- from.total_len;
+  ctx.finalized <- false
+
 let digest s =
   let ctx = init () in
   feed ctx s;

@@ -23,6 +23,17 @@ val finalize : ctx -> string
     afterwards.
     @raise Invalid_argument on double finalization. *)
 
+val resume : ctx -> from:ctx -> unit
+(** [resume ctx ~from] makes [ctx] continue from [from]'s saved
+    chaining state, as if it had absorbed the same bytes: afterwards
+    [feed ctx m; finalize ctx] is the digest of [from]'s input followed
+    by [m].  [ctx] may be fresh, mid-stream or finalized — it is
+    reset — and [from] is only read, so one saved state can seed any
+    number of hashes.  {!Hmac} uses this to hash each key's padded
+    block once and start every later tag from it.
+    @raise Invalid_argument if [from] is finalized or holds a partial
+    block (its input length is not a multiple of {!block_size}). *)
+
 val digest : string -> string
 (** One-shot hash: 32 raw bytes. *)
 

@@ -69,10 +69,8 @@ let replay trace config =
         Ndn.Data.create ~producer:"trace-origin" ~key:"trace-origin-key"
           ~payload:"" name
       in
-      (* One-timers never come back: interning them would only grow the
-         table. A content is worth interning once it repeats, which we
-         approximate by interning everything below the first one-timer
-         id seen; simpler and safe: intern unconditionally up to a cap. *)
+      (* Intern unconditionally, one-timers included, until the table
+         holds 300,000 objects; past that, misses are signed afresh. *)
       if Hashtbl.length interned < 300_000 then Hashtbl.add interned content d;
       d
   in

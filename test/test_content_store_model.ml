@@ -1,6 +1,6 @@
 (* Model-based property test: Ndn.Content_store under random op
-   sequences (insert / exact lookup / clock advance) must agree with a
-   naive list-based reference model.
+   sequences (insert / exact lookup / prefix lookup / clock advance /
+   flush) must agree with a naive list-based reference model.
 
    For LRU and FIFO the model predicts the cache contents exactly:
    both policies evict from the tail of a recency/insertion list, so a
@@ -11,81 +11,145 @@
    black-box model cannot predict; there the model keeps an insertion
    shadow and checks every property that holds for *any* victim choice:
    size bounds, presence of the most recent insert, misses on
-   never-inserted or stale names, and counter consistency. *)
+   never-inserted or stale names, and counter consistency.  A prefix
+   lookup's answer depends only on what is cached, so for random
+   replacement it is predicted from a snapshot of the store taken just
+   before the lookup.
+
+   The store builds its prefix index on the first non-exact lookup, so
+   the prefix generators first run an exact-only stretch of churn,
+   evictions and expiries, then mix in prefix lookups and flushes. *)
 
 (* --- operation language --- *)
 
 type op =
-  | Insert of int * float option  (* name index, freshness_ms *)
+  | Insert of int * float option * bool
+      (* name index, freshness_ms, strict_match *)
   | Lookup of int
+  | Lookup_prefix of int  (* query index, [~exact:false] *)
   | Advance of float  (* move the virtual clock forward, ms *)
+  | Flush
 
-let pp_op = function
-  | Insert (i, None) -> Printf.sprintf "insert %d" i
-  | Insert (i, Some f) -> Printf.sprintf "insert %d (fresh %.0fms)" i f
-  | Lookup i -> Printf.sprintf "lookup %d" i
-  | Advance dt -> Printf.sprintf "advance %.0fms" dt
+(* Cacheable names: interior names and leaves of one hierarchy, so a
+   prefix query can have several cached extensions. *)
+let paths =
+  [|
+    [ "model"; "a" ];
+    [ "model"; "a"; "1" ];
+    [ "model"; "a"; "2" ];
+    [ "model"; "a"; "2"; "x" ];
+    [ "model"; "b"; "1" ];
+    [ "model"; "b"; "2" ];
+    [ "model"; "c" ];
+    [ "model"; "d"; "1" ];
+  |]
 
-let universe = 8
+let universe = Array.length paths
 let capacity = 3
 
-let name_of i = Ndn.Name.of_string (Printf.sprintf "/model/content/%d" i)
+let names = Array.map Ndn.Name.of_components paths
 
-let names = Array.init universe name_of
+(* Prefix queries: every cacheable name, then the root, interior names
+   that are never cached, a name with no cached extension and one below
+   a leaf. *)
+let query_paths =
+  Array.append paths
+    [|
+      [];
+      [ "model" ];
+      [ "model"; "b" ];
+      [ "model"; "d" ];
+      [ "model"; "e" ];
+      [ "model"; "a"; "2"; "x"; "y" ];
+    |]
+
+let queries = Array.map Ndn.Name.of_components query_paths
+
+let pp_op = function
+  | Insert (i, f, strict) ->
+    Printf.sprintf "insert %d%s%s" i
+      (match f with None -> "" | Some f -> Printf.sprintf " (fresh %.0fms)" f)
+      (if strict then " strict" else "")
+  | Lookup i -> Printf.sprintf "lookup %d" i
+  | Lookup_prefix q -> Printf.sprintf "prefix-lookup %s" (Ndn.Name.to_string queries.(q))
+  | Advance dt -> Printf.sprintf "advance %.0fms" dt
+  | Flush -> "flush"
 
 (* Signing on every insert is wasteful inside a property test: intern
-   one data object per (name, freshness) pair. *)
+   one data object per (name, freshness, strictness). *)
 let data_cache = Hashtbl.create 32
 
-let data_of i freshness =
-  match Hashtbl.find_opt data_cache (i, freshness) with
+let data_of i freshness strict =
+  match Hashtbl.find_opt data_cache (i, freshness, strict) with
   | Some d -> d
   | None ->
     let d =
-      Ndn.Data.create ?freshness_ms:freshness ~producer:"model" ~key:"model-key"
-        ~payload:"x" names.(i)
+      Ndn.Data.create ?freshness_ms:freshness ~strict_match:strict ~producer:"model"
+        ~key:"model-key" ~payload:"x" names.(i)
     in
-    Hashtbl.add data_cache (i, freshness) d;
+    Hashtbl.add data_cache (i, freshness, strict) d;
     d
 
-let gen_op =
+let gen_exact_op =
   QCheck.Gen.(
     frequency
       [
         ( 5,
-          map2
-            (fun i f -> Insert (i, f))
+          map3
+            (fun i f strict -> Insert (i, f, strict))
             (int_bound (universe - 1))
             (frequency
                [ (3, return None); (1, return (Some 5.)); (1, return (Some 20.)) ])
-        );
+            (frequency [ (3, return false); (1, return true) ]) );
         (5, map (fun i -> Lookup i) (int_bound (universe - 1)));
         (2, map (fun dt -> Advance (float_of_int dt)) (int_range 1 12));
       ])
 
+let gen_mixed_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, gen_exact_op);
+        (5, map (fun q -> Lookup_prefix q) (int_bound (Array.length queries - 1)));
+        (1, return Flush);
+      ])
+
+let print_ops ops = String.concat "; " (List.map pp_op ops)
+
 let arb_ops =
-  QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+  QCheck.make ~print:print_ops QCheck.Gen.(list_size (int_range 1 60) gen_exact_op)
+
+(* Exact-only churn, then prefix lookups among further churn. *)
+let arb_prefix_ops =
+  QCheck.make ~print:print_ops
+    QCheck.Gen.(
+      map2 ( @ )
+        (list_size (int_range 0 60) gen_exact_op)
+        (list_size (int_range 1 60) gen_mixed_op))
 
 (* --- exact reference model for LRU / FIFO --- *)
 
 (* Head of the list = most recently used (LRU) / most recently inserted
    (FIFO); eviction takes the last element, mirroring the store's
    intrusive list. *)
-type model_entry = { idx : int; inserted_at : float; freshness : float option }
+type model_entry = {
+  idx : int;
+  inserted_at : float;
+  freshness : float option;
+  strict : bool;
+}
 
 let model_fresh now e =
   match e.freshness with None -> true | Some f -> now -. e.inserted_at <= f
 
-let model_insert model ~now idx freshness =
+let model_insert model ~now idx freshness strict =
   let model = List.filter (fun e -> e.idx <> idx) model in
   let rec trim m =
     if capacity > 0 && List.length m >= capacity then
       trim (List.filteri (fun i _ -> i < List.length m - 1) m)
     else m
   in
-  { idx; inserted_at = now; freshness } :: trim model
+  { idx; inserted_at = now; freshness; strict } :: trim model
 
 let model_lookup ~policy model ~now idx =
   match List.find_opt (fun e -> e.idx = idx) model with
@@ -103,6 +167,54 @@ let model_lookup ~policy model ~now idx =
       in
       (true, model)
 
+let rec is_prefix q p =
+  match (q, p) with
+  | [], _ -> true
+  | c :: q, c' :: p -> String.equal c c' && is_prefix q p
+  | _ :: _, [] -> false
+
+(* NDN matching of query [q]: the exact name if cached (strict or not),
+   else the smallest cached extension in canonical order — component
+   lists compared element-wise, a prefix before its extensions — whose
+   object is not strict-match.  A stale answer is expired and the
+   search retried.  Returns the hit's index, the model after the
+   lookup, and the number of expirations. *)
+let rec model_prefix_lookup ~policy model ~now q =
+  let qp = query_paths.(q) in
+  let candidate =
+    match List.find_opt (fun e -> paths.(e.idx) = qp) model with
+    | Some e -> Some e
+    | None -> (
+      List.filter (fun e -> (not e.strict) && is_prefix qp paths.(e.idx)) model
+      |> List.sort (fun a b -> compare paths.(a.idx) paths.(b.idx))
+      |> function
+      | [] -> None
+      | e :: _ -> Some e)
+  in
+  let without e = List.filter (fun e' -> e'.idx <> e.idx) model in
+  match candidate with
+  | None -> (None, model)
+  | Some e when not (model_fresh now e) -> model_prefix_lookup ~policy (without e) ~now q
+  | Some e -> (
+    match policy with
+    | Ndn.Eviction.Lru -> (Some e.idx, e :: without e)
+    | _ -> (Some e.idx, model))
+
+let index_of_name =
+  let tbl = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.add tbl (Ndn.Name.to_string n) i) names;
+  fun n -> Hashtbl.find tbl (Ndn.Name.to_string n)
+
+let store_prefix_lookup cs ~now q =
+  Ndn.Content_store.lookup cs ~now queries.(q)
+  |> Option.map (fun e -> index_of_name e.Ndn.Content_store.data.Ndn.Data.name)
+
+let check_prefix_answer label q ~store ~model =
+  let show = function None -> "miss" | Some i -> Ndn.Name.to_string names.(i) in
+  if store <> model then
+    QCheck.Test.fail_reportf "%s: prefix-lookup %s store=%s model=%s" label
+      (Ndn.Name.to_string queries.(q)) (show store) (show model)
+
 let store_contents cs =
   Ndn.Content_store.fold cs ~init:[] ~f:(fun acc e ->
       Ndn.Name.to_string e.Ndn.Content_store.data.Ndn.Data.name :: acc)
@@ -111,16 +223,16 @@ let store_contents cs =
 let model_contents model =
   List.map (fun e -> Ndn.Name.to_string names.(e.idx)) model |> List.sort compare
 
-let exact_model_agrees policy ops =
+let model_agrees policy ops =
   let cs = Ndn.Content_store.create ~policy ~capacity () in
   let rec go model now = function
     | [] -> true
     | op :: rest ->
       let model, now =
         match op with
-        | Insert (idx, freshness) ->
-          Ndn.Content_store.insert cs ~now (data_of idx freshness) ();
-          (model_insert model ~now idx freshness, now)
+        | Insert (idx, freshness, strict) ->
+          Ndn.Content_store.insert cs ~now (data_of idx freshness strict) ();
+          (model_insert model ~now idx freshness strict, now)
         | Lookup idx ->
           let store_hit =
             Ndn.Content_store.lookup cs ~now ~exact:true names.(idx)
@@ -131,7 +243,15 @@ let exact_model_agrees policy ops =
             QCheck.Test.fail_reportf "%s: lookup %d store=%b model=%b"
               (Ndn.Eviction.to_string policy) idx store_hit model_hit;
           (model, now)
+        | Lookup_prefix q ->
+          let store = store_prefix_lookup cs ~now q in
+          let hit, model = model_prefix_lookup ~policy model ~now q in
+          check_prefix_answer (Ndn.Eviction.to_string policy) q ~store ~model:hit;
+          (model, now)
         | Advance dt -> (model, now +. dt)
+        | Flush ->
+          Ndn.Content_store.flush cs ~now;
+          ([], now)
       in
       if Ndn.Content_store.size cs <> List.length model then
         QCheck.Test.fail_reportf "%s after %s: size store=%d model=%d"
@@ -159,8 +279,8 @@ let random_invariants_hold seed ops =
     | op :: rest ->
       let now =
         match op with
-        | Insert (idx, freshness) ->
-          Ndn.Content_store.insert cs ~now (data_of idx freshness) ();
+        | Insert (idx, freshness, strict) ->
+          Ndn.Content_store.insert cs ~now (data_of idx freshness strict) ();
           Hashtbl.replace shadow idx (now, freshness);
           if not (Ndn.Content_store.mem cs names.(idx)) then
             QCheck.Test.fail_reportf "inserted %d not present" idx;
@@ -180,7 +300,29 @@ let random_invariants_hold seed ops =
               QCheck.Test.fail_reportf "hit on stale %d (age %.0f)" idx (now -. at)
           | false, _ -> ());
           now
+        | Lookup_prefix q ->
+          let snapshot =
+            Ndn.Content_store.fold cs ~init:[] ~f:(fun acc e ->
+                let d = e.Ndn.Content_store.data in
+                {
+                  idx = index_of_name d.Ndn.Data.name;
+                  inserted_at = e.Ndn.Content_store.inserted_at;
+                  freshness = d.Ndn.Data.freshness_ms;
+                  strict = d.Ndn.Data.strict_match;
+                }
+                :: acc)
+          in
+          let model, _ =
+            model_prefix_lookup ~policy:Ndn.Eviction.Random_replacement snapshot ~now q
+          in
+          check_prefix_answer "random" q ~store:(store_prefix_lookup cs ~now q) ~model;
+          now
         | Advance dt -> now +. dt
+        | Flush ->
+          Ndn.Content_store.flush cs ~now;
+          if Ndn.Content_store.size cs <> 0 then
+            QCheck.Test.fail_reportf "flush left %d entries" (Ndn.Content_store.size cs);
+          now
       in
       if Ndn.Content_store.size cs > capacity then
         QCheck.Test.fail_reportf "size %d exceeds capacity %d"
@@ -197,12 +339,21 @@ let qcheck_tests =
   [
     QCheck.Test.make ~name:"content store agrees with list model (LRU)" ~count:400
       arb_ops
-      (exact_model_agrees Ndn.Eviction.Lru);
+      (model_agrees Ndn.Eviction.Lru);
     QCheck.Test.make ~name:"content store agrees with list model (FIFO)" ~count:400
       arb_ops
-      (exact_model_agrees Ndn.Eviction.Fifo);
+      (model_agrees Ndn.Eviction.Fifo);
     QCheck.Test.make ~name:"random replacement invariants" ~count:400
       QCheck.(pair (make Gen.(int_bound 1_000_000) ~print:string_of_int) arb_ops)
+      (fun (seed, ops) -> random_invariants_hold seed ops);
+    QCheck.Test.make ~name:"prefix lookups agree with list model (LRU)" ~count:400
+      arb_prefix_ops
+      (model_agrees Ndn.Eviction.Lru);
+    QCheck.Test.make ~name:"prefix lookups agree with list model (FIFO)" ~count:400
+      arb_prefix_ops
+      (model_agrees Ndn.Eviction.Fifo);
+    QCheck.Test.make ~name:"prefix lookups under random replacement" ~count:400
+      QCheck.(pair (make Gen.(int_bound 1_000_000) ~print:string_of_int) arb_prefix_ops)
       (fun (seed, ops) -> random_invariants_hold seed ops);
   ]
 

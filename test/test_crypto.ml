@@ -1,6 +1,8 @@
 (* Tests for the crypto substrate: SHA-256 against FIPS/NIST vectors and
-   an independent known-answer table, HMAC-SHA256 against RFC 4231, a
-   pinned producer signature, hex codecs. *)
+   an independent known-answer table, resumable contexts, HMAC-SHA256
+   against RFC 4231 and an in-test RFC 2104 reference (through the
+   per-key memo, on one domain and on two), a pinned producer
+   signature, hex codecs. *)
 
 let sha = Ndn_crypto.Sha256.hex_digest
 
@@ -419,6 +421,93 @@ let test_lan_producer_signature () =
       "1278b8047b173e49e68800d217747ca186215183e7329e542456af444cd763e5"
       (Ndn_crypto.Hex.encode d.Ndn.Data.signature)
 
+(* RFC 2104 spelled out on one-shot [Sha256.digest], sharing nothing
+   with [Hmac]: no midstates, no memo, no scratch context. *)
+let reference_hmac ~key msg =
+  let bs = Ndn_crypto.Sha256.block_size in
+  let key = if String.length key > bs then Ndn_crypto.Sha256.digest key else key in
+  let key = key ^ String.make (bs - String.length key) '\000' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
+  Ndn_crypto.Sha256.digest (pad 0x5c ^ Ndn_crypto.Sha256.digest (pad 0x36 ^ msg))
+
+(* Many more distinct keys than the memo holds, lengths 8 to 197, each
+   visited three times in turn: every visit after the first pass has
+   been evicted by a reset in between, and back-to-back repeats hit. *)
+let test_hmac_memo_churn () =
+  let key i =
+    Printf.sprintf "key-%03d-" i ^ String.make (i mod 190) (Char.chr (i land 0xff))
+  in
+  for pass = 1 to 3 do
+    for i = 0 to 199 do
+      let msg = Printf.sprintf "pass %d msg %d" pass i in
+      for _ = 1 to 2 do
+        Alcotest.(check string)
+          (Printf.sprintf "pass %d key %d" pass i)
+          (Ndn_crypto.Hex.encode (reference_hmac ~key:(key i) msg))
+          (hmac ~key:(key i) msg)
+      done
+    done
+  done
+
+let test_sha_resume () =
+  let msg = pattern 300 in
+  for cut = 0 to 4 do
+    let at = 64 * cut in
+    let saved = Ndn_crypto.Sha256.init () in
+    Ndn_crypto.Sha256.feed saved (String.sub msg 0 at);
+    (* Resume a finalized context, a fresh one and a mid-stream one. *)
+    let used = Ndn_crypto.Sha256.init () in
+    Ndn_crypto.Sha256.feed used "stale";
+    ignore (Ndn_crypto.Sha256.finalize used);
+    let mid = Ndn_crypto.Sha256.init () in
+    Ndn_crypto.Sha256.feed mid "partial block";
+    List.iter
+      (fun (label, ctx) ->
+        Ndn_crypto.Sha256.resume ctx ~from:saved;
+        Ndn_crypto.Sha256.feed ctx (String.sub msg at (300 - at));
+        Alcotest.(check string)
+          (Printf.sprintf "%s context resumed at %d" label at)
+          (sha msg)
+          (Ndn_crypto.Hex.encode (Ndn_crypto.Sha256.finalize ctx)))
+      [ ("finalized", used); ("fresh", Ndn_crypto.Sha256.init ()); ("mid-stream", mid) ];
+    (* The source is only read: it can still finish its own hash. *)
+    Ndn_crypto.Sha256.feed saved "tail";
+    Alcotest.(check string)
+      (Printf.sprintf "source after resume at %d" at)
+      (sha (String.sub msg 0 at ^ "tail"))
+      (Ndn_crypto.Hex.encode (Ndn_crypto.Sha256.finalize saved))
+  done
+
+let test_sha_resume_rejects () =
+  let partial = Ndn_crypto.Sha256.init () in
+  Ndn_crypto.Sha256.feed partial "abc";
+  Alcotest.check_raises "partial block"
+    (Invalid_argument "Sha256.resume: source not on a block boundary") (fun () ->
+      Ndn_crypto.Sha256.resume (Ndn_crypto.Sha256.init ()) ~from:partial);
+  let done_ = Ndn_crypto.Sha256.init () in
+  ignore (Ndn_crypto.Sha256.finalize done_);
+  Alcotest.check_raises "finalized source"
+    (Invalid_argument "Sha256.resume: source context finalized") (fun () ->
+      Ndn_crypto.Sha256.resume (Ndn_crypto.Sha256.init ()) ~from:done_)
+
+(* Each domain keeps its own memo; tags must not depend on which domain
+   computes them or on what else that domain signed before. *)
+let test_hmac_across_domains () =
+  let key i = String.make (i * 13 mod 150) (Char.chr (65 + (i mod 26))) in
+  let tags shift =
+    List.init 120 (fun j ->
+        let i = (j + shift) mod 120 in
+        (i, Ndn_crypto.Hmac.mac ~key:(key (i mod 80)) (Printf.sprintf "object %d" i)))
+    |> List.sort compare
+  in
+  let sequential = tags 0 in
+  let parallel = Sim.Parallel.map ~jobs:2 4 (fun t -> tags (t * 37)) in
+  Array.iteri
+    (fun t got ->
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "trial %d" t) sequential got)
+    parallel
+
 let test_hex_roundtrip () =
   let all_bytes = String.init 256 Char.chr in
   Alcotest.(check string) "roundtrip" all_bytes
@@ -457,6 +546,27 @@ let qcheck_tests =
     QCheck.Test.make ~name:"hmac differs from plain hash" ~count:100
       QCheck.(string_of_size Gen.(int_range 1 50))
       (fun msg -> Ndn_crypto.Hmac.mac ~key:"k" msg <> Ndn_crypto.Sha256.digest msg);
+    (* A pool of 1-150 keys of 0-200 bytes (either side of the 64-byte
+       hash-the-key boundary) used in random interleaving, so the memo
+       hits, misses and — past its cap — resets within one case. *)
+    QCheck.Test.make ~name:"hmac equals rfc 2104 reference" ~count:100
+      (QCheck.make
+         ~print:(fun (pool, ops) ->
+           let lengths = Array.map (fun k -> string_of_int (String.length k)) pool in
+           Printf.sprintf "%d keys (lengths %s), %d tags" (Array.length pool)
+             (String.concat "," (Array.to_list lengths))
+             (List.length ops))
+         QCheck.Gen.(
+           int_range 1 150 >>= fun n ->
+           array_repeat n (string_size (int_range 0 200)) >>= fun pool ->
+           list_size (int_range 1 300)
+             (pair (int_bound (n - 1)) (string_size (int_range 0 300)))
+           >|= fun ops -> (pool, ops)))
+      (fun (pool, ops) ->
+        List.for_all
+          (fun (k, msg) ->
+            Ndn_crypto.Hmac.mac ~key:pool.(k) msg = reference_hmac ~key:pool.(k) msg)
+          ops);
   ]
 
 let () =
@@ -477,6 +587,8 @@ let () =
           Alcotest.test_case "feed_bytes bounds" `Quick test_sha_feed_bytes_bounds;
           Alcotest.test_case "sizes" `Quick test_sha_digest_size;
           Alcotest.test_case "known answers" `Quick test_sha_known_answers;
+          Alcotest.test_case "resume" `Quick test_sha_resume;
+          Alcotest.test_case "resume rejects" `Quick test_sha_resume_rejects;
         ] );
       ( "hmac",
         [
@@ -493,6 +605,8 @@ let () =
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "lan producer signature" `Quick
             test_lan_producer_signature;
+          Alcotest.test_case "memo churn" `Quick test_hmac_memo_churn;
+          Alcotest.test_case "across domains" `Quick test_hmac_across_domains;
         ] );
       ( "hex",
         [
