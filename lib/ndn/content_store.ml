@@ -36,8 +36,8 @@ type 'meta t = {
   table : 'meta node Name.Tbl.t;
   (* Prefix index for NDN extension matching, built from [table] on the
      first non-exact lookup and maintained only while [indexed]: an
-     exact-only store (the trace replay) never pays the trie's Map
-     path-copying on insert and evict. *)
+     exact-only store (the trace replay) never pays for a second table
+     operation on insert and evict. *)
   index : unit Name_trie.t;
   mutable indexed : bool;
   mutable head : 'meta node option;
@@ -79,7 +79,10 @@ let create ?(policy = Eviction.Lru) ?rng ?(tracer = Sim.Trace.disabled)
     lfu_seq = 0;
     slots = [||];
     slots_len = 0;
-    slot_of = Name.Tbl.create 256;
+    (* Only random replacement reads [slot_of]; other policies keep it
+       at the minimum size so store creation stays cheap. *)
+    slot_of =
+      Name.Tbl.create (if policy = Eviction.Random_replacement then 256 else 16);
     lookups = 0;
     hits = 0;
     misses = 0;

@@ -1,26 +1,42 @@
-(* Children are stored in a sorted association map keyed by component
-   string (stdlib Map) so that subtree folds produce names in canonical
-   order. *)
+(* Bindings live in a hash table keyed by the hash-consed name, whose
+   hash is a memoized field: exact operations cost one table operation
+   instead of a string-compare descent.  Each binding is stored as its
+   own [Some] cell, built once at [add], so [find] returns it without
+   allocating.  The table and the census are created with the first
+   binding: a node builds several indexes (PIT, FIB, local
+   registrations, CS prefix index) and many stay empty for life.
+
+   [census.(n)] counts the bound names of length [n].  Prefix queries
+   (PIT satisfy, FIB longest-prefix match) probe the table only at the
+   lengths the census holds.  Extension queries need the names below a
+   node in component order, so a component-keyed tree ([Smap], stdlib
+   Map) is built from the table on the first extension query that could
+   find something beyond the exact binding, and maintained from then on
+   until [clear]. *)
 
 module Smap = Map.Make (String)
 
 type 'a node = { mutable value : 'a option; mutable children : 'a node Smap.t }
 
-type 'a t = { root : 'a node; mutable size : int }
+type 'a t = {
+  mutable table : 'a option Name.Tbl.t option;
+  mutable census : int array;
+  mutable tree : 'a node option;
+}
 
 let new_node () = { value = None; children = Smap.empty }
 
-let create () = { root = new_node (); size = 0 }
+let create () = { table = None; census = [||]; tree = None }
 
-let size t = t.size
+let size t = match t.table with Some tbl -> Name.Tbl.length tbl | None -> 0
 
-let is_empty t = t.size = 0
+let is_empty t = size t = 0
 
-let add t name v =
+(* --- ordered tree (extension queries only) --- *)
+
+let tree_add root name cell =
   let rec go node = function
-    | [] ->
-      if node.value = None then t.size <- t.size + 1;
-      node.value <- Some v
+    | [] -> node.value <- cell
     | c :: rest ->
       let child =
         match Smap.find_opt c node.children with
@@ -32,17 +48,14 @@ let add t name v =
       in
       go child rest
   in
-  go t.root (Name.components name)
+  go root (Name.components name)
 
-let remove t name =
+let tree_remove root name =
   (* Returns [true] when the child became empty and can be pruned. *)
   let rec go node = function
     | [] ->
-      if node.value <> None then begin
-        node.value <- None;
-        t.size <- t.size - 1
-      end;
-      node.value = None && Smap.is_empty node.children
+      node.value <- None;
+      Smap.is_empty node.children
     | c :: rest -> (
       match Smap.find_opt c node.children with
       | None -> false
@@ -50,62 +63,108 @@ let remove t name =
         if go child rest then node.children <- Smap.remove c node.children;
         node.value = None && Smap.is_empty node.children)
   in
-  ignore (go t.root (Name.components name))
+  ignore (go root (Name.components name))
 
-(* [Smap.find] + [Not_found] instead of [find_opt]: the per-level [Some]
-   wrappers are the only allocations a trie descent would otherwise make. *)
+let tree t =
+  match t.tree with
+  | Some root -> root
+  | None ->
+    let root = new_node () in
+    Option.iter (Name.Tbl.iter (fun name cell -> tree_add root name cell)) t.table;
+    t.tree <- Some root;
+    root
+
+(* --- bindings --- *)
+
+let table t =
+  match t.table with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Name.Tbl.create 16 in
+    t.table <- Some tbl;
+    tbl
+
+let add t name v =
+  let tbl = table t in
+  let before = Name.Tbl.length tbl in
+  let cell = Some v in
+  Name.Tbl.replace tbl name cell;
+  if Name.Tbl.length tbl > before then begin
+    let len = Name.length name in
+    if len >= Array.length t.census then begin
+      let census = Array.make (Int.max 8 (2 * len)) 0 in
+      Array.blit t.census 0 census 0 (Array.length t.census);
+      t.census <- census
+    end;
+    t.census.(len) <- t.census.(len) + 1
+  end;
+  match t.tree with Some root -> tree_add root name cell | None -> ()
+
+let remove t name =
+  match t.table with
+  | None -> ()
+  | Some tbl ->
+    let before = Name.Tbl.length tbl in
+    Name.Tbl.remove tbl name;
+    if Name.Tbl.length tbl < before then begin
+      let len = Name.length name in
+      t.census.(len) <- t.census.(len) - 1;
+      match t.tree with Some root -> tree_remove root name | None -> ()
+    end
+
+(* ndnlint: hot *)
 let find t name =
-  let rec go node = function
-    | [] -> node.value
-    | c :: rest -> (
-      match Smap.find c node.children with
-      | exception Not_found -> None
-      | child -> go child rest)
-  in
-  go t.root (Name.components name)
+  match t.table with
+  | None -> None
+  | Some tbl -> (
+    match Name.Tbl.find tbl name with exception Not_found -> None | cell -> cell)
 
-let mem t name = find t name <> None
+let mem t name = match t.table with Some tbl -> Name.Tbl.mem tbl name | None -> false
 
-(* Track the best depth during the descent and build the winning prefix
-   name once at the end, instead of materializing a candidate name at
-   every bound node along the path. *)
+(* --- prefix queries: probe the census lengths --- *)
+
+(* The prefix of [name] with [n] components; the query itself at its
+   own length, so the common probe builds no name. *)
+let prefix_at name len n = if n = len then name else Name.prefix name n
+
+(* The probe loops are top-level functions rather than local closures,
+   so a query allocates only its answer. *)
+let rec longest_from t name len n =
+  if n < 0 then None
+  else if t.census.(n) = 0 then longest_from t name len (n - 1)
+  else
+    let p = prefix_at name len n in
+    match find t p with Some v -> Some (p, v) | None -> longest_from t name len (n - 1)
+
 let longest_prefix t name =
-  let rec go node depth best_depth best = function
-    | comps ->
-      let best_depth, best =
-        match node.value with
-        | Some v -> (depth, Some v)
-        | None -> (best_depth, best)
-      in
-      (match comps with
-      | [] -> (best_depth, best)
-      | c :: rest -> (
-        match Smap.find c node.children with
-        | exception Not_found -> (best_depth, best)
-        | child -> go child (depth + 1) best_depth best rest))
-  in
-  match go t.root 0 0 None (Name.components name) with
-  | _, None -> None
-  | depth, Some v -> Some (Name.prefix name depth, v)
+  let len = Name.length name in
+  longest_from t name len (Int.min len (Array.length t.census - 1))
+
+let rec prefixes_from t name len last n acc f =
+  if n > last then acc
+  else
+    let acc =
+      if t.census.(n) = 0 then acc
+      else
+        let p = prefix_at name len n in
+        match find t p with Some v -> f acc p v | None -> acc
+    in
+    prefixes_from t name len last (n + 1) acc f
 
 let fold_prefixes t name ~init ~f =
-  let rec go node depth acc = function
-    | comps ->
-      let acc =
-        match node.value with
-        | Some v -> f acc (Name.prefix name depth) v
-        | None -> acc
-      in
-      (match comps with
-      | [] -> acc
-      | c :: rest -> (
-        match Smap.find_opt c node.children with
-        | None -> acc
-        | Some child -> go child (depth + 1) acc rest))
-  in
-  go t.root 0 init (Name.components name)
+  let len = Name.length name in
+  prefixes_from t name len (Int.min len (Array.length t.census - 1)) 0 init f
 
-let descend t name =
+(* --- extension queries --- *)
+
+let rec any_from census n =
+  n < Array.length census && (census.(n) > 0 || any_from census (n + 1))
+
+(* Does any bound name have more components than [len]?  If not, the
+   only possible extension of a query of that length is itself. *)
+let has_longer t len = any_from t.census (len + 1)
+
+let descend root name =
   let rec go node = function
     | [] -> Some node
     | c :: rest -> (
@@ -113,41 +172,54 @@ let descend t name =
       | exception Not_found -> None
       | child -> go child rest)
   in
-  go t.root (Name.components name)
+  go root (Name.components name)
 
 exception Found_binding of Name.t
 
 let first_extension t name =
-  match descend t name with
-  | None -> None
-  | Some node ->
-    (* DFS in component order; the first binding found is the smallest. *)
-    let rec dfs prefix node =
-      (match node.value with Some _ -> raise (Found_binding prefix) | None -> ());
-      Smap.iter (fun c child -> dfs (Name.append prefix c) child) node.children
-    in
-    (try
-       dfs name node;
-       None
-     with Found_binding n -> (
-       match find t n with Some v -> Some (n, v) | None -> None))
+  if not (has_longer t (Name.length name)) then
+    match find t name with Some v -> Some (name, v) | None -> None
+  else
+    match descend (tree t) name with
+    | None -> None
+    | Some node -> (
+      (* DFS in component order; the first binding found is the smallest. *)
+      let rec dfs prefix node =
+        (match node.value with Some _ -> raise (Found_binding prefix) | None -> ());
+        Smap.iter (fun c child -> dfs (Name.append prefix c) child) node.children
+      in
+      try
+        dfs name node;
+        None
+      with Found_binding n -> (
+        match find t n with Some v -> Some (n, v) | None -> None))
 
 let fold_subtree t name ~init ~f =
-  match descend t name with
-  | None -> init
-  | Some node ->
-    let rec dfs prefix node acc =
-      let acc = match node.value with Some v -> f acc prefix v | None -> acc in
-      Smap.fold (fun c child acc -> dfs (Name.append prefix c) child acc) node.children acc
-    in
-    dfs name node init
+  if not (has_longer t (Name.length name)) then
+    match find t name with Some v -> f init name v | None -> init
+  else
+    match descend (tree t) name with
+    | None -> init
+    | Some node ->
+      let rec dfs prefix node acc =
+        let acc = match node.value with Some v -> f acc prefix v | None -> acc in
+        Smap.fold (fun c child acc -> dfs (Name.append prefix c) child acc) node.children acc
+      in
+      dfs name node init
 
-let iter t ~f = ignore (fold_subtree t Name.root ~init:() ~f:(fun () n v -> f n v))
-
+(* [Name.compare] is the tree's DFS order: NUL, the key separator,
+   sorts below every component byte, so a name precedes its extensions
+   and siblings order by component. *)
 let to_list t =
-  List.rev (fold_subtree t Name.root ~init:[] ~f:(fun acc n v -> (n, v) :: acc))
+  match t.table with
+  | None -> []
+  | Some tbl ->
+    Name.Tbl.fold
+      (fun name cell acc -> match cell with Some v -> (name, v) :: acc | None -> acc)
+      tbl []
+    |> List.sort (fun (a, _) (b, _) -> Name.compare a b)
 
 let clear t =
-  t.root.value <- None;
-  t.root.children <- Smap.empty;
-  t.size <- 0
+  t.table <- None;
+  t.census <- [||];
+  t.tree <- None

@@ -1,10 +1,26 @@
-(** A prefix tree keyed by {!Name.t}.
+(** A name index with prefix queries, keyed by {!Name.t}.
 
     Shared index structure behind the FIB (longest-prefix match of an
     interest name against routed prefixes), the content store
-    (does any cached name extend this interest name?) and the PIT
+    (does any cached name extend this interest name?), the PIT
     (which pending interest names are prefixes of an arriving Data
-    name?). *)
+    name?) and a node's local-application registrations.
+
+    Representation and costs:
+    - Bindings live in a {!Name.Tbl} hash table.  Names are hash-consed
+      with a memoized hash, so {!add}, {!remove}, {!find}, {!mem} and
+      {!size} each cost one table operation, and {!find} allocates
+      nothing.  The table is created with the first binding, so an
+      index that stays empty costs one small record.
+    - A census counts the bound names per length.  {!fold_prefixes}
+      and {!longest_prefix} probe the table once per length the census
+      holds, up to the query's length; a probe below the query's own
+      length builds that prefix with {!Name.prefix}.
+    - {!first_extension} and {!fold_subtree} answer with one probe when
+      no bound name is longer than the query.  Otherwise they walk a
+      component-ordered tree, built from the table on the first such
+      query and maintained by {!add}/{!remove} until {!clear}.
+    - {!to_list} sorts the table, O(n log n). *)
 
 type 'a t
 
@@ -19,7 +35,8 @@ val add : 'a t -> Name.t -> 'a -> unit
 (** Bind a value to a name, replacing any previous binding. *)
 
 val remove : 'a t -> Name.t -> unit
-(** Unbind; prunes empty branches.  No-op if unbound. *)
+(** Unbind (pruning the ordered tree's empty branches, if it is built).
+    No-op if unbound. *)
 
 val find : 'a t -> Name.t -> 'a option
 (** Exact-name lookup. *)
@@ -43,9 +60,8 @@ val fold_subtree : 'a t -> Name.t -> init:'acc -> f:('acc -> Name.t -> 'a -> 'ac
 (** Fold over all bound names extending the query (including the query
     itself if bound), in {!Name.compare} order. *)
 
-val iter : 'a t -> f:(Name.t -> 'a -> unit) -> unit
-
 val to_list : 'a t -> (Name.t * 'a) list
 (** All bindings in name order. *)
 
 val clear : 'a t -> unit
+(** Drop every binding and the ordered tree. *)

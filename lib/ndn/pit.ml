@@ -221,7 +221,8 @@ let expire t ~now =
      the historical full-rescan implementation did, so traced sweeps
      render identically.  A while-loop rather than a local [let rec]:
      the recursive closure would capture [t]/[now] and allocate on
-     every sweep, and this runs once per engine step. *)
+     every sweep, and this runs once per sweep event — the node arms
+     one sweep for each interest it forwards. *)
   let stale = ref [] in
   let continue_ = ref true in
   while !continue_ do

@@ -192,6 +192,132 @@ let test_trie_to_list_and_clear () =
   Name_trie.clear t;
   Alcotest.(check int) "cleared" 0 (Name_trie.size t)
 
+(* --- Name_trie against an association-list model --- *)
+
+(* Random [add]/[remove]/[clear] sequences over names of 0-4 components
+   from a three-component alphabet ("a" < "ab" < "b", so a component
+   that is a prefix of its sibling is exercised).  Short names and long
+   names mix, so the census gate of the extension queries takes both
+   branches.  Extension queries start only at a random step: before it
+   the ordered tree is never built, so the lazy build happens after
+   arbitrary churn, and [clear] drops it again mid-sequence. *)
+
+type trie_op = Trie_add of Name.t * int | Trie_remove of Name.t | Trie_clear
+
+let trie_name_gen =
+  QCheck.Gen.(
+    map Name.of_components (list_size (int_range 0 4) (oneofl [ "a"; "ab"; "b" ])))
+
+let trie_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun n v -> Trie_add (n, v)) trie_name_gen small_nat);
+        (3, map (fun n -> Trie_remove n) trie_name_gen);
+        (1, return Trie_clear);
+      ])
+
+let print_trie_op = function
+  | Trie_add (n, v) -> Printf.sprintf "add %s %d" (Name.to_string n) v
+  | Trie_remove n -> "remove " ^ Name.to_string n
+  | Trie_clear -> "clear"
+
+let trie_apply t = function
+  | Trie_add (n, v) -> Name_trie.add t n v
+  | Trie_remove n -> Name_trie.remove t n
+  | Trie_clear -> Name_trie.clear t
+
+(* The model: one (name, value) pair per bound name. *)
+let model_apply model op =
+  let without n = List.filter (fun (m, _) -> not (Name.equal m n)) model in
+  match op with
+  | Trie_add (n, v) -> (n, v) :: without n
+  | Trie_remove n -> without n
+  | Trie_clear -> []
+
+(* Component-wise lexicographic order, stated without reference to
+   [Name.compare]'s NUL-joined key. *)
+let component_order (a, _) (b, _) =
+  List.compare String.compare (Name.components a) (Name.components b)
+
+let render_bindings bs =
+  String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" (Name.to_string n) v) bs)
+
+let check_trie_against_model ~step ~extensions t model queries =
+  let fail what q got want =
+    QCheck.Test.fail_reportf "step %d, %s %s: trie [%s] model [%s]" step what
+      (Name.to_string q) (render_bindings got) (render_bindings want)
+  in
+  let opt = function Some b -> [ b ] | None -> [] in
+  let same got want =
+    List.equal (fun (a, v) (b, w) -> Name.equal a b && v = w) got want
+  in
+  let check what q got want = if not (same got want) then fail what q got want in
+  let collect fold q =
+    List.rev (fold t q ~init:[] ~f:(fun acc n v -> (n, v) :: acc))
+  in
+  check "to_list" Name.root (Name_trie.to_list t) (List.sort component_order model);
+  if Name_trie.size t <> List.length model then
+    QCheck.Test.fail_reportf "step %d: size %d, model %d" step (Name_trie.size t)
+      (List.length model);
+  List.iter
+    (fun q ->
+      let bound = List.filter (fun (n, _) -> Name.equal n q) model in
+      check "find" q (opt (Option.map (fun v -> (q, v)) (Name_trie.find t q))) bound;
+      if Name_trie.mem t q <> (bound <> []) then fail "mem" q [] bound;
+      let prefixes =
+        List.filter (fun (n, _) -> Name.is_prefix ~prefix:n q) model
+        |> List.sort (fun (a, _) (b, _) -> Int.compare (Name.length a) (Name.length b))
+      in
+      check "fold_prefixes" q (collect Name_trie.fold_prefixes q) prefixes;
+      check "longest_prefix" q
+        (opt (Name_trie.longest_prefix t q))
+        (match List.rev prefixes with b :: _ -> [ b ] | [] -> []);
+      if extensions then begin
+        let below =
+          List.filter (fun (n, _) -> Name.is_prefix ~prefix:q n) model
+          |> List.sort component_order
+        in
+        check "fold_subtree" q (collect Name_trie.fold_subtree q) below;
+        check "first_extension" q
+          (opt (Name_trie.first_extension t q))
+          (match below with b :: _ -> [ b ] | [] -> [])
+      end)
+    queries
+
+let trie_model_property =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 40) trie_op_gen)
+        (list_size (int_range 1 8) trie_name_gen)
+        (int_range 0 45))
+  in
+  let print (ops, queries, ext_from) =
+    Printf.sprintf "ops=[%s] queries=[%s] extension queries from step %d"
+      (String.concat "; " (List.map print_trie_op ops))
+      (String.concat " " (List.map Name.to_string queries))
+      ext_from
+  in
+  QCheck.Test.make ~name:"trie agrees with an association-list model" ~count:300
+    (QCheck.make ~print gen)
+    (fun (ops, queries, ext_from) ->
+      let t = Name_trie.create () in
+      let model =
+        List.fold_left
+          (fun (step, model) op ->
+            trie_apply t op;
+            let model = model_apply model op in
+            check_trie_against_model ~step ~extensions:(step >= ext_from) t model
+              queries;
+            (step + 1, model))
+          (0, []) ops
+        |> snd
+      in
+      check_trie_against_model ~step:(List.length ops) ~extensions:true t model
+        queries;
+      true)
+
 (* --- Interest / Data / Packet --- *)
 
 let test_interest_scope () =
@@ -1029,6 +1155,7 @@ let qcheck_tests =
   in
   let arb_name = QCheck.make ~print:Name.to_string name_gen in
   [
+    trie_model_property;
     QCheck.Test.make ~name:"of_string/to_string roundtrip" ~count:300 arb_name
       (fun n -> Name.equal n (Name.of_string (Name.to_string n)));
     QCheck.Test.make ~name:"is_prefix of self" ~count:300 arb_name (fun n ->

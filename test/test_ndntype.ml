@@ -155,7 +155,10 @@ let test_hot_inventory () =
       Alcotest.(check bool)
         (Printf.sprintf "%s is annotated hot" expected)
         true (List.mem expected names))
-    [ "find_exact"; "pop_min_elt"; "run"; "expire"; "touch"; "process_block" ]
+    [
+      "find_exact"; "pop_min_elt"; "run"; "expire"; "touch"; "process_block";
+      "find";
+    ]
 
 (* Merged-universe staleness: with both passes' findings in hand, every
    pragma and allowlist entry in the shipped tree — typed rules and
