@@ -5,11 +5,12 @@
    per eviction policy, and one end-to-end Figure 3 LAN campaign — and
    writes BENCH_core.json for CI and for before/after comparisons.
 
-   Two hard checks run here rather than in a test:
+   Hard checks run here rather than in a test:
    - the CS exact-hit path with tracing disabled must stay within
      [cs_hit_alloc_ceiling] minor words per lookup (the zero-allocation
-     contract); exceeding it makes the process exit non-zero, which
-     fails the CI bench-smoke job;
+     contract), and a FIB longest-prefix hit within
+     [fib_lookup_alloc_ceiling]; exceeding either makes the process
+     exit non-zero, which fails the CI bench-smoke job;
    - the engine-churn timing is measured twice, once against a verbatim
      copy of the pre-rewrite boxed heap + handle-per-schedule engine
      (module [Baseline] below), so the JSON carries an honest
@@ -24,6 +25,11 @@ let clock_ns () = Int64.to_float (Monotonic_clock.now ())
    Checked in deliberately — raising it is a reviewed decision, not a
    drift. *)
 let cs_hit_alloc_ceiling = 0.01
+
+(* The same contract for a FIB longest-prefix hit: the value-only
+   [Name_trie] query builds no prefix name, so the true value is 0.0
+   here too. *)
+let fib_lookup_alloc_ceiling = 0.01
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: the pre-rewrite event queue, kept verbatim (boxed
@@ -250,6 +256,23 @@ let cs_hit_workload () =
       ignore (Ndn.Content_store.find_exact cs ~now names.(i land 511))
     done
 
+(* FIB hit: every lookup matches one of 16 namespace routes two
+   components shorter than the query, the forwarder's common case, with
+   tracing disabled. *)
+let fib_lookup_workload () =
+  let names = Lazy.force cs_names in
+  let fib = Ndn.Fib.create () in
+  for k = 0 to 15 do
+    Ndn.Fib.add_route fib
+      ~prefix:(Ndn.Name.of_string (Printf.sprintf "/bench/ns%d" k))
+      ~face:(k + 1)
+  done;
+  ignore (Ndn.Fib.next_hops fib names.(0));
+  fun ops ->
+    for i = 1 to ops do
+      ignore (Ndn.Fib.next_hops fib names.(i land 1023))
+    done
+
 (* Insert/evict mix: inserting from a 1024-name universe into a
    256-entry store, so ~every insert evicts — the policy's bookkeeping
    (intrusive list, lazy LFU heap, RR slot array) dominates. *)
@@ -447,6 +470,7 @@ let run ~quick () =
     (old_r, new_r)
   in
   let cs_hit = m ~label:"cs-hit/exact-untraced" (cs_hit_workload ()) in
+  let fib_lookup = m ~label:"fib-lookup/hit-untraced" (fib_lookup_workload ()) in
   let pit_expire = m ~label:"pit-expire/steady-window" (pit_expire_workload ()) in
   let cs_inserts =
     List.map
@@ -516,7 +540,7 @@ let run ~quick () =
     "trace emit: binary %.2fx faster than jsonl, %.3fx the bytes (%d events)@."
     emit_speedup bytes_ratio trace_n;
   let results =
-    (churn :: cs_hit :: pit_expire :: cs_inserts)
+    (churn :: cs_hit :: fib_lookup :: pit_expire :: cs_inserts)
     @ [ fig3; trace_jsonl_emit; trace_binary_emit; trace_analyze ]
   in
   let json =
@@ -529,6 +553,8 @@ let run ~quick () =
         Printf.sprintf "  \"config\": {\"quick\": %b, \"ops_scale\": %d},\n" quick
           ops_scale;
         Printf.sprintf "  \"cs_hit_alloc_ceiling\": %.6f,\n" cs_hit_alloc_ceiling;
+        Printf.sprintf "  \"fib_lookup_alloc_ceiling\": %.6f,\n"
+          fib_lookup_alloc_ceiling;
         Printf.sprintf
           "  \"baseline\": {\"op\": \"engine-churn\", \"before_ns_per_op\": \
            %.3f, \"after_ns_per_op\": %.3f, \"speedup\": %.3f},\n"
@@ -564,6 +590,13 @@ let run ~quick () =
       "FAIL: cs-hit allocates %.6f minor words/op (ceiling %.6f) — the \
        zero-allocation hit-path contract is broken@."
       cs_hit.Sim.Bench.allocs_per_op cs_hit_alloc_ceiling;
+    exit 1
+  end;
+  if fib_lookup.Sim.Bench.allocs_per_op > fib_lookup_alloc_ceiling then begin
+    Format.eprintf
+      "FAIL: fib-lookup allocates %.6f minor words/op (ceiling %.6f) — the \
+       value-only FIB query builds a name or a box again@."
+      fib_lookup.Sim.Bench.allocs_per_op fib_lookup_alloc_ceiling;
     exit 1
   end;
   if trace_binary_emit.Sim.Bench.allocs_per_op > binary_emit_alloc_ceiling

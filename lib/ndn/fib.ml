@@ -15,8 +15,8 @@ let remove_route t ~prefix ~face =
     if !faces = [] then Name_trie.remove t.trie prefix
 
 let next_hops t name =
-  match Name_trie.longest_prefix t.trie name with
-  | Some (_, faces) -> !faces
+  match Name_trie.longest_prefix_value t.trie name with
+  | Some faces -> !faces
   | None -> []
 
 let next_hop t name = match next_hops t name with [] -> None | f :: _ -> Some f

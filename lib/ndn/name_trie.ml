@@ -6,17 +6,24 @@
    binding: a node builds several indexes (PIT, FIB, local
    registrations, CS prefix index) and many stay empty for life.
 
-   [census.(n)] counts the bound names of length [n].  Prefix queries
-   (PIT satisfy, FIB longest-prefix match) probe the table only at the
-   lengths the census holds.  Extension queries need the names below a
-   node in component order, so a component-keyed tree ([Smap], stdlib
-   Map) is built from the table on the first extension query that could
-   find something beyond the exact binding, and maintained from then on
-   until [clear]. *)
+   [census.(n)] counts the bound names of length [n].  [fold_prefixes]
+   (PIT satisfy) probes the table only at the lengths the census holds.
+   Extension queries need the names below a node in component order,
+   so a component-keyed tree ([Smap], stdlib Map) is built from the
+   table on the first extension query that could find something beyond
+   the exact binding, or on the first longest-prefix match, and
+   maintained from then on until [clear].  Longest-prefix match walks
+   that tree down the query's components, no deeper than the census's
+   longest length, so the value-only query (the FIB's) never builds a
+   prefix name. *)
 
 module Smap = Map.Make (String)
 
-type 'a node = { mutable value : 'a option; mutable children : 'a node Smap.t }
+type 'a node = {
+  depth : int; (* components from the root *)
+  mutable value : 'a option;
+  mutable children : 'a node Smap.t;
+}
 
 type 'a t = {
   mutable table : 'a option Name.Tbl.t option;
@@ -24,7 +31,7 @@ type 'a t = {
   mutable tree : 'a node option;
 }
 
-let new_node () = { value = None; children = Smap.empty }
+let new_node depth = { depth; value = None; children = Smap.empty }
 
 let create () = { table = None; census = [||]; tree = None }
 
@@ -42,7 +49,7 @@ let tree_add root name cell =
         match Smap.find_opt c node.children with
         | Some child -> child
         | None ->
-          let child = new_node () in
+          let child = new_node (node.depth + 1) in
           node.children <- Smap.add c child node.children;
           child
       in
@@ -69,7 +76,7 @@ let tree t =
   match t.tree with
   | Some root -> root
   | None ->
-    let root = new_node () in
+    let root = new_node 0 in
     Option.iter (Name.Tbl.iter (fun name cell -> tree_add root name cell)) t.table;
     t.tree <- Some root;
     root
@@ -127,19 +134,8 @@ let mem t name = match t.table with Some tbl -> Name.Tbl.mem tbl name | None -> 
    own length, so the common probe builds no name. *)
 let prefix_at name len n = if n = len then name else Name.prefix name n
 
-(* The probe loops are top-level functions rather than local closures,
+(* The probe loop is a top-level function rather than a local closure,
    so a query allocates only its answer. *)
-let rec longest_from t name len n =
-  if n < 0 then None
-  else if t.census.(n) = 0 then longest_from t name len (n - 1)
-  else
-    let p = prefix_at name len n in
-    match find t p with Some v -> Some (p, v) | None -> longest_from t name len (n - 1)
-
-let longest_prefix t name =
-  let len = Name.length name in
-  longest_from t name len (Int.min len (Array.length t.census - 1))
-
 let rec prefixes_from t name len last n acc f =
   if n > last then acc
   else
@@ -154,6 +150,38 @@ let rec prefixes_from t name len last n acc f =
 let fold_prefixes t name ~init ~f =
   let len = Name.length name in
   prefixes_from t name len (Int.min len (Array.length t.census - 1)) 0 init f
+
+(* --- longest-prefix match: walk the ordered tree --- *)
+
+(* Walk down the query's components, keeping the deepest bound node
+   passed; [best] starts at the root, which stays the answer when no
+   prefix is bound.  The walk builds no name and allocates nothing. *)
+let rec deepest node comps last best =
+  let best = match node.value with Some _ -> node | None -> best in
+  if node.depth >= last then best
+  else
+    match comps with
+    | [] -> best
+    | c :: rest -> (
+      match Smap.find c node.children with
+      | exception Not_found -> best
+      | child -> deepest child rest last best)
+
+let longest_node t name =
+  let root = tree t in
+  let last = Int.min (Name.length name) (Array.length t.census - 1) in
+  deepest root (Name.components name) last root
+
+let longest_prefix t name =
+  if is_empty t then None
+  else
+    let node = longest_node t name in
+    match node.value with
+    | None -> None
+    | Some v -> Some (prefix_at name (Name.length name) node.depth, v)
+
+(* ndnlint: hot *)
+let longest_prefix_value t name = if is_empty t then None else (longest_node t name).value
 
 (* --- extension queries --- *)
 

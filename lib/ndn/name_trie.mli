@@ -13,13 +13,16 @@
       nothing.  The table is created with the first binding, so an
       index that stays empty costs one small record.
     - A census counts the bound names per length.  {!fold_prefixes}
-      and {!longest_prefix} probe the table once per length the census
-      holds, up to the query's length; a probe below the query's own
-      length builds that prefix with {!Name.prefix}.
+      probes the table once per length the census holds, up to the
+      query's length; a probe below the query's own length builds that
+      prefix with {!Name.prefix}.
     - {!first_extension} and {!fold_subtree} answer with one probe when
       no bound name is longer than the query.  Otherwise they walk a
       component-ordered tree, built from the table on the first such
       query and maintained by {!add}/{!remove} until {!clear}.
+    - {!longest_prefix} and {!longest_prefix_value} walk the same tree
+      down the query's components, no deeper than the longest bound
+      length.  Only {!longest_prefix} builds a name: its answer's.
     - {!to_list} sorts the table, O(n log n). *)
 
 type 'a t
@@ -44,8 +47,13 @@ val find : 'a t -> Name.t -> 'a option
 val mem : 'a t -> Name.t -> bool
 
 val longest_prefix : 'a t -> Name.t -> (Name.t * 'a) option
-(** The bound name that is the longest prefix of the query (used by FIB
-    forwarding). *)
+(** The bound name that is the longest prefix of the query. *)
+
+val longest_prefix_value : 'a t -> Name.t -> 'a option
+(** The value of {!longest_prefix}, without the matched name: the FIB's
+    query.  It builds or interns no prefix name and allocates
+    nothing (the ordered tree is built on first use, as for
+    {!first_extension}). *)
 
 val fold_prefixes : 'a t -> Name.t -> init:'acc -> f:('acc -> Name.t -> 'a -> 'acc) -> 'acc
 (** Fold over every bound name that is a prefix of the query, shortest

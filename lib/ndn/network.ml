@@ -141,6 +141,73 @@ let pkt_name pkt =
   | Packet.Data data -> ("data", data.Data.name)
   | Packet.Nack n -> ("nack", n.Nack.name)
 
+(* Put one packet on a link direction: sample loss, then latency, in a
+   fixed order for determinism, and schedule the delivery.  Both draws
+   happen whether or not tracing is on, so enabling a tracer never
+   perturbs the RNG stream.  These are top-level functions rather than
+   closures inside [connect]'s [deliver], so an unqueued packet
+   allocates only its delivery event. *)
+let transmit t ~src_label ~dir ~lat dst face_ref pkt =
+  let lost = dir.loss > 0. && Sim.Rng.bernoulli t.rng dir.loss in
+  let d = Sim.Latency.sample lat t.rng *. dir.latency_factor in
+  if Sim.Trace.enabled t.tracer then begin
+    let pkt_type, name = pkt_name pkt in
+    Sim.Trace.emit t.tracer
+      {
+        Sim.Trace.time = Sim.Engine.now t.engine;
+        node = src_label;
+        kind = (if lost then Sim.Trace.Link_drop else Sim.Trace.Link_transmit);
+        name = Name.to_string name;
+        attrs =
+          [
+            ("dst", Node.label dst);
+            ("pkt", pkt_type);
+            ("delay_ms", Printf.sprintf "%.6f" d);
+          ];
+      }
+  end;
+  if not lost then
+    ignore
+      (Sim.Engine.schedule t.engine ~delay:d (fun () ->
+           Node.receive dst ~face:!face_ref pkt))
+
+(* The shard-mode copy draws from the direction's own [rng] and runs on
+   [src]'s shard; a delivery to another shard goes through
+   [Sim.Shard]'s cross-shard queue. *)
+let transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt =
+  let eng = Node.engine src in
+  let tr = Node.tracer src in
+  let lost = dir.loss > 0. && Sim.Rng.bernoulli rng dir.loss in
+  let d = Sim.Latency.sample lat rng *. dir.latency_factor in
+  if Sim.Trace.enabled tr then begin
+    let pkt_type, name = pkt_name pkt in
+    Sim.Trace.emit tr
+      {
+        Sim.Trace.time = Sim.Engine.now eng;
+        node = Node.label src;
+        kind = (if lost then Sim.Trace.Link_drop else Sim.Trace.Link_transmit);
+        name = Name.to_string name;
+        attrs =
+          [
+            ("dst", Node.label dst);
+            ("pkt", pkt_type);
+            ("delay_ms", Printf.sprintf "%.6f" d);
+          ];
+      }
+  end;
+  if not lost then begin
+    let key = Node.fresh_event_key src in
+    if Node.shard src = Node.shard dst then
+      ignore
+        (Sim.Engine.schedule_key eng ~delay:d ~key (fun () ->
+             Node.receive dst ~face:!face_ref pkt))
+    else
+      Sim.Shard.send s.sh ~src:(Node.shard src) ~dst:(Node.shard dst)
+        ~time:(Sim.Engine.now eng +. d)
+        ~key
+        (fun () -> Node.receive dst ~face:!face_ref (import_packet pkt))
+  end
+
 let connect t ?(loss = 0.) ?latency_ba ~latency a b =
   let lat_ab = latency in
   let lat_ba = Option.value latency_ba ~default:latency in
@@ -187,35 +254,7 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
         end
       end
       else begin
-        (* Sample loss, then latency, in a fixed order for determinism.
-           Both draws happen whether or not tracing is on, so enabling a
-           tracer never perturbs the RNG stream. *)
-        let transmit () =
-          let lost = dir.loss > 0. && Sim.Rng.bernoulli t.rng dir.loss in
-          let d = Sim.Latency.sample lat t.rng *. dir.latency_factor in
-          if Sim.Trace.enabled t.tracer then begin
-            let pkt_type, name = pkt_name pkt in
-            Sim.Trace.emit t.tracer
-              {
-                Sim.Trace.time = Sim.Engine.now t.engine;
-                node = src_label;
-                kind =
-                  (if lost then Sim.Trace.Link_drop else Sim.Trace.Link_transmit);
-                name = Name.to_string name;
-                attrs =
-                  [
-                    ("dst", Node.label dst);
-                    ("pkt", pkt_type);
-                    ("delay_ms", Printf.sprintf "%.6f" d);
-                  ];
-              }
-          end;
-          if not lost then
-            ignore
-              (Sim.Engine.schedule t.engine ~delay:d (fun () ->
-                   Node.receive dst ~face:!face_ref pkt))
-        in
-        if dir.q_rate <= 0. then transmit ()
+        if dir.q_rate <= 0. then transmit t ~src_label ~dir ~lat dst face_ref pkt
         else begin
           (* Bounded transmission queue: the packet serializes at
              [q_rate] bytes/ms behind the current backlog; a full queue
@@ -271,7 +310,7 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
             ignore
               (Sim.Engine.schedule t.engine ~delay:(depart -. now_t) (fun () ->
                    dir.qlen <- dir.qlen - 1;
-                   transmit ()))
+                   transmit t ~src_label ~dir ~lat dst face_ref pkt))
           end
         end
       end
@@ -328,40 +367,7 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
         end
       end
       else begin
-        let transmit () =
-          let lost = dir.loss > 0. && Sim.Rng.bernoulli rng dir.loss in
-          let d = Sim.Latency.sample lat rng *. dir.latency_factor in
-          if Sim.Trace.enabled tr then begin
-            let pkt_type, name = pkt_name pkt in
-            Sim.Trace.emit tr
-              {
-                Sim.Trace.time = Sim.Engine.now eng;
-                node = Node.label src;
-                kind =
-                  (if lost then Sim.Trace.Link_drop else Sim.Trace.Link_transmit);
-                name = Name.to_string name;
-                attrs =
-                  [
-                    ("dst", Node.label dst);
-                    ("pkt", pkt_type);
-                    ("delay_ms", Printf.sprintf "%.6f" d);
-                  ];
-              }
-          end;
-          if not lost then begin
-            let key = Node.fresh_event_key src in
-            if Node.shard src = Node.shard dst then
-              ignore
-                (Sim.Engine.schedule_key eng ~delay:d ~key (fun () ->
-                     Node.receive dst ~face:!face_ref pkt))
-            else
-              Sim.Shard.send s.sh ~src:(Node.shard src) ~dst:(Node.shard dst)
-                ~time:(Sim.Engine.now eng +. d)
-                ~key
-                (fun () -> Node.receive dst ~face:!face_ref (import_packet pkt))
-          end
-        in
-        if dir.q_rate <= 0. then transmit ()
+        if dir.q_rate <= 0. then transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt
         else begin
           let now_t = Sim.Engine.now eng in
           let full = dir.qlen >= dir.q_depth in
@@ -414,7 +420,7 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
               (Sim.Engine.schedule_key eng ~delay:(depart -. now_t) ~key
                  (fun () ->
                    dir.qlen <- dir.qlen - 1;
-                   transmit ()))
+                   transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt))
           end
         end
       end

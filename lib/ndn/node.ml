@@ -91,6 +91,15 @@ type t = {
   pending_local : pending_expression list ref Name_trie.t;
   mutable strat : strategy;
   c : mutable_counters;
+  (* PIT sweep arm times and the event keys they reserved, a FIFO in
+     two parallel rings (a push or a pop allocates nothing once they
+     have grown).  Only the front one is scheduled, with [sweep], the
+     node's one sweep closure, built at creation. *)
+  mutable arm_at : float array;
+  mutable arm_key : int array;
+  mutable arm_head : int;
+  mutable arm_len : int;
+  mutable sweep : unit -> unit;
 }
 
 let trace t kind name attrs =
@@ -103,6 +112,92 @@ let trace t kind name attrs =
         name = Name.to_string name;
         attrs;
       }
+
+(* Event-key packing: 41 bits of per-node counter under 21+ bits of
+   node id keeps keys positive, unique and ordered by (sid, kseq) in a
+   63-bit int — ~2M nodes and ~2.2e12 events per node before
+   overflow. *)
+let key_bits = 41
+
+let fresh_event_key t =
+  let k = (t.sid lsl key_bits) lor t.kseq in
+  t.kseq <- t.kseq + 1;
+  k
+
+(* All of this node's event scheduling funnels through these two: the
+   legacy path is byte-for-byte the engine's FIFO counter (pinned by
+   the golden traces), the shard path the partition-invariant key. *)
+let sched t ~delay f =
+  if t.sid < 0 then Sim.Engine.schedule t.engine ~delay f
+  else Sim.Engine.schedule_key t.engine ~delay ~key:(fresh_event_key t) f
+
+let sched_at t ~time f =
+  if t.sid < 0 then Sim.Engine.schedule_at t.engine ~time f
+  else Sim.Engine.schedule_key_at t.engine ~time ~key:(fresh_event_key t) f
+
+(* --- PIT sweeps ---
+
+   Every forwarded interest asks for a PIT sweep at [now + lifetime + 1]
+   ms, but only the front of the node's arm-time FIFO is scheduled.
+   Each arm time reserves its event key when it is asked for, exactly
+   as scheduling it would, so a sweep that does run keeps its place
+   among same-instant events.  When the sweep fires it expires the PIT,
+   then drops the queued arm times at which no entry, live or yet to
+   come, can be old enough ([Pit.sweep_useful]), and schedules the
+   first one left.  If none is left, the engine is held at the last
+   dropped time ([Sim.Engine.hold_until]): it may have been the run's
+   final event, and a drained run must end at the same instant. *)
+
+let arms_push t at key =
+  let cap = Array.length t.arm_at in
+  if t.arm_len = cap then begin
+    let ncap = Int.max 8 (2 * cap) in
+    let nat = Array.make ncap 0. and nkey = Array.make ncap 0 in
+    for i = 0 to t.arm_len - 1 do
+      let j = (t.arm_head + i) mod cap in
+      nat.(i) <- t.arm_at.(j);
+      nkey.(i) <- t.arm_key.(j)
+    done;
+    t.arm_at <- nat;
+    t.arm_key <- nkey;
+    t.arm_head <- 0
+  end;
+  let i = (t.arm_head + t.arm_len) mod Array.length t.arm_at in
+  t.arm_at.(i) <- at;
+  t.arm_key.(i) <- key;
+  t.arm_len <- t.arm_len + 1
+
+let arms_drop t =
+  t.arm_head <- (t.arm_head + 1) mod Array.length t.arm_at;
+  t.arm_len <- t.arm_len - 1
+
+let rec trace_timeouts t = function
+  | [] -> ()
+  | n :: rest ->
+    trace t Sim.Trace.Pit_timeout n [];
+    trace_timeouts t rest
+
+let schedule_front t =
+  ignore
+    (Sim.Engine.schedule_key_at t.engine ~time:t.arm_at.(t.arm_head)
+       ~key:t.arm_key.(t.arm_head) t.sweep)
+
+(* ndnlint: hot *)
+let sweep_pit t =
+  arms_drop t;
+  let now = Sim.Engine.now t.engine in
+  trace_timeouts t (Pit.expire t.pit ~now);
+  while t.arm_len > 0 && not (Pit.sweep_useful t.pit ~now ~at:t.arm_at.(t.arm_head)) do
+    if t.arm_len = 1 then Sim.Engine.hold_until t.engine t.arm_at.(t.arm_head);
+    arms_drop t
+  done;
+  if t.arm_len > 0 then schedule_front t
+
+let request_sweep t =
+  let at = Sim.Engine.now t.engine +. (t.pit_lifetime_ms +. 1.) in
+  let key = if t.sid < 0 then Sim.Engine.reserve_seq t.engine else fresh_event_key t in
+  arms_push t at key;
+  if t.arm_len = 1 then schedule_front t
 
 (* Replace the PIT with a fresh (empty) finite table.  Pending entries
    are discarded, so callers configure overload limits right after
@@ -167,8 +262,14 @@ let create engine ~rng ~label ?(tracer = Sim.Trace.disabled)
         nacks_sent = 0;
         nacks_received = 0;
       };
+    arm_at = [||];
+    arm_key = [||];
+    arm_head = 0;
+    arm_len = 0;
+    sweep = ignore;
   }
   in
+  t.sweep <- (fun () -> sweep_pit t);
   (match pit_capacity with
   | None -> ()
   | Some _ -> set_pit_limits t ?capacity:pit_capacity ?admission:pit_admission ());
@@ -178,28 +279,6 @@ let label t = t.label
 let engine t = t.engine
 let tracer t = t.tracer
 let shard t = t.shard
-
-(* Event-key packing: 41 bits of per-node counter under 21+ bits of
-   node id keeps keys positive, unique and ordered by (sid, kseq) in a
-   63-bit int — ~2M nodes and ~2.2e12 events per node before
-   overflow. *)
-let key_bits = 41
-
-let fresh_event_key t =
-  let k = (t.sid lsl key_bits) lor t.kseq in
-  t.kseq <- t.kseq + 1;
-  k
-
-(* All of this node's event scheduling funnels through these two: the
-   legacy path is byte-for-byte the engine's FIFO counter (pinned by
-   the golden traces), the shard path the partition-invariant key. *)
-let sched t ~delay f =
-  if t.sid < 0 then Sim.Engine.schedule t.engine ~delay f
-  else Sim.Engine.schedule_key t.engine ~delay ~key:(fresh_event_key t) f
-
-let sched_at t ~time f =
-  if t.sid < 0 then Sim.Engine.schedule_at t.engine ~time f
-  else Sim.Engine.schedule_key_at t.engine ~time ~key:(fresh_event_key t) f
 
 let schedule_app t ~delay f = ignore (sched t ~delay f)
 
@@ -274,8 +353,9 @@ let send_data t ~face data =
     match t.faces.(face) with
     | Wire send ->
       t.c.data_sent <- t.c.data_sent + 1;
-      trace t Sim.Trace.Data_sent data.Data.name
-        [ ("face", string_of_int face) ];
+      if Sim.Trace.enabled t.tracer then
+        trace t Sim.Trace.Data_sent data.Data.name
+          [ ("face", string_of_int face) ];
       ignore
         (sched t ~delay:(proc_delay t) (fun () ->
              send (Packet.Data data)))
@@ -294,8 +374,9 @@ let send_nack t ~face nack =
     match t.faces.(face) with
     | Wire send ->
       t.c.nacks_sent <- t.c.nacks_sent + 1;
-      trace t (Nack.trace_kind nack.Nack.reason) nack.Nack.name
-        [ ("face", string_of_int face) ];
+      if Sim.Trace.enabled t.tracer then
+        trace t (Nack.trace_kind nack.Nack.reason) nack.Nack.name
+          [ ("face", string_of_int face) ];
       ignore
         (sched t ~delay:(proc_delay t) (fun () -> send (Packet.Nack nack)))
     | Local_app ->
@@ -331,8 +412,9 @@ let rec send_interest_on_face t ~face interest =
       false
     | Some interest ->
       t.c.interests_forwarded <- t.c.interests_forwarded + 1;
-      trace t Sim.Trace.Interest_forwarded interest.Interest.name
-        [ ("face", string_of_int face) ];
+      if Sim.Trace.enabled t.tracer then
+        trace t Sim.Trace.Interest_forwarded interest.Interest.name
+          [ ("face", string_of_int face) ];
       ignore
         (sched t ~delay:(proc_delay t) (fun () ->
              send (Packet.Interest interest)));
@@ -344,8 +426,9 @@ let rec send_interest_on_face t ~face interest =
     if not t.producers_enabled then false
     else begin
       t.c.interests_forwarded <- t.c.interests_forwarded + 1;
-      trace t Sim.Trace.Interest_forwarded interest.Interest.name
-        [ ("face", string_of_int face); ("producer", "true") ];
+      if Sim.Trace.enabled t.tracer then
+        trace t Sim.Trace.Interest_forwarded interest.Interest.name
+          [ ("face", string_of_int face); ("producer", "true") ];
       match handler interest with
       | None -> false
       | Some data ->
@@ -371,8 +454,9 @@ and handle_data_internal t ~face data =
 and handle_data_alive t ~face data =
   let now = Sim.Engine.now t.engine in
   t.c.data_received <- t.c.data_received + 1;
-  trace t Sim.Trace.Data_received data.Data.name
-    [ ("face", string_of_int face) ];
+  if Sim.Trace.enabled t.tracer then
+    trace t Sim.Trace.Data_received data.Data.name
+      [ ("face", string_of_int face) ];
   let faces, created = Pit.satisfy_timed t.pit data.Data.name in
   if faces = [] then t.c.unsolicited_data <- t.c.unsolicited_data + 1
   else begin
@@ -401,24 +485,25 @@ let forward_as_miss t ~face interest =
   | Pit.Rejected ->
     (* The admission policy refused the entry: the interest dies here.
        With NACKs on, say so instead of letting downstream time out. *)
-    trace t Sim.Trace.Pit_drop name
-      [
-        ("policy", Pit.admission_to_string (Pit.admission_policy t.pit));
-        ("reason", "reject");
-        ("face", string_of_int face);
-      ];
+    if Sim.Trace.enabled t.tracer then
+      trace t Sim.Trace.Pit_drop name
+        [
+          ("policy", Pit.admission_to_string (Pit.admission_policy t.pit));
+          ("reason", "reject");
+          ("face", string_of_int face);
+        ];
     if t.nacks then
       send_nack t ~face
         (Nack.create ~nonce:interest.Interest.nonce ~reason:Nack.Pit_full name)
   | Pit.Collapsed ->
     t.c.interests_collapsed <- t.c.interests_collapsed + 1;
-    trace t Sim.Trace.Interest_collapsed name [ ("face", string_of_int face) ]
+    if Sim.Trace.enabled t.tracer then
+      trace t Sim.Trace.Interest_collapsed name [ ("face", string_of_int face) ]
   | Pit.Forward -> (
-    (* Arm a sweep so abandoned entries do not linger forever. *)
-    ignore
-      (sched t ~delay:(t.pit_lifetime_ms +. 1.) (fun () ->
-           let dropped = Pit.expire t.pit ~now:(Sim.Engine.now t.engine) in
-           List.iter (fun n -> trace t Sim.Trace.Pit_timeout n []) dropped));
+    (* Ask for a sweep so abandoned entries do not linger forever; the
+       node keeps one pending and skips the ones that would find
+       nothing (see [sweep_pit]). *)
+    request_sweep t;
     let hops = Fib.next_hops t.fib name in
     let usable = List.filter (fun f -> f <> face) hops in
     match usable with
@@ -434,8 +519,9 @@ let forward_as_miss t ~face interest =
 let handle_interest_alive t ~face interest =
   let now = Sim.Engine.now t.engine in
   t.c.interests_received <- t.c.interests_received + 1;
-  trace t Sim.Trace.Interest_received interest.Interest.name
-    [ ("face", string_of_int face) ];
+  if Sim.Trace.enabled t.tracer then
+    trace t Sim.Trace.Interest_received interest.Interest.name
+      [ ("face", string_of_int face) ];
   match Content_store.lookup t.cs ~now interest.Interest.name with
   | Some entry -> (
     match t.strat.on_cache_hit ~now interest entry.Content_store.data with

@@ -94,19 +94,29 @@ let remove_entry t name entry =
   Name_trie.remove t.trie name;
   discharge t entry.face0
 
-(* Drop the oldest live entry: pop the index front, skipping stale
-   slots, until a stamp still bound in the trie turns up. *)
-let rec evict_oldest t =
+(* Pop stale slots off the index front; the front is then the oldest
+   live entry, if any. *)
+let rec drop_stale t =
+  if not (Queue.is_empty t.expiry) then begin
+    let stamp, _, name = Queue.peek t.expiry in
+    match Name_trie.find t.trie name with
+    | Some e when e.stamp = stamp -> ()
+    | _ ->
+      ignore (Queue.pop t.expiry);
+      drop_stale t
+  end
+
+(* Drop the oldest live entry: the index front once the stale slots
+   are off it. *)
+let evict_oldest t =
+  drop_stale t;
   match Queue.take_opt t.expiry with
   | None -> false
-  | Some (stamp, _, name) -> (
-    match Name_trie.find t.trie name with
-    | Some e when e.stamp = stamp ->
-      remove_entry t name e;
-      t.evictions <- t.evictions + 1;
-      t.on_evict name;
-      true
-    | _ -> evict_oldest t)
+  | Some (_, _, name) ->
+    Option.iter (remove_entry t name) (Name_trie.find t.trie name);
+    t.evictions <- t.evictions + 1;
+    t.on_evict name;
+    true
 
 (* Per-face quota: an equal share of the table, at least one slot, over
    every face that has ever created an entry here.  The divisor is
@@ -164,16 +174,18 @@ let insert t ~now ~face ~nonce name =
       if retransmission then Forward else Collapsed
     end
 
-let dedup_keep_order xs =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun x ->
-      if Hashtbl.mem seen x then false
-      else begin
-        Hashtbl.add seen x ();
-        true
-      end)
-    xs
+let rec has_face f = function [] -> false | (g, _) :: rest -> f = g || has_face f rest
+
+(* Faces in registration order, first arrival kept, scanning instead of
+   filling a per-call table: face lists are short.  [arrivals] is
+   newest first, so a face is kept at the arrival with no older one
+   from the same face, and prepending while walking toward the oldest
+   yields registration order.  Several entries' arrivals, longest name
+   first, give their registration orders concatenated shortest first. *)
+let rec arrival_faces acc = function
+  | [] -> acc
+  | (f, _) :: older ->
+    arrival_faces (if has_face f older then acc else f :: acc) older
 
 let satisfy_timed t name =
   (* Every pending name that is a prefix of the Data name is satisfied. *)
@@ -181,21 +193,22 @@ let satisfy_timed t name =
     Name_trie.fold_prefixes t.trie name ~init:[] ~f:(fun acc n entry ->
         (n, entry) :: acc)
   in
-  let faces =
-    List.concat_map
-      (fun (_, entry) -> List.rev_map fst entry.arrivals)
-      (List.rev matched)
-  in
-  let oldest =
-    List.fold_left
-      (fun acc (_, entry) ->
-        match acc with
-        | None -> Some entry.created
-        | Some c -> Some (Float.min c entry.created))
-      None matched
-  in
-  List.iter (fun (n, e) -> remove_entry t n e) matched;
-  (dedup_keep_order faces, oldest)
+  match matched with
+  | [] -> ([], None)
+  | [ (n, entry) ] ->
+    remove_entry t n entry;
+    (arrival_faces [] entry.arrivals, Some entry.created)
+  | _ ->
+    (* [matched] is longest name first. *)
+    let faces =
+      arrival_faces [] (List.concat_map (fun (_, entry) -> entry.arrivals) matched)
+    in
+    let oldest =
+      List.fold_left (fun acc (_, entry) -> Float.min acc entry.created)
+        Float.infinity matched
+    in
+    List.iter (fun (n, e) -> remove_entry t n e) matched;
+    (faces, Some oldest)
 
 let satisfy t name = fst (satisfy_timed t name)
 
@@ -204,14 +217,14 @@ let take t name =
   | None -> []
   | Some entry ->
     remove_entry t name entry;
-    dedup_keep_order (List.rev_map fst entry.arrivals)
+    arrival_faces [] entry.arrivals
 
 let pending t name = Name_trie.mem t.trie name
 
 let faces t name =
   match Name_trie.find t.trie name with
   | None -> []
-  | Some entry -> dedup_keep_order (List.rev_map fst entry.arrivals)
+  | Some entry -> arrival_faces [] entry.arrivals
 
 (* ndnlint: hot *)
 let expire t ~now =
@@ -221,8 +234,7 @@ let expire t ~now =
      the historical full-rescan implementation did, so traced sweeps
      render identically.  A while-loop rather than a local [let rec]:
      the recursive closure would capture [t]/[now] and allocate on
-     every sweep, and this runs once per sweep event — the node arms
-     one sweep for each interest it forwards. *)
+     every sweep, and this runs once per sweep event. *)
   let stale = ref [] in
   let continue_ = ref true in
   while !continue_ do
@@ -237,6 +249,16 @@ let expire t ~now =
     | _ -> continue_ := false
   done;
   List.sort Name.compare !stale
+
+let sweep_useful t ~now ~at =
+  drop_stale t;
+  let oldest =
+    if Queue.is_empty t.expiry then now
+    else
+      let _, created, _ = Queue.peek t.expiry in
+      created
+  in
+  at -. oldest > t.lifetime_ms
 
 let size t = Name_trie.size t.trie
 

@@ -104,6 +104,13 @@ val expire : t -> now:float -> Name.t list
     stamp checks skipping slots whose entries were satisfied or
     evicted early. *)
 
+val sweep_useful : t -> now:float -> at:float -> bool
+(** Could an {!expire} at time [at] drop anything: an entry live at
+    [now], or one inserted from [now] on?  The oldest live entry
+    decides, or [now] itself when the table is empty; [false] means a
+    sweep at [at] would find nothing old enough.  The forwarder uses
+    it to skip sweeps that cannot expire anything. *)
+
 val evictions : t -> int
 (** Entries displaced by {!Evict_oldest} since creation. *)
 

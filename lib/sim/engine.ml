@@ -8,7 +8,8 @@ type t = {
      barrier — once per event.  A float-array store is unboxed and
      barrier-free.  Slot 0 is the clock; slot 1 is the time of the last
      event that actually executed (used by [Sim.Shard] to compute a
-     shard-count-invariant finish time). *)
+     shard-count-invariant finish time); slot 2 is the hold horizon
+     (see [hold_until]). *)
   clock : float array;
   mutable next_seq : int;
   (* Heap key of the event currently being dispatched (or, between
@@ -34,6 +35,8 @@ type t = {
   mutable free : handle;
   nil : handle;
   tracer : Trace.t;
+  (* The queued hold event ([nil] when none); see [hold_until]. *)
+  mutable hold : handle;
 }
 
 and handle = {
@@ -49,7 +52,7 @@ let create ?(tracer = Trace.disabled) () =
   let rec eng =
     {
       queue = Heap.create ();
-      clock = [| 0.; 0. |];
+      clock = [| 0.; 0.; Float.neg_infinity |];
       next_seq = 0;
       cur_key = 0;
       processed = 0;
@@ -57,6 +60,7 @@ let create ?(tracer = Trace.disabled) () =
       free = nil;
       nil;
       tracer;
+      hold = nil;
     }
   and nil = { state = Fired; action = nop; owner = eng; next_free = nil } in
   eng
@@ -119,6 +123,35 @@ let schedule t ~delay f =
 
 let schedule_key_at t ~time ~key f = add_event t ~time ~seq:key f
 
+(* The hold event's heap key: below every counter value and every
+   shard key, and unique, since at most one hold event is queued. *)
+let hold_seq = -1
+
+(* With no hold queued the horizon is already behind the clock, so a
+   new hold is queued at its own [time]. *)
+let hold_until t time =
+  if time > Array.unsafe_get t.clock 2 then Array.unsafe_set t.clock 2 time;
+  if t.hold == t.nil && time > Array.unsafe_get t.clock 0 then
+    t.hold <- add_event t ~time ~seq:hold_seq nop
+
+(* The hold event is the engine's bookkeeping, not a simulation event:
+   reaching it moves the clock like any event, but it is not counted,
+   traced or charged to a [max_events] budget, and [cur_key] keeps the
+   last real event's key.  It re-arms at the horizon if that moved. *)
+let hold_reached t h =
+  Array.unsafe_set t.clock 1 (Array.unsafe_get t.clock 0);
+  h.state <- Fired;
+  t.live <- t.live - 1;
+  recycle t h;
+  t.hold <- t.nil;
+  if Array.unsafe_get t.clock 2 > Array.unsafe_get t.clock 0 then
+    t.hold <- add_event t ~time:(Array.unsafe_get t.clock 2) ~seq:hold_seq nop
+
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
 let schedule_key t ~delay ~key f =
   let delay = if delay < 0. then 0. else delay in
   schedule_key_at t ~time:(Array.unsafe_get t.clock 0 +. delay) ~key f
@@ -164,12 +197,16 @@ let fire t h =
 let step t =
   if Heap.is_empty t.queue then false
   else begin
-    t.cur_key <- Heap.min_seq t.queue;
+    let key = Heap.min_seq t.queue in
     let h = Heap.pop_min_elt_writing_time t.queue ~time_into:t.clock in
-    (match h.state with
-    | Cancelled -> recycle t h
-    | Fired -> assert false
-    | Pending -> fire t h);
+    if h == t.hold then hold_reached t h
+    else begin
+      t.cur_key <- key;
+      match h.state with
+      | Cancelled -> recycle t h
+      | Fired -> assert false
+      | Pending -> fire t h
+    end;
     true
   end
 
@@ -183,18 +220,22 @@ let run ?until ?max_events t =
        traversal: one unboxed bound test, one sift, and the clock
        written in place of a boxed-float hand-off. *)
     if Heap.min_before t.queue limit then begin
-      t.cur_key <- Heap.min_seq t.queue;
+      let key = Heap.min_seq t.queue in
       let h = Heap.pop_min_elt_writing_time t.queue ~time_into:t.clock in
-      match h.state with
-      | Cancelled ->
-        (* Lazily dropped; consumes no [max_events] budget — the
-           budget counts executed events, matching
-           [events_processed]. *)
-        recycle t h
-      | Fired -> assert false
-      | Pending ->
-        fire t h;
-        decr budget
+      if h == t.hold then hold_reached t h
+      else begin
+        t.cur_key <- key;
+        match h.state with
+        | Cancelled ->
+          (* Lazily dropped; consumes no [max_events] budget — the
+             budget counts executed events, matching
+             [events_processed]. *)
+          recycle t h
+        | Fired -> assert false
+        | Pending ->
+          fire t h;
+          decr budget
+      end
     end
     else begin
       (* Queue empty, or the next event is beyond [until].  In the

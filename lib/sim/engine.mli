@@ -60,6 +60,24 @@ val schedule_key : t -> delay:float -> key:int -> (unit -> unit) -> handle
 val schedule_key_at : t -> time:float -> key:int -> (unit -> unit) -> handle
 (** Absolute-time variant of {!schedule_key}. *)
 
+val reserve_seq : t -> int
+(** Take the insertion-order tie-break that an unkeyed {!schedule} made
+    now would get, without scheduling anything.  Passing it later to
+    {!schedule_key_at} places that event among same-instant events
+    exactly where scheduling it now would have.  The value comes from
+    the engine's own counter, so it never collides with unkeyed
+    events. *)
+
+val hold_until : t -> float -> unit
+(** Keep the engine busy until [time], as if an event were queued
+    there: a drained {!run} ends with the clock at [time] or later, and
+    [run ~until] with an earlier limit stops the clock at the limit.
+    One queued hold event stands for every hold; reaching it moves the
+    clock, but it is not counted by {!events_processed}, traced, or
+    charged to [max_events].  A forwarder that skips an event it no
+    longer needs holds the engine at that event's time, so the end of a
+    run does not move. *)
+
 val cur_key : t -> int
 (** Heap key of the event currently being dispatched (or the value most
     recently installed with {!set_cur_key}).  {!Sim.Shard} tags trace
@@ -111,8 +129,8 @@ val next_event_time : t -> float
     lookahead window. *)
 
 val last_fire_time : t -> float
-(** Time of the last event that actually executed ([0.] before any
-    has).  Unlike {!now}, this is not disturbed by [run ~until] clamping
+(** Time of the last event that actually executed, or of the last
+    {!hold_until} event reached ([0.] before any).  Unlike {!now}, this is not disturbed by [run ~until] clamping
     the clock, which makes it the shard-count-invariant ingredient of
     {!Sim.Shard}'s finish-time rule. *)
 

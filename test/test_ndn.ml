@@ -243,7 +243,7 @@ let component_order (a, _) (b, _) =
 let render_bindings bs =
   String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" (Name.to_string n) v) bs)
 
-let check_trie_against_model ~step ~extensions t model queries =
+let check_trie_against_model ~step ~tree_queries t model queries =
   let fail what q got want =
     QCheck.Test.fail_reportf "step %d, %s %s: trie [%s] model [%s]" step what
       (Name.to_string q) (render_bindings got) (render_bindings want)
@@ -270,10 +270,12 @@ let check_trie_against_model ~step ~extensions t model queries =
         |> List.sort (fun (a, _) (b, _) -> Int.compare (Name.length a) (Name.length b))
       in
       check "fold_prefixes" q (collect Name_trie.fold_prefixes q) prefixes;
-      check "longest_prefix" q
-        (opt (Name_trie.longest_prefix t q))
-        (match List.rev prefixes with b :: _ -> [ b ] | [] -> []);
-      if extensions then begin
+      if tree_queries then begin
+        let longest = match List.rev prefixes with b :: _ -> [ b ] | [] -> [] in
+        check "longest_prefix" q (opt (Name_trie.longest_prefix t q)) longest;
+        (* The FIB's value-only query answers with the same binding. *)
+        if Name_trie.longest_prefix_value t q <> List.nth_opt (List.map snd longest) 0
+        then fail "longest_prefix_value" q [] longest;
         let below =
           List.filter (fun (n, _) -> Name.is_prefix ~prefix:q n) model
           |> List.sort component_order
@@ -293,28 +295,28 @@ let trie_model_property =
         (list_size (int_range 1 8) trie_name_gen)
         (int_range 0 45))
   in
-  let print (ops, queries, ext_from) =
-    Printf.sprintf "ops=[%s] queries=[%s] extension queries from step %d"
+  let print (ops, queries, tree_from) =
+    Printf.sprintf "ops=[%s] queries=[%s] tree queries from step %d"
       (String.concat "; " (List.map print_trie_op ops))
       (String.concat " " (List.map Name.to_string queries))
-      ext_from
+      tree_from
   in
   QCheck.Test.make ~name:"trie agrees with an association-list model" ~count:300
     (QCheck.make ~print gen)
-    (fun (ops, queries, ext_from) ->
+    (fun (ops, queries, tree_from) ->
       let t = Name_trie.create () in
       let model =
         List.fold_left
           (fun (step, model) op ->
             trie_apply t op;
             let model = model_apply model op in
-            check_trie_against_model ~step ~extensions:(step >= ext_from) t model
+            check_trie_against_model ~step ~tree_queries:(step >= tree_from) t model
               queries;
             (step + 1, model))
           (0, []) ops
         |> snd
       in
-      check_trie_against_model ~step:(List.length ops) ~extensions:true t model
+      check_trie_against_model ~step:(List.length ops) ~tree_queries:true t model
         queries;
       true)
 
@@ -565,7 +567,16 @@ let test_pit_satisfy_dedups_faces () =
   let pit = Pit.create () in
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a"));
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:2L (name "/a/b"));
-  Alcotest.(check (list int)) "face listed once" [ 1 ] (Pit.satisfy pit (name "/a/b"))
+  Alcotest.(check (list int)) "face listed once" [ 1 ] (Pit.satisfy pit (name "/a/b"));
+  (* Registration order across entries, shortest name first, each face
+     at its first arrival; a retransmission does not move its face. *)
+  ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:3L (name "/a"));
+  ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:4L (name "/a"));
+  ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:5L (name "/a"));
+  ignore (Pit.insert pit ~now:0. ~face:3 ~nonce:6L (name "/a/b"));
+  ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:7L (name "/a/b"));
+  Alcotest.(check (list int)) "faces in registration order" [ 2; 1; 3 ]
+    (Pit.satisfy pit (name "/a/b"))
 
 let test_pit_satisfy_timed () =
   let pit = Pit.create () in

@@ -157,7 +157,7 @@ let test_hot_inventory () =
         true (List.mem expected names))
     [
       "find_exact"; "pop_min_elt"; "run"; "expire"; "touch"; "process_block";
-      "find";
+      "find"; "sweep_pit"; "longest_prefix_value";
     ]
 
 (* Merged-universe staleness: with both passes' findings in hand, every

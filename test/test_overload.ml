@@ -503,6 +503,269 @@ let test_jobs_identity_under_overload () =
         s parallel.(i))
     serial
 
+(* --- identity: PIT sweep scheduling leaves every record in place ---
+
+   A small flood against finite PITs with NACKs on, so that sweep
+   timeouts, crash drains, admission drops, evictions and NACK relays
+   all reach the trace.  Latencies are constant, so many events land on
+   the same instant and the sweeps' tie-break order matters.  A second
+   burst arrives while the first burst's sweeps are still pending.
+
+   The pinned digests cover the JSONL with [engine.step] lines removed:
+   those carry the engine's event count and queue depth, which the
+   number of sweep events legitimately moves.  Every other record —
+   node, name, time, attrs, order — is pinned unsharded and at
+   [--shards 2]; the digests were taken before the per-node sweep
+   replaced the per-forward one. *)
+let sweep_flood_trace ?shards () =
+  let tracer = Sim.Trace.create () in
+  let net =
+    match shards with
+    | None -> Ndn.Network.create ~seed:19 ~tracer ()
+    | Some k -> Ndn.Network.create ~seed:19 ~tracer ~shards:k ()
+  in
+  let f = Ndn.Network.add_node net ~caching:false "F" in
+  let u = Ndn.Network.add_node net ~caching:false "U" in
+  let r1 = Ndn.Network.add_node net ~cs_capacity:8 "R1" in
+  let r2 = Ndn.Network.add_node net ~cs_capacity:8 "R2" in
+  let d = Ndn.Network.add_node net "D" in
+  let p = Ndn.Network.add_node net "P" in
+  let lat ms = Sim.Latency.Constant ms in
+  let ff, _ = Ndn.Network.connect net ~latency:(lat 0.5) f r1 in
+  let uf, _ = Ndn.Network.connect net ~latency:(lat 0.5) u r1 in
+  let r1f, _ = Ndn.Network.connect net ~latency:(lat 1.) r1 r2 in
+  let r2d, _ = Ndn.Network.connect net ~latency:(lat 1.) r2 d in
+  let r2p, _ = Ndn.Network.connect net ~latency:(lat 1.) r2 p in
+  let boom = name "/boom" in
+  Ndn.Network.route net f ~prefix:boom ~via:ff;
+  Ndn.Network.route net r1 ~prefix:boom ~via:r1f;
+  Ndn.Network.route net r2 ~prefix:boom ~via:r2d;
+  Ndn.Network.route net u ~prefix ~via:uf;
+  Ndn.Network.route net r1 ~prefix ~via:r1f;
+  Ndn.Network.route net r2 ~prefix ~via:r2p;
+  add_producer p;
+  (* D keeps NACKs off and has no route: it swallows the flood, so the
+     entries upstream of it live out their lifetime. *)
+  List.iter (fun n -> Ndn.Node.set_nacks_enabled n true) [ f; u; r1; r2 ];
+  Ndn.Node.set_pit_limits r1 ~capacity:6 ~admission:Ndn.Pit.Evict_oldest ();
+  Ndn.Node.set_pit_limits r2 ~capacity:4 ~admission:Ndn.Pit.Drop_new ();
+  let open Sim.Fault in
+  (match
+     Ndn.Network.install_faults net
+       [
+         { at = 2020.; kind = Node_crash { node = "R2"; preserve_cs = false } };
+         { at = 2100.; kind = Node_restart { node = "R2" } };
+       ]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let burst ~seed ~until =
+    ignore
+      (Workload.Flood.attach
+         { Workload.Flood.default with rate_per_ms = 2. }
+         ~node:f ~prefix:boom ~rng:(Sim.Rng.create seed) ~until ())
+  in
+  burst ~seed:41 ~until:30.;
+  Ndn.Node.schedule_app_at f ~time:2000. (fun () -> burst ~seed:43 ~until:2030.);
+  Ndn.Consumer.fetch_sequence u ~max_retries:2
+    ~names:[ name "/s/a"; name "/s/b"; name "/s/a" ]
+    ~on_done:(fun _ -> ())
+    ();
+  Ndn.Network.run net;
+  render tracer
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> not (contains_sub ~sub:{|"kind":"engine.step"|} l))
+  |> String.concat "\n"
+
+let sweep_flood_sha256 =
+  "c8eb1f2c899d383f24888c70e68e7b815f685680db9bbe5884b322b87ca8123c"
+let sweep_flood_sharded_sha256 =
+  "c8eb1f2c899d383f24888c70e68e7b815f685680db9bbe5884b322b87ca8123c"
+
+let test_sweep_trace_identity () =
+  let plain = sweep_flood_trace () in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " is traced") true
+        (contains_sub ~sub:(Printf.sprintf {|"kind":"%s"|} kind) plain))
+    [ "pit.timeout"; "pit.drop"; "nack.pit_full" ];
+  Alcotest.(check bool) "crash drains are traced" true
+    (contains_sub ~sub:{|"reason":"crash"|} plain);
+  Alcotest.(check string) "sha256, unsharded" sweep_flood_sha256
+    (Ndn_crypto.Sha256.hex_digest plain);
+  Alcotest.(check string) "sha256, --shards 2" sweep_flood_sharded_sha256
+    (Ndn_crypto.Sha256.hex_digest (sweep_flood_trace ~shards:2 ()))
+
+(* --- PIT sweeps against the one-sweep-per-forward rule ---
+
+   One forwarder, driven directly through [Node.receive], [crash],
+   [restart] and [set_pit_limits] at random times, many of them under
+   1 ms apart and with exact ties (gaps are multiples of 1/8 ms against
+   a 4 ms lifetime, so arm times land on other events).  The reference
+   is written here: a bare [Pit] on its own engine that arms one sweep
+   event per [Forward], as the forwarder once did.  Both sides schedule
+   each operation from the previous one, so same-instant events have
+   the same scheduling history on both, and the [pit.timeout] rows
+   (name, time, attrs) must agree row for row.  So must the clock once
+   the run has drained: skipped sweeps must not end the run early. *)
+
+type sweep_op =
+  | Sw_interest of int * int * int  (* name, face (2 or 3), nonce *)
+  | Sw_data of int
+  | Sw_crash
+  | Sw_restart
+  | Sw_limits of int * Ndn.Pit.admission
+
+let sweep_lifetime = 4.
+
+let print_sweep_op = function
+  | Sw_interest (n, f, k) -> Printf.sprintf "interest /p/%d face %d nonce %d" n f k
+  | Sw_data n -> Printf.sprintf "data /p/%d" n
+  | Sw_crash -> "crash"
+  | Sw_restart -> "restart"
+  | Sw_limits (c, a) -> Printf.sprintf "limits %d %s" c (Ndn.Pit.admission_to_string a)
+
+let sweep_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map3 (fun n f k -> Sw_interest (n, f, k)) (int_range 0 3) (int_range 2 3)
+              (int_range 0 2));
+        (3, map (fun n -> Sw_data n) (int_range 0 3));
+        (1, return Sw_crash);
+        (1, return Sw_restart);
+        ( 1,
+          map2 (fun c a -> Sw_limits (c, a)) (int_range 1 3)
+            (oneofl [ Ndn.Pit.Drop_new; Ndn.Pit.Evict_oldest; Ndn.Pit.Per_face_fair ]) );
+      ])
+
+(* Gaps in eighths of a millisecond: mostly under 1 ms, some around
+   the 5 ms arm delay, a few past it. *)
+let sweep_gap_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> float_of_int k /. 8.) (int_range 0 7));
+        (3, map (fun k -> float_of_int k /. 8.) (int_range 8 48));
+        (1, map (fun k -> float_of_int k /. 8.) (int_range 49 120));
+      ])
+
+let sweep_name n = name (Printf.sprintf "/p/%d" n)
+
+let sweep_row time n attrs =
+  Printf.sprintf "%.6f %s %s" time (Ndn.Name.to_string n)
+    (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))
+
+(* The forwarder under test, with caching off so that every interest
+   reaches the PIT; [sharded] keys its events as shard mode does.
+   Returns its pit.timeout rows and the final clock. *)
+let sweep_real ~sharded script =
+  let engine = Sim.Engine.create () in
+  let tracer = Sim.Trace.create () in
+  let node =
+    if sharded then
+      Ndn.Node.create engine ~rng:(Sim.Rng.create 5) ~label:"N" ~tracer
+        ~pit_lifetime_ms:sweep_lifetime ~caching:false ~sid:0 ~shard:0 ()
+    else
+      Ndn.Node.create engine ~rng:(Sim.Rng.create 5) ~label:"N" ~tracer
+        ~pit_lifetime_ms:sweep_lifetime ~caching:false ()
+  in
+  let up = Ndn.Node.add_wire_face node (fun _ -> ()) in
+  ignore (Ndn.Node.add_wire_face node (fun _ -> ()));
+  ignore (Ndn.Node.add_wire_face node (fun _ -> ()));
+  Ndn.Fib.add_route (Ndn.Node.fib node) ~prefix:(name "/p") ~face:up;
+  let apply = function
+    | Sw_interest (n, face, k) ->
+      Ndn.Node.receive node ~face
+        (Ndn.Packet.Interest (Ndn.Interest.create ~nonce:(Int64.of_int k) (sweep_name n)))
+    | Sw_data n ->
+      Ndn.Node.receive node ~face:up
+        (Ndn.Packet.Data
+           (Ndn.Data.create ~producer:"P" ~key:"k" ~payload:"v" (sweep_name n)))
+    | Sw_crash -> Ndn.Node.crash node
+    | Sw_restart -> Ndn.Node.restart node
+    | Sw_limits (capacity, admission) ->
+      Ndn.Node.set_pit_limits node ~capacity ~admission ()
+  in
+  let rec step time = function
+    | [] -> ()
+    | (gap, op) :: rest ->
+      let time = time +. gap in
+      Ndn.Node.schedule_app_at node ~time (fun () ->
+          apply op;
+          step time rest)
+  in
+  step 0. script;
+  Sim.Engine.run engine;
+  (Array.to_list (Sim.Trace.events tracer)
+  |> List.filter_map (fun (e : Sim.Trace.event) ->
+         if e.Sim.Trace.kind = Sim.Trace.Pit_timeout then
+           Some (sweep_row e.Sim.Trace.time (Ndn.Name.of_string e.Sim.Trace.name) e.Sim.Trace.attrs)
+         else None))
+  @ [ Printf.sprintf "end %.6f" (Sim.Engine.now engine) ]
+
+(* The reference: the table alone, one sweep event per [Forward]. *)
+let sweep_reference script =
+  let engine = Sim.Engine.create () in
+  let pit = ref (Ndn.Pit.create ~lifetime_ms:sweep_lifetime ()) in
+  let alive = ref true in
+  let rows = ref [] in
+  let emit attrs n = rows := sweep_row (Sim.Engine.now engine) n attrs :: !rows in
+  let apply = function
+    | Sw_interest (n, face, k) when !alive -> (
+      let now = Sim.Engine.now engine in
+      match Ndn.Pit.insert !pit ~now ~face ~nonce:(Int64.of_int k) (sweep_name n) with
+      | Ndn.Pit.Forward ->
+        ignore
+          (Sim.Engine.schedule engine ~delay:(sweep_lifetime +. 1.) (fun () ->
+               List.iter (emit [])
+                 (Ndn.Pit.expire !pit ~now:(Sim.Engine.now engine))))
+      | _ -> ())
+    | Sw_data n when !alive -> ignore (Ndn.Pit.satisfy !pit (sweep_name n))
+    | Sw_crash when !alive ->
+      alive := false;
+      let now = Sim.Engine.now engine in
+      List.iter (emit [ ("reason", "crash") ])
+        (Ndn.Pit.expire !pit ~now:(now +. sweep_lifetime +. 1.))
+    | Sw_restart -> alive := true
+    | Sw_limits (capacity, admission) ->
+      pit := Ndn.Pit.create ~lifetime_ms:sweep_lifetime ~capacity ~admission ()
+    | Sw_interest _ | Sw_data _ | Sw_crash -> ()
+  in
+  let rec step time = function
+    | [] -> ()
+    | (gap, op) :: rest ->
+      let time = time +. gap in
+      ignore
+        (Sim.Engine.schedule_at engine ~time (fun () ->
+             apply op;
+             step time rest))
+  in
+  step 0. script;
+  Sim.Engine.run engine;
+  List.rev (Printf.sprintf "end %.6f" (Sim.Engine.now engine) :: !rows)
+
+let qcheck_sweep_model =
+  let print script =
+    String.concat "; "
+      (List.map (fun (gap, op) -> Printf.sprintf "+%g %s" gap (print_sweep_op op)) script)
+  in
+  QCheck.Test.make ~count:300
+    ~name:"one sweep per node times out what one per forward did"
+    (QCheck.make ~print
+       QCheck.Gen.(list_size (int_range 1 60) (pair sweep_gap_gen sweep_op_gen)))
+    (fun script ->
+      let want = sweep_reference script in
+      List.iter
+        (fun sharded ->
+          let got = sweep_real ~sharded script in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: node rows [%s], reference rows [%s]"
+              (if sharded then "keyed" else "unkeyed")
+              (String.concat "; " got) (String.concat "; " want))
+        [ false; true ];
+      true)
+
 (* --- stall watchdog plumbing --- *)
 
 let test_watchdog_validation () =
@@ -535,6 +798,7 @@ let () =
           Alcotest.test_case "evict-oldest" `Quick test_pit_evict_oldest;
           Alcotest.test_case "per-face-fair" `Quick test_pit_per_face_fair;
           Alcotest.test_case "expiry index" `Quick test_pit_expiry_index;
+          QCheck_alcotest.to_alcotest qcheck_sweep_model;
         ] );
       ( "degradation",
         [
@@ -553,6 +817,8 @@ let () =
             test_shard_identity_under_overload;
           Alcotest.test_case "jobs 1 vs 4 under overload" `Slow
             test_jobs_identity_under_overload;
+          Alcotest.test_case "PIT sweeps leave records in place" `Quick
+            test_sweep_trace_identity;
         ] );
       ( "watchdog",
         [

@@ -311,6 +311,30 @@ let test_engine_pending_live_only () =
   Sim.Engine.run e;
   Alcotest.(check int) "drained" 0 (Sim.Engine.pending e)
 
+(* A hold stands in for an event without being one: the run ends at
+   the held time, a hold that moves later is followed, and nothing is
+   counted or traced. *)
+let test_engine_hold () =
+  let tracer = Sim.Trace.create () in
+  let e = Sim.Engine.create ~tracer () in
+  ignore
+    (Sim.Engine.schedule_at e ~time:1. (fun () ->
+         Sim.Engine.hold_until e 5.;
+         Sim.Engine.hold_until e 3.));
+  ignore (Sim.Engine.schedule_at e ~time:4. (fun () -> Sim.Engine.hold_until e 9.));
+  Sim.Engine.run ~until:7. e;
+  check_float "a limit before the horizon stops the clock there" 7. (Sim.Engine.now e);
+  Alcotest.(check bool) "the hold is still queued" true (Sim.Engine.has_queued e);
+  Sim.Engine.run e;
+  check_float "a drained run ends at the latest hold" 9. (Sim.Engine.now e);
+  check_float "and reports it as the last fire" 9. (Sim.Engine.last_fire_time e);
+  Alcotest.(check int) "holds are not counted" 2 (Sim.Engine.events_processed e);
+  Alcotest.(check int) "holds are not traced" 2 (Array.length (Sim.Trace.events tracer));
+  Alcotest.(check int) "nothing left" 0 (Sim.Engine.pending e);
+  Sim.Engine.hold_until e 2.;
+  Alcotest.(check bool) "a hold in the past queues nothing" false
+    (Sim.Engine.has_queued e)
+
 (* --- Latency --- *)
 
 let test_latency_constant () =
@@ -776,6 +800,7 @@ let () =
           Alcotest.test_case "schedule_at past" `Quick test_engine_schedule_at_past;
           Alcotest.test_case "pending counts live only" `Quick
             test_engine_pending_live_only;
+          Alcotest.test_case "hold" `Quick test_engine_hold;
         ] );
       ( "latency",
         [
