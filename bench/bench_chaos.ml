@@ -94,22 +94,19 @@ let utility_run ~make_setup ~routers ~faults ~working_set ~requests run =
   (match Ndn.Network.install_faults net faults with
   | Ok () -> ()
   | Error msg -> failwith ("utility_run: " ^ msg));
-  let engine = Ndn.Network.engine net in
+  let user = setup.Ndn.Network.user in
   let names =
     Array.init working_set (fun i ->
         Ndn.Name.of_string (Printf.sprintf "/prod/pop/%d" i))
   in
   let step = horizon_ms /. float_of_int requests in
   for i = 0 to requests - 1 do
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:(float_of_int i *. step)
-         (fun () ->
-           Ndn.Node.express_interest setup.Ndn.Network.user
-             ~on_data:(fun ~rtt_ms:_ _ -> ())
-             names.(i mod working_set)))
+    Ndn.Node.schedule_app_at user ~time:(float_of_int i *. step) (fun () ->
+        Ndn.Node.express_interest user
+          ~on_data:(fun ~rtt_ms:_ _ -> ())
+          names.(i mod working_set))
   done;
-  Sim.Engine.run engine;
+  Ndn.Network.run net;
   let served, hidden =
     List.fold_left
       (fun (s, h) pr ->

@@ -117,7 +117,7 @@ module TS = Ndn.Topology_spec
    engine domains), attach one aggregate consumer per access router,
    run to quiescence and measure.  Shared by the reported run and the
    [--shards] sweep so every sweep point replays the identical
-   workload — shard mode is shard-count-invariant, so [events],
+   workload — every network is shard-count-invariant, so [events],
    [issued] and [timeouts] must agree across sweep points (checked by
    the caller); only [wall_s] may differ. *)
 type warm_result = {
@@ -419,7 +419,7 @@ let run ~quick ?shards () =
   Format.printf "wrote BENCH_scale_tiers.csv@.";
   (* --- sharded warm-phase sweep (--shards N): replay the identical
      warm phase at shard counts 1 .. N and record events/s per point.
-     Shard mode is shard-count-invariant, so the event/request/timeout
+     Networks are shard-count-invariant, so the event/request/timeout
      totals must agree across points — an inline determinism check on
      top of the test suite's byte-level one.  Speedups are honest
      wall-clock ratios on this host: with fewer hardware threads than

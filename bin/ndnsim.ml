@@ -50,9 +50,11 @@ let shards_arg =
     & info [ "shards" ] ~docv:"K"
         ~doc:
           "Partition each simulated network across $(docv) engine domains \
-           ($(b,Sim.Shard)).  Results, traces and metrics are byte-identical \
-           for every $(docv); combined with $(b,--jobs) the campaign budgets \
-           jobs*shards domains and refuses to oversubscribe the host.")
+           ($(b,Sim.Shard); default 1).  Results, traces and metrics are \
+           byte-identical for every $(docv), except that only $(docv) = 1 \
+           traces $(b,engine.step) records; combined with $(b,--jobs) the \
+           campaign budgets jobs*shards domains and refuses to oversubscribe \
+           the host.")
 
 (* --- structured event tracing (--trace / --trace-format) --- *)
 
@@ -338,10 +340,9 @@ let defend_cmd =
           Ndn.Network.local_host ~seed ~tracer ?shards
             ~producer:private_producer ()
       in
-      (* The router's own tracer, not the campaign tracer: in legacy mode
-         they are the same object, but in shard mode the countermeasure's
-         records must flow through the router's shard buffer to be
-         stitched deterministically. *)
+      (* The router's own tracer, not the campaign tracer: the
+         countermeasure's records must flow through the router's shard
+         buffer to be stitched deterministically. *)
       attach_countermeasure
         ~tracer:(Ndn.Node.tracer setup.Ndn.Network.router)
         setup.Ndn.Network.router ~seed:(seed + 10_000) cm;

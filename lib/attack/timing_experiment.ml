@@ -69,9 +69,8 @@ let collect_run_faulted ~make_setup ~contents ~seed ~trace ~faults ~interval
     invalid_arg ("Timing_experiment: fault schedule rejected: " ^ msg));
   let user = setup.Ndn.Network.user in
   let adversary = setup.Ndn.Network.adversary in
-  (* The adversary's own engine: identical to the network engine in
-     legacy mode, the adversary's shard engine in shard mode — where
-     reading any other shard's clock from inside a callback would race. *)
+  (* The adversary's own shard engine: reading any other shard's clock
+     from inside a callback would race. *)
   let adv_engine = Ndn.Node.engine adversary in
   for i = 0 to contents - 1 do
     let warm_name =
@@ -87,7 +86,7 @@ let collect_run_faulted ~make_setup ~contents ~seed ~trace ~faults ~interval
        cache and turns the warm probe into a false negative — exactly
        the signal-degradation mechanism churn buys.  Scheduled through
        the issuing node so the events stay keyed (and therefore
-       shard-count-invariant) in shard mode. *)
+       shard-count-invariant). *)
     Ndn.Node.schedule_app_at user ~time:at (fun () ->
         Ndn.Node.express_interest user
           ~on_data:(fun ~rtt_ms:_ _ -> ())

@@ -1,18 +1,20 @@
 type naming = Predictable | Unpredictable of string
 
+(* Each endpoint's counters are touched only by its own node's events,
+   so the two sides may run on different shards' domains. *)
 type endpoint = {
   node : Ndn.Node.t;
   prefix : Ndn.Name.t;
   key : string;
   session : Unpredictable_names.session option;
   mutable received : int;
+  rtt_stats : Sim.Stats.t;
 }
 
 type t = {
   a : endpoint;
   b : endpoint;
   frames : int;
-  rtt_stats : Sim.Stats.t;
 }
 
 let name_of endpoint ~seq =
@@ -60,7 +62,7 @@ let start (setup : Ndn.Network.conversation_setup) ~naming ~frames
              ~secret:(secret ^ "|" ^ who)
              ~prefix)
     in
-    { node; prefix; key; session; received = 0 }
+    { node; prefix; key; session; received = 0; rtt_stats = Sim.Stats.create () }
   in
   let a =
     make_endpoint setup.Ndn.Network.alice setup.Ndn.Network.alice_prefix
@@ -72,27 +74,24 @@ let start (setup : Ndn.Network.conversation_setup) ~naming ~frames
   in
   install_producer ~freshness_ms a;
   install_producer ~freshness_ms b;
-  let t = { a; b; frames; rtt_stats = Sim.Stats.create () } in
-  let engine = Ndn.Network.engine setup.Ndn.Network.cnet in
   (* Schedule the cadence: at tick i, each side pulls the peer's frame
-     i.  A real client would retransmit on loss; links here are
-     lossless so a single expression suffices. *)
+     i, as an event keyed on its own node.  A real client would
+     retransmit on loss; links here are lossless so a single expression
+     suffices. *)
+  let pull self peer ~seq ~at =
+    Ndn.Node.schedule_app_at self.node ~time:at (fun () ->
+        Ndn.Node.express_interest self.node
+          ~on_data:(fun ~rtt_ms _ ->
+            self.received <- self.received + 1;
+            Sim.Stats.add self.rtt_stats rtt_ms)
+          (name_of peer ~seq))
+  in
   for seq = 0 to frames - 1 do
     let at = float_of_int (seq + 1) *. interval_ms in
-    ignore
-      (Sim.Engine.schedule_at engine ~time:at (fun () ->
-           Ndn.Node.express_interest a.node
-             ~on_data:(fun ~rtt_ms _ ->
-               a.received <- a.received + 1;
-               Sim.Stats.add t.rtt_stats rtt_ms)
-             (name_of b ~seq);
-           Ndn.Node.express_interest b.node
-             ~on_data:(fun ~rtt_ms _ ->
-               b.received <- b.received + 1;
-               Sim.Stats.add t.rtt_stats rtt_ms)
-             (name_of a ~seq)))
+    pull a b ~seq ~at;
+    pull b a ~seq ~at
   done;
-  t
+  { a; b; frames }
 
 let frames_delivered t = (t.a.received, t.b.received)
 
@@ -101,4 +100,4 @@ let complete t = t.a.received = t.frames && t.b.received = t.frames
 let frame_name t who ~seq =
   match who with `Alice -> name_of t.a ~seq | `Bob -> name_of t.b ~seq
 
-let mean_frame_rtt t = Sim.Stats.mean t.rtt_stats
+let mean_frame_rtt t = Sim.Stats.mean (Sim.Stats.merge t.a.rtt_stats t.b.rtt_stats)

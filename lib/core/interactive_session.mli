@@ -25,7 +25,10 @@ val start :
 (** Wire producers on both endpoints and schedule the exchange: every
     [interval_ms] (default 20 ms — a voice frame cadence) Alice
     requests Bob's next frame and vice versa, [frames] times each.
-    Returns immediately; run the network to let the call happen. *)
+    Each side's requests are events keyed on its own node
+    ({!Ndn.Node.schedule_app_at}), so the call plays out identically at
+    any shard count.  Returns immediately; run the network to let the
+    call happen. *)
 
 val frames_delivered : t -> int * int
 (** (frames Alice received, frames Bob received) so far. *)

@@ -1,10 +1,3 @@
-(* One direction of a link.  [loss] and [latency_factor] start at their
-   base values and are perturbed by fault injection; a restore resets
-   them to base.  The hot-path invariant: with no faults ever applied,
-   [up = true], [loss = base_loss] and [latency_factor = 1.] — so the
-   delivery code below draws exactly the same RNG stream as it would
-   without any fault machinery (multiplying a latency by 1.0 is an
-   exact float identity). *)
 (* Bounded transmission queue discipline for one link direction. *)
 type queue_policy =
   | Drop_tail
@@ -14,18 +7,28 @@ let queue_policy_to_string = function
   | Drop_tail -> "drop-tail"
   | Early_drop -> "early-drop"
 
+(* One direction of a link.  [loss] and [latency_factor] start at their
+   base values and are perturbed by fault injection; a restore resets
+   them to base.  The hot-path invariant: with no faults ever applied,
+   [up = true], [loss = base_loss] and [latency_factor = 1.] — so the
+   delivery code below draws exactly the same RNG stream as it would
+   without any fault machinery (multiplying a latency by 1.0 is an
+   exact float identity).  [rng] is the direction's own generator: its
+   draw sequence depends only on this direction's send history, which
+   no partition of the nodes into shards can change. *)
 type link_dir = {
+  rng : Sim.Rng.t;
   base_loss : float;
   mutable up : bool;
   mutable loss : float;
   mutable latency_factor : float;
   (* Transmission-queue state.  [q_rate] is the serialization rate in
-     bytes per millisecond; [<= 0.] (the default) means "no queue": the
-     delivery path is the exact legacy one and none of these fields is
-     ever read on it.  With a rate set, each offered packet serializes
-     for [size / q_rate] ms behind the packets already queued
-     ([busy_until]); at most [q_depth] packets may be backlogged, the
-     rest are dropped by [q_policy]. *)
+     bytes per millisecond; [<= 0.] (the default) means "no queue":
+     none of these fields is ever read on the delivery path.  With a
+     rate set, each offered packet serializes for [size / q_rate] ms
+     behind the packets already queued ([busy_until]); at most
+     [q_depth] packets may be backlogged, the rest are dropped by
+     [q_policy]. *)
   mutable q_rate : float;
   mutable q_depth : int;
   mutable q_policy : queue_policy;
@@ -44,17 +47,14 @@ type link = {
    creation-order iteration (reversed on demand) and a hash index for
    O(1) lookup.  Generated ISP-scale topologies create tens of
    thousands of nodes and links; the previous append-to-the-end lists
-   made construction quadratic and every label/link lookup linear. *)
-(* Shard-mode state: the [Sim.Shard] runtime plus the creation-order
-   node counter that feeds every node's partition-invariant event-key
-   space. *)
-type sharded = { sh : Sim.Shard.t; mutable next_sid : int }
-
+   made construction quadratic and every label/link lookup linear.
+   [next_sid] is the creation-order node counter that feeds every
+   node's partition-invariant event-key space. *)
 type t = {
-  engine : Sim.Engine.t;  (* shard 0's engine in shard mode *)
+  sh : Sim.Shard.t;
+  mutable next_sid : int;
   rng : Sim.Rng.t;
   tracer : Sim.Trace.t;
-  sharded : sharded option;
   mutable nodes_rev : (string * Node.t) list;  (* reverse creation order *)
   node_tbl : (string, Node.t) Hashtbl.t;
   mutable links_rev : link list;
@@ -63,63 +63,43 @@ type t = {
   link_tbl : (string * string, link) Hashtbl.t;
 }
 
-let create ?(seed = 42) ?(tracer = Sim.Trace.disabled) ?shards () =
-  let engine, sharded =
-    match shards with
-    | None -> (Sim.Engine.create ~tracer (), None)
-    | Some k ->
-      (* Shard engines never carry the user tracer themselves:
-         [engine.step] records are per-engine (queue depth, processed
-         count) and would differ across shard counts.  Nodes get the
-         per-shard stitch tracers instead. *)
-      let sh = Sim.Shard.create ~traced:(Sim.Trace.enabled tracer) ~shards:k () in
-      (Sim.Shard.engine sh 0, Some { sh; next_sid = 0 })
-  in
+let create ?(seed = 42) ?(tracer = Sim.Trace.disabled) ?(shards = 1) () =
   {
-    engine;
+    (* Nodes emit into the partition's per-shard stitch tracers, which
+       feed [tracer]. *)
+    sh = Sim.Shard.create ~tracer ~shards ();
+    next_sid = 0;
     rng = Sim.Rng.create seed;
     tracer;
-    sharded;
     nodes_rev = [];
     node_tbl = Hashtbl.create 64;
     links_rev = [];
     link_tbl = Hashtbl.create 64;
   }
 
-let engine t = t.engine
+let engine t = Sim.Shard.engine t.sh 0
 let rng t = t.rng
 let tracer t = t.tracer
-let now t = Sim.Engine.now t.engine
+let now t = Sim.Shard.now t.sh
 let nodes t = List.rev t.nodes_rev
 let node t label = Hashtbl.find_opt t.node_tbl label
-let is_sharded t = t.sharded <> None
-
-let shard_count t =
-  match t.sharded with None -> 1 | Some s -> Sim.Shard.shards s.sh
+let shard_count t = Sim.Shard.shards t.sh
 
 let set_stall_watchdog t ?stall_ms ~clock_ms () =
-  match t.sharded with
-  | None -> ()
-  | Some s -> Sim.Shard.set_watchdog s.sh ?stall_ms ~clock_ms ()
+  Sim.Shard.set_watchdog t.sh ?stall_ms ~clock_ms ()
 
 let add_node t ?(cs_capacity = 0) ?cs_policy ?pit_lifetime_ms ?forwarding_delay
     ?honor_scope ?caching label =
+  let shard = Sim.Shard.assign t.sh label in
+  let sid = t.next_sid in
+  t.next_sid <- sid + 1;
   let n =
-    match t.sharded with
-    | None ->
-      Node.create t.engine ~rng:(Sim.Rng.split t.rng) ~label ~tracer:t.tracer
-        ~cs_capacity ?cs_policy ?pit_lifetime_ms ?forwarding_delay ?honor_scope
-        ?caching ()
-    | Some s ->
-      let shard = Sim.Shard.assign s.sh label in
-      let sid = s.next_sid in
-      s.next_sid <- sid + 1;
-      Node.create
-        (Sim.Shard.engine s.sh shard)
-        ~rng:(Sim.Rng.split t.rng) ~label
-        ~tracer:(Sim.Shard.tracer s.sh shard)
-        ~cs_capacity ?cs_policy ?pit_lifetime_ms ?forwarding_delay ?honor_scope
-        ?caching ~sid ~shard ()
+    Node.create
+      (Sim.Shard.engine t.sh shard)
+      ~rng:(Sim.Rng.split t.rng) ~label
+      ~tracer:(Sim.Shard.tracer t.sh shard)
+      ~cs_capacity ?cs_policy ?pit_lifetime_ms ?forwarding_delay ?honor_scope
+      ?caching ~sid ~shard ()
   in
   t.nodes_rev <- (label, n) :: t.nodes_rev;
   (* First node wins for a duplicate label, like the old assoc-list scan. *)
@@ -142,43 +122,18 @@ let pkt_name pkt =
   | Packet.Nack n -> ("nack", n.Nack.name)
 
 (* Put one packet on a link direction: sample loss, then latency, in a
-   fixed order for determinism, and schedule the delivery.  Both draws
-   happen whether or not tracing is on, so enabling a tracer never
-   perturbs the RNG stream.  These are top-level functions rather than
-   closures inside [connect]'s [deliver], so an unqueued packet
-   allocates only its delivery event. *)
-let transmit t ~src_label ~dir ~lat dst face_ref pkt =
-  let lost = dir.loss > 0. && Sim.Rng.bernoulli t.rng dir.loss in
-  let d = Sim.Latency.sample lat t.rng *. dir.latency_factor in
-  if Sim.Trace.enabled t.tracer then begin
-    let pkt_type, name = pkt_name pkt in
-    Sim.Trace.emit t.tracer
-      {
-        Sim.Trace.time = Sim.Engine.now t.engine;
-        node = src_label;
-        kind = (if lost then Sim.Trace.Link_drop else Sim.Trace.Link_transmit);
-        name = Name.to_string name;
-        attrs =
-          [
-            ("dst", Node.label dst);
-            ("pkt", pkt_type);
-            ("delay_ms", Printf.sprintf "%.6f" d);
-          ];
-      }
-  end;
-  if not lost then
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:d (fun () ->
-           Node.receive dst ~face:!face_ref pkt))
-
-(* The shard-mode copy draws from the direction's own [rng] and runs on
-   [src]'s shard; a delivery to another shard goes through
-   [Sim.Shard]'s cross-shard queue. *)
-let transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt =
+   fixed order for determinism, and schedule the delivery, keyed by
+   [src] on [src]'s shard; a delivery to another shard goes through
+   [Sim.Shard]'s cross-shard queue.  Both draws happen whether or not
+   tracing is on, so enabling a tracer never perturbs the RNG stream.
+   This is a top-level function rather than a closure inside
+   [connect]'s [deliver], so an unqueued packet allocates only its
+   delivery event. *)
+let transmit sh ~dir ~lat src dst face_ref pkt =
   let eng = Node.engine src in
   let tr = Node.tracer src in
-  let lost = dir.loss > 0. && Sim.Rng.bernoulli rng dir.loss in
-  let d = Sim.Latency.sample lat rng *. dir.latency_factor in
+  let lost = dir.loss > 0. && Sim.Rng.bernoulli dir.rng dir.loss in
+  let d = Sim.Latency.sample lat dir.rng *. dir.latency_factor in
   if Sim.Trace.enabled tr then begin
     let pkt_type, name = pkt_name pkt in
     Sim.Trace.emit tr
@@ -202,17 +157,103 @@ let transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt =
         (Sim.Engine.schedule_key eng ~delay:d ~key (fun () ->
              Node.receive dst ~face:!face_ref pkt))
     else
-      Sim.Shard.send s.sh ~src:(Node.shard src) ~dst:(Node.shard dst)
+      Sim.Shard.send sh ~src:(Node.shard src) ~dst:(Node.shard dst)
         ~time:(Sim.Engine.now eng +. d)
         ~key
         (fun () -> Node.receive dst ~face:!face_ref (import_packet pkt))
   end
 
+(* Offer one packet to a link direction.  Runs on [src]'s shard and
+   reads or draws only src-shard state; the trace goes to src's shard
+   buffer.  Queue state, too, lives entirely on the sending side:
+   serialization only ever {e delays} the start of a delivery, so the
+   cross-shard lookahead bound (the latency lower bound) stays
+   sound. *)
+let deliver sh ~src ~dir ~lat dst face_ref back_ref pkt =
+  let eng = Node.engine src in
+  let tr = Node.tracer src in
+  if not dir.up then begin
+    (* A downed direction consumes no randomness: when the link comes
+       back the RNG stream continues exactly where it left off. *)
+    if Sim.Trace.enabled tr then begin
+      let pkt_type, name = pkt_name pkt in
+      Sim.Trace.emit tr
+        {
+          Sim.Trace.time = Sim.Engine.now eng;
+          node = Node.label src;
+          kind = Sim.Trace.Link_drop;
+          name = Name.to_string name;
+          attrs =
+            [ ("dst", Node.label dst); ("pkt", pkt_type); ("reason", "down") ];
+        }
+    end
+  end
+  else if dir.q_rate <= 0. then transmit sh ~dir ~lat src dst face_ref pkt
+  else begin
+    (* Bounded transmission queue: the packet serializes at [q_rate]
+       bytes/ms behind the current backlog; a full queue (or an
+       early-drop coin) drops it at the tail.  The drop of an Interest
+       is answered with a Congested NACK handed back to the sending
+       forwarder, which relays it downstream along its PIT entry — if
+       its NACK plane is enabled. *)
+    let now_t = Sim.Engine.now eng in
+    let full = dir.qlen >= dir.q_depth in
+    let early =
+      (not full)
+      && dir.q_policy = Early_drop
+      && dir.qlen > 0
+      && Sim.Rng.bernoulli dir.rng
+           (float_of_int dir.qlen /. float_of_int dir.q_depth)
+    in
+    if full || early then begin
+      if Sim.Trace.enabled tr then begin
+        let pkt_type, name = pkt_name pkt in
+        Sim.Trace.emit tr
+          {
+            Sim.Trace.time = now_t;
+            node = Node.label src;
+            kind = Sim.Trace.Queue_drop;
+            name = Name.to_string name;
+            attrs =
+              [
+                ("dst", Node.label dst);
+                ("pkt", pkt_type);
+                ("policy", queue_policy_to_string dir.q_policy);
+                ("depth", string_of_int dir.qlen);
+              ];
+          }
+      end;
+      match pkt with
+      | Packet.Interest i when Node.nacks_enabled src ->
+        let nack =
+          Nack.create ~nonce:i.Interest.nonce ~reason:Nack.Congested
+            i.Interest.name
+        in
+        Node.schedule_app src ~delay:0. (fun () ->
+            Node.receive src ~face:!back_ref (Packet.Nack nack))
+      | _ -> ()
+    end
+    else begin
+      dir.qlen <- dir.qlen + 1;
+      let start = Float.max now_t dir.busy_until in
+      let depart =
+        start +. (float_of_int (Wire.encoded_size pkt) /. dir.q_rate)
+      in
+      dir.busy_until <- depart;
+      Node.schedule_app src ~delay:(depart -. now_t) (fun () ->
+          dir.qlen <- dir.qlen - 1;
+          transmit sh ~dir ~lat src dst face_ref pkt)
+    end
+  end
+
 let connect t ?(loss = 0.) ?latency_ba ~latency a b =
   let lat_ab = latency in
   let lat_ba = Option.value latency_ba ~default:latency in
+  (* Split order = connect order, ab before ba, so builds are
+     reproducible. *)
   let fresh_dir () =
     {
+      rng = Sim.Rng.split t.rng;
       base_loss = loss;
       up = true;
       loss;
@@ -224,219 +265,30 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
       qlen = 0;
     }
   in
-  let link =
-    { l_a = Node.label a; l_b = Node.label b; ab = fresh_dir (); ba = fresh_dir () }
-  in
+  let ab = fresh_dir () in
+  let link = { l_a = Node.label a; l_b = Node.label b; ab; ba = fresh_dir () } in
   t.links_rev <- link :: t.links_rev;
   if
     (not (Hashtbl.mem t.link_tbl (link.l_a, link.l_b)))
     && not (Hashtbl.mem t.link_tbl (link.l_b, link.l_a))
   then Hashtbl.add t.link_tbl (link.l_a, link.l_b) link;
-  match t.sharded with
-  | None ->
-    let face_b = ref (-1) in
-    let deliver ~src ~dir dst face_ref back_ref lat pkt =
-      let src_label = Node.label src in
-      if not dir.up then begin
-        (* A downed direction consumes no randomness: when the link comes
-           back the RNG stream continues exactly where it left off. *)
-        if Sim.Trace.enabled t.tracer then begin
-          let pkt_type, name = pkt_name pkt in
-          Sim.Trace.emit t.tracer
-            {
-              Sim.Trace.time = Sim.Engine.now t.engine;
-              node = src_label;
-              kind = Sim.Trace.Link_drop;
-              name = Name.to_string name;
-              attrs =
-                [ ("dst", Node.label dst); ("pkt", pkt_type); ("reason", "down") ];
-            }
-        end
-      end
-      else begin
-        if dir.q_rate <= 0. then transmit t ~src_label ~dir ~lat dst face_ref pkt
-        else begin
-          (* Bounded transmission queue: the packet serializes at
-             [q_rate] bytes/ms behind the current backlog; a full queue
-             (or an early-drop coin) drops it at the tail.  The drop of
-             an Interest is answered with a Congested NACK handed back
-             to the sending forwarder, which relays it downstream along
-             its PIT entry — if its NACK plane is enabled. *)
-          let now_t = Sim.Engine.now t.engine in
-          let full = dir.qlen >= dir.q_depth in
-          let early =
-            (not full)
-            && dir.q_policy = Early_drop
-            && dir.qlen > 0
-            && Sim.Rng.bernoulli t.rng
-                 (float_of_int dir.qlen /. float_of_int dir.q_depth)
-          in
-          if full || early then begin
-            if Sim.Trace.enabled t.tracer then begin
-              let pkt_type, name = pkt_name pkt in
-              Sim.Trace.emit t.tracer
-                {
-                  Sim.Trace.time = now_t;
-                  node = src_label;
-                  kind = Sim.Trace.Queue_drop;
-                  name = Name.to_string name;
-                  attrs =
-                    [
-                      ("dst", Node.label dst);
-                      ("pkt", pkt_type);
-                      ("policy", queue_policy_to_string dir.q_policy);
-                      ("depth", string_of_int dir.qlen);
-                    ];
-                }
-            end;
-            match pkt with
-            | Packet.Interest i when Node.nacks_enabled src ->
-              let nack =
-                Nack.create ~nonce:i.Interest.nonce ~reason:Nack.Congested
-                  i.Interest.name
-              in
-              ignore
-                (Sim.Engine.schedule t.engine ~delay:0. (fun () ->
-                     Node.receive src ~face:!back_ref (Packet.Nack nack)))
-            | _ -> ()
-          end
-          else begin
-            dir.qlen <- dir.qlen + 1;
-            let start = Float.max now_t dir.busy_until in
-            let depart =
-              start +. (float_of_int (Wire.encoded_size pkt) /. dir.q_rate)
-            in
-            dir.busy_until <- depart;
-            ignore
-              (Sim.Engine.schedule t.engine ~delay:(depart -. now_t) (fun () ->
-                   dir.qlen <- dir.qlen - 1;
-                   transmit t ~src_label ~dir ~lat dst face_ref pkt))
-          end
-        end
-      end
-    in
-    let face_a_ref = ref (-1) in
-    let face_a =
-      Node.add_wire_face a (fun pkt ->
-          deliver ~src:a ~dir:link.ab b face_b face_a_ref lat_ab pkt)
-    in
-    face_a_ref := face_a;
-    let fb =
-      Node.add_wire_face b (fun pkt ->
-          deliver ~src:b ~dir:link.ba a face_a_ref face_b lat_ba pkt)
-    in
-    face_b := fb;
-    (face_a, fb)
-  | Some s ->
-    (* Shard mode.  Loss/latency randomness moves from the network's
-       global stream (whose draw order would depend on the partition)
-       to one pre-split generator per link {e direction}: the draw
-       sequence then depends only on that direction's send history,
-       which is partition-invariant.  Split order = connect order, ab
-       before ba, so builds are reproducible. *)
-    let rng_ab = Sim.Rng.split t.rng in
-    let rng_ba = Sim.Rng.split t.rng in
-    if Node.shard a <> Node.shard b then begin
-      Sim.Shard.note_min_link_delay s.sh (Sim.Latency.lower_bound lat_ab);
-      Sim.Shard.note_min_link_delay s.sh (Sim.Latency.lower_bound lat_ba)
-    end;
-    let face_b = ref (-1) in
-    let deliver ~src ~rng ~dir dst face_ref back_ref lat pkt =
-      (* Runs on [src]'s shard: reads/draws only src-shard state.  The
-         trace goes to src's shard buffer; the delivery event is keyed
-         by src and either scheduled locally or handed to [Sim.Shard]'s
-         cross-shard queue, where the receiving domain re-interns the
-         packet's name.  Queue state, too, lives entirely on the sending
-         side: serialization only ever {e delays} the start of a
-         delivery, so the cross-shard lookahead bound (the latency lower
-         bound) stays sound. *)
-      let eng = Node.engine src in
-      let tr = Node.tracer src in
-      if not dir.up then begin
-        if Sim.Trace.enabled tr then begin
-          let pkt_type, name = pkt_name pkt in
-          Sim.Trace.emit tr
-            {
-              Sim.Trace.time = Sim.Engine.now eng;
-              node = Node.label src;
-              kind = Sim.Trace.Link_drop;
-              name = Name.to_string name;
-              attrs =
-                [ ("dst", Node.label dst); ("pkt", pkt_type); ("reason", "down") ];
-            }
-        end
-      end
-      else begin
-        if dir.q_rate <= 0. then transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt
-        else begin
-          let now_t = Sim.Engine.now eng in
-          let full = dir.qlen >= dir.q_depth in
-          let early =
-            (not full)
-            && dir.q_policy = Early_drop
-            && dir.qlen > 0
-            && Sim.Rng.bernoulli rng
-                 (float_of_int dir.qlen /. float_of_int dir.q_depth)
-          in
-          if full || early then begin
-            if Sim.Trace.enabled tr then begin
-              let pkt_type, name = pkt_name pkt in
-              Sim.Trace.emit tr
-                {
-                  Sim.Trace.time = now_t;
-                  node = Node.label src;
-                  kind = Sim.Trace.Queue_drop;
-                  name = Name.to_string name;
-                  attrs =
-                    [
-                      ("dst", Node.label dst);
-                      ("pkt", pkt_type);
-                      ("policy", queue_policy_to_string dir.q_policy);
-                      ("depth", string_of_int dir.qlen);
-                    ];
-                }
-            end;
-            match pkt with
-            | Packet.Interest i when Node.nacks_enabled src ->
-              let nack =
-                Nack.create ~nonce:i.Interest.nonce ~reason:Nack.Congested
-                  i.Interest.name
-              in
-              let key = Node.fresh_event_key src in
-              ignore
-                (Sim.Engine.schedule_key eng ~delay:0. ~key (fun () ->
-                     Node.receive src ~face:!back_ref (Packet.Nack nack)))
-            | _ -> ()
-          end
-          else begin
-            dir.qlen <- dir.qlen + 1;
-            let start = Float.max now_t dir.busy_until in
-            let depart =
-              start +. (float_of_int (Wire.encoded_size pkt) /. dir.q_rate)
-            in
-            dir.busy_until <- depart;
-            let key = Node.fresh_event_key src in
-            ignore
-              (Sim.Engine.schedule_key eng ~delay:(depart -. now_t) ~key
-                 (fun () ->
-                   dir.qlen <- dir.qlen - 1;
-                   transmit_sharded s ~rng ~dir ~lat src dst face_ref pkt))
-          end
-        end
-      end
-    in
-    let face_a_ref = ref (-1) in
-    let face_a =
-      Node.add_wire_face a (fun pkt ->
-          deliver ~src:a ~rng:rng_ab ~dir:link.ab b face_b face_a_ref lat_ab pkt)
-    in
-    face_a_ref := face_a;
-    let fb =
-      Node.add_wire_face b (fun pkt ->
-          deliver ~src:b ~rng:rng_ba ~dir:link.ba a face_a_ref face_b lat_ba pkt)
-    in
-    face_b := fb;
-    (face_a, fb)
+  if Node.shard a <> Node.shard b then begin
+    Sim.Shard.note_min_link_delay t.sh (Sim.Latency.lower_bound lat_ab);
+    Sim.Shard.note_min_link_delay t.sh (Sim.Latency.lower_bound lat_ba)
+  end;
+  let face_b = ref (-1) in
+  let face_a_ref = ref (-1) in
+  let face_a =
+    Node.add_wire_face a (fun pkt ->
+        deliver t.sh ~src:a ~dir:link.ab ~lat:lat_ab b face_b face_a_ref pkt)
+  in
+  face_a_ref := face_a;
+  let fb =
+    Node.add_wire_face b (fun pkt ->
+        deliver t.sh ~src:b ~dir:link.ba ~lat:lat_ba a face_a_ref face_b pkt)
+  in
+  face_b := fb;
+  (face_a, fb)
 
 (* --- fault injection --- *)
 
@@ -457,8 +309,8 @@ let dirs_of link ~flipped (dir : Sim.Fault.direction) =
   | Ab, false | Ba, true -> [ link.ab ]
   | Ba, false | Ab, true -> [ link.ba ]
 
-(* Shard mode reads a direction's state from the sending node's domain,
-   so fault application must happen there too: pair each affected
+(* A direction's state is read from the sending node's domain, so fault
+   application must happen there too: pair each affected
    direction with the node whose sends read it (the stored [ab]
    direction is read by [l_a]'s deliveries, [ba] by [l_b]'s). *)
 let dirs_with_owners t link ~flipped (dir : Sim.Fault.direction) =
@@ -531,89 +383,16 @@ let clear_link_queue t ~a ~b ?(dir = Sim.Fault.Both) () =
         (dirs_of link ~flipped dir))
     (find_link t a b)
 
-let trace_fault t ~node kind attrs =
-  if Sim.Trace.enabled t.tracer then
-    Sim.Trace.emit t.tracer
-      {
-        Sim.Trace.time = Sim.Engine.now t.engine;
-        node;
-        kind;
-        name = "";
-        attrs;
-      }
-
 let f6 = Printf.sprintf "%.6f"
 
-(* Execute one fault event at its scheduled instant.  Targets were
-   validated by [install_faults], so lookups here cannot fail; the
-   [Error _] branches are unreachable belt-and-braces. *)
-let apply_fault t (e : Sim.Fault.event) =
-  let ignore_result (_ : (unit, string) result) = () in
-  match e.Sim.Fault.kind with
-  | Sim.Fault.Link_down { a; b; dir } ->
-    trace_fault t ~node:a Sim.Trace.Fault_link
-      [ ("peer", b); ("dir", direction_label dir); ("state", "down") ];
-    ignore_result (set_link_state t ~a ~b ~dir ~up:false ())
-  | Link_up { a; b; dir } ->
-    trace_fault t ~node:a Sim.Trace.Fault_link
-      [ ("peer", b); ("dir", direction_label dir); ("state", "up") ];
-    ignore_result (set_link_state t ~a ~b ~dir ~up:true ())
-  | Link_degrade { a; b; dir; loss; latency_factor; until } ->
-    trace_fault t ~node:a Sim.Trace.Fault_link
-      [
-        ("peer", b);
-        ("dir", direction_label dir);
-        ("state", "degraded");
-        ("loss", f6 loss);
-        ("latency_factor", f6 latency_factor);
-        ("until", f6 until);
-      ];
-    ignore_result (degrade_link t ~a ~b ~dir ~loss ~latency_factor ());
-    ignore
-      (Sim.Engine.schedule_at t.engine ~time:until (fun () ->
-           trace_fault t ~node:a Sim.Trace.Fault_link
-             [ ("peer", b); ("dir", direction_label dir); ("state", "restored") ];
-           ignore_result (restore_link t ~a ~b ~dir ())))
-  | Node_crash { node = label; preserve_cs } ->
-    trace_fault t ~node:label Sim.Trace.Fault_crash
-      [ ("preserve_cs", string_of_bool preserve_cs) ];
-    Option.iter (Node.crash ~preserve_cs) (node t label)
-  | Node_restart { node = label } ->
-    trace_fault t ~node:label Sim.Trace.Fault_restart [];
-    Option.iter Node.restart (node t label)
-  | Producer_outage { node = label; until } ->
-    trace_fault t ~node:label Sim.Trace.Fault_producer
-      [ ("state", "down"); ("until", f6 until) ];
-    Option.iter
-      (fun n ->
-        Node.set_producers_enabled n false;
-        ignore
-          (Sim.Engine.schedule_at t.engine ~time:until (fun () ->
-               trace_fault t ~node:label Sim.Trace.Fault_producer
-                 [ ("state", "restored") ];
-               Node.set_producers_enabled n true)))
-      (node t label)
-  | Producer_slowdown { node = label; factor; until } ->
-    trace_fault t ~node:label Sim.Trace.Fault_producer
-      [ ("state", "slow"); ("factor", f6 factor); ("until", f6 until) ];
-    Option.iter
-      (fun n ->
-        Node.set_production_factor n factor;
-        ignore
-          (Sim.Engine.schedule_at t.engine ~time:until (fun () ->
-               trace_fault t ~node:label Sim.Trace.Fault_producer
-                 [ ("state", "restored") ];
-               Node.set_production_factor n 1.)))
-      (node t label)
-
-(* Shard-mode fault application.  Every piece of a fault event is
-   scheduled as a node-keyed event on the domain that owns the state it
-   mutates: link-direction pieces on the sending endpoint, node pieces
-   on the node itself.  Splitting a Both-direction link fault into two
-   pieces is partition-invariant (the split depends on the endpoints,
-   never on the shard count); the trace record is emitted once, from
-   the first piece, to mirror the legacy single emission. *)
-let trace_fault_on owner ~node kind attrs =
+(* Fault application.  Every piece of a fault event is scheduled as a
+   node-keyed event on the domain that owns the state it mutates:
+   link-direction pieces on the sending endpoint, node pieces on the
+   node itself.  Splitting a Both-direction link fault into two pieces
+   is partition-invariant (the split depends on the endpoints, never on
+   the shard count); the trace record is emitted once, from the first
+   piece. *)
+let trace_fault owner ~node kind attrs =
   let tr = Node.tracer owner in
   if Sim.Trace.enabled tr then
     Sim.Trace.emit tr
@@ -625,7 +404,7 @@ let trace_fault_on owner ~node kind attrs =
         attrs;
       }
 
-let schedule_fault_sharded t (e : Sim.Fault.event) =
+let schedule_fault t (e : Sim.Fault.event) =
   let at = e.Sim.Fault.at in
   let link_pieces a b dir f =
     match find_link t a b with
@@ -640,19 +419,19 @@ let schedule_fault_sharded t (e : Sim.Fault.event) =
   | Sim.Fault.Link_down { a; b; dir } ->
     link_pieces a b dir (fun ~first owner d ->
         if first then
-          trace_fault_on owner ~node:a Sim.Trace.Fault_link
+          trace_fault owner ~node:a Sim.Trace.Fault_link
             [ ("peer", b); ("dir", direction_label dir); ("state", "down") ];
         d.up <- false)
   | Link_up { a; b; dir } ->
     link_pieces a b dir (fun ~first owner d ->
         if first then
-          trace_fault_on owner ~node:a Sim.Trace.Fault_link
+          trace_fault owner ~node:a Sim.Trace.Fault_link
             [ ("peer", b); ("dir", direction_label dir); ("state", "up") ];
         d.up <- true)
   | Link_degrade { a; b; dir; loss; latency_factor; until } ->
     link_pieces a b dir (fun ~first owner d ->
         if first then
-          trace_fault_on owner ~node:a Sim.Trace.Fault_link
+          trace_fault owner ~node:a Sim.Trace.Fault_link
             [
               ("peer", b);
               ("dir", direction_label dir);
@@ -666,7 +445,7 @@ let schedule_fault_sharded t (e : Sim.Fault.event) =
         (* Each piece restores its own direction on its own shard. *)
         Node.schedule_app_at owner ~time:until (fun () ->
             if first then
-              trace_fault_on owner ~node:a Sim.Trace.Fault_link
+              trace_fault owner ~node:a Sim.Trace.Fault_link
                 [ ("peer", b); ("dir", direction_label dir); ("state", "restored") ];
             d.loss <- d.base_loss;
             d.latency_factor <- 1.))
@@ -674,7 +453,7 @@ let schedule_fault_sharded t (e : Sim.Fault.event) =
     Option.iter
       (fun n ->
         Node.schedule_app_at n ~time:at (fun () ->
-            trace_fault_on n ~node:label Sim.Trace.Fault_crash
+            trace_fault n ~node:label Sim.Trace.Fault_crash
               [ ("preserve_cs", string_of_bool preserve_cs) ];
             Node.crash ~preserve_cs n))
       (node t label)
@@ -682,18 +461,18 @@ let schedule_fault_sharded t (e : Sim.Fault.event) =
     Option.iter
       (fun n ->
         Node.schedule_app_at n ~time:at (fun () ->
-            trace_fault_on n ~node:label Sim.Trace.Fault_restart [];
+            trace_fault n ~node:label Sim.Trace.Fault_restart [];
             Node.restart n))
       (node t label)
   | Producer_outage { node = label; until } ->
     Option.iter
       (fun n ->
         Node.schedule_app_at n ~time:at (fun () ->
-            trace_fault_on n ~node:label Sim.Trace.Fault_producer
+            trace_fault n ~node:label Sim.Trace.Fault_producer
               [ ("state", "down"); ("until", f6 until) ];
             Node.set_producers_enabled n false;
             Node.schedule_app_at n ~time:until (fun () ->
-                trace_fault_on n ~node:label Sim.Trace.Fault_producer
+                trace_fault n ~node:label Sim.Trace.Fault_producer
                   [ ("state", "restored") ];
                 Node.set_producers_enabled n true)))
       (node t label)
@@ -701,11 +480,11 @@ let schedule_fault_sharded t (e : Sim.Fault.event) =
     Option.iter
       (fun n ->
         Node.schedule_app_at n ~time:at (fun () ->
-            trace_fault_on n ~node:label Sim.Trace.Fault_producer
+            trace_fault n ~node:label Sim.Trace.Fault_producer
               [ ("state", "slow"); ("factor", f6 factor); ("until", f6 until) ];
             Node.set_production_factor n factor;
             Node.schedule_app_at n ~time:until (fun () ->
-                trace_fault_on n ~node:label Sim.Trace.Fault_producer
+                trace_fault n ~node:label Sim.Trace.Fault_producer
                   [ ("state", "restored") ];
                 Node.set_production_factor n 1.)))
       (node t label)
@@ -746,37 +525,25 @@ let install_faults t schedule =
   in
   Result.map
     (fun () ->
-      match t.sharded with
-      | None ->
-        Sim.Fault.install ~engine:t.engine ~apply:(apply_fault t) schedule
-      | Some s ->
-        (* A degrade that speeds a link up undercuts the lookahead
-           bound; registering the factor before anything runs keeps
-           every window of the whole run sound. *)
-        List.iter
-          (fun (e : Sim.Fault.event) ->
-            match e.Sim.Fault.kind with
-            | Sim.Fault.Link_degrade { latency_factor; _ }
-              when latency_factor < 1. ->
-              Sim.Shard.note_latency_factor s.sh latency_factor
-            | _ -> ())
-          schedule;
-        List.iter (schedule_fault_sharded t) schedule)
+      (* A degrade that speeds a link up undercuts the lookahead bound;
+         registering the factor before anything runs keeps every window
+         of the whole run sound. *)
+      List.iter
+        (fun (e : Sim.Fault.event) ->
+          match e.Sim.Fault.kind with
+          | Sim.Fault.Link_degrade { latency_factor; _ }
+            when latency_factor < 1. ->
+            Sim.Shard.note_latency_factor t.sh latency_factor
+          | _ -> ())
+        schedule;
+      List.iter (schedule_fault t) schedule)
     (check schedule)
 
 let route _t node ~prefix ~via = Fib.add_route (Node.fib node) ~prefix ~face:via
 
-let run ?until t =
-  match t.sharded with
-  | None -> Sim.Engine.run ?until t.engine
-  | Some s ->
-    Sim.Shard.run ?until s.sh;
-    if Sim.Trace.enabled t.tracer then Sim.Shard.flush_trace s.sh ~into:t.tracer
+let run ?until t = Sim.Shard.run ?until t.sh
 
-let events_processed t =
-  match t.sharded with
-  | None -> Sim.Engine.events_processed t.engine
-  | Some s -> Sim.Shard.events_processed s.sh
+let events_processed t = Sim.Shard.events_processed t.sh
 
 let fetch_rtt t ~from ?scope ?consumer_private ?timeout_ms name =
   let result = ref None in

@@ -9,31 +9,28 @@
 type t
 
 val create : ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> unit -> t
-(** Fresh network with its own engine and a deterministic RNG
-    ([seed] defaults to 42).  [tracer] (default {!Sim.Trace.disabled})
-    is shared by the engine, every node created via {!add_node} and the
-    links built by {!connect}: enabling it makes the whole stack emit —
-    engine dispatch, CS operations, interest/data hops and per-link
-    latency draws ([link.tx] records carry the sampled [delay_ms]).
+(** Fresh network with a deterministic RNG ([seed] defaults to 42),
+    running on a {!Sim.Shard} partition of [shards] (default 1)
+    shard-local engines.  [tracer] (default {!Sim.Trace.disabled})
+    receives the records of every node created via {!add_node} and of
+    the links built by {!connect}: enabling it makes the whole stack
+    emit — CS operations, interest/data hops and per-link latency draws
+    ([link.tx] records carry the sampled [delay_ms]).  Records reach
+    [tracer] in the partition's stitched order by the end of each
+    {!run}; one emitted between runs (a driver's own
+    {!Node.express_interest}, say) arrives with the next run's.
 
-    [shards]: when given (even [~shards:1]), the network runs in
-    {e shard mode} on a {!Sim.Shard} partition of [shards] shard-local
-    engines.  Nodes are assigned to shards by a platform-independent
-    hash of their label, every event is keyed with a
-    shard-count-invariant [(node, counter)] pair, link directions draw
-    from per-direction split RNGs, and {!run} advances the partition in
-    conservative lookahead windows — so traces, counters and
-    measurements are byte-identical for {e any} shard count, but differ
-    (by design) from legacy mode's single global event order.  Omitting
-    [shards] keeps the legacy single-engine path byte-for-byte
-    unchanged.  [engine t] is shard 0's engine; drivers in shard mode
-    must schedule through {!Node.schedule_app} rather than directly on
-    an engine.  Shard-mode traces omit per-engine [engine.step] records
-    (they are partition-dependent bookkeeping, not simulation
-    semantics).
+    Nodes are assigned to shards by a platform-independent hash of
+    their label, every event is keyed with a shard-count-invariant
+    [(node, counter)] pair, link directions draw from per-direction
+    split RNGs, and {!run} advances the partition in conservative
+    lookahead windows — so traces, counters and measurements are
+    byte-identical for {e any} shard count, with one exception:
+    [engine.step] records (per-engine queue depth and count) are
+    emitted only at [shards = 1], where the one engine sees every
+    event.  [engine t] is shard 0's engine; drivers must schedule
+    through {!Node.schedule_app} rather than directly on an engine.
     @raise Invalid_argument if [shards < 1]. *)
-
-val is_sharded : t -> bool
 
 val set_stall_watchdog :
   t -> ?stall_ms:float -> clock_ms:(unit -> float) -> unit -> unit
@@ -41,13 +38,13 @@ val set_stall_watchdog :
     stalled at a window barrier for [stall_ms] wall-clock ms (default
     30 s, measured by the injected [clock_ms]) raises a diagnostic
     [Failure] naming the stuck shard and the pending queue depths.
-    No-op in legacy (unsharded) mode. *)
+    Never fires at [shards = 1], which runs without barriers. *)
 
 val shard_count : t -> int
-(** Number of shard engines ([1] in legacy mode). *)
+(** Number of shard engines. *)
 
 val events_processed : t -> int
-(** Total events fired — across all shard engines in shard mode. *)
+(** Total events fired across all shard engines. *)
 
 val engine : t -> Sim.Engine.t
 
@@ -175,11 +172,10 @@ val install_faults : t -> Sim.Fault.schedule -> (unit, string) result
     with [state=restored]).  On [Error _] nothing was scheduled. *)
 
 val run : ?until:float -> t -> unit
-(** Drain the event queue (bounded by [until] when given).  In shard
-    mode this advances the {!Sim.Shard} partition — spawning
-    [shards - 1] domains for the duration of the call — and then
-    stitches the shard trace buffers into the network tracer in global
-    [(time, key)] order. *)
+(** Drain the event queue (bounded by [until] when given).  This
+    advances the {!Sim.Shard} partition — spawning [shards - 1]
+    domains for the duration of the call — and leaves every trace
+    record in the network tracer, in global [(time, key)] order. *)
 
 val fetch_rtt :
   t ->

@@ -65,13 +65,12 @@ type t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
   tracer : Sim.Trace.t;
-  (* Shard-mode identity: [sid] is the node's creation-order index
-     ([-1] in legacy unsharded networks) and [shard] the engine it was
-     assigned to.  In shard mode every event this node schedules is
-     keyed with [(sid, kseq++)] packed into one int — a globally unique
-     key whose order depends only on node creation order and per-node
-     history, never on the partition — which is what makes the heap pop
-     order (and thus the whole simulation) shard-count-invariant. *)
+  (* [sid] is the node's creation-order index and [shard] the engine
+     it was assigned to.  Every event this node schedules is keyed with
+     [(sid, kseq++)] packed into one int — a globally unique key whose
+     order depends only on node creation order and per-node history,
+     never on the partition — which is what makes the heap pop order
+     (and thus the whole simulation) shard-count-invariant. *)
   sid : int;
   shard : int;
   mutable kseq : int;
@@ -124,16 +123,12 @@ let fresh_event_key t =
   t.kseq <- t.kseq + 1;
   k
 
-(* All of this node's event scheduling funnels through these two: the
-   legacy path is byte-for-byte the engine's FIFO counter (pinned by
-   the golden traces), the shard path the partition-invariant key. *)
+(* All of this node's event scheduling funnels through these two. *)
 let sched t ~delay f =
-  if t.sid < 0 then Sim.Engine.schedule t.engine ~delay f
-  else Sim.Engine.schedule_key t.engine ~delay ~key:(fresh_event_key t) f
+  Sim.Engine.schedule_key t.engine ~delay ~key:(fresh_event_key t) f
 
 let sched_at t ~time f =
-  if t.sid < 0 then Sim.Engine.schedule_at t.engine ~time f
-  else Sim.Engine.schedule_key_at t.engine ~time ~key:(fresh_event_key t) f
+  Sim.Engine.schedule_key_at t.engine ~time ~key:(fresh_event_key t) f
 
 (* --- PIT sweeps ---
 
@@ -195,8 +190,7 @@ let sweep_pit t =
 
 let request_sweep t =
   let at = Sim.Engine.now t.engine +. (t.pit_lifetime_ms +. 1.) in
-  let key = if t.sid < 0 then Sim.Engine.reserve_seq t.engine else fresh_event_key t in
-  arms_push t at key;
+  arms_push t at (fresh_event_key t);
   if t.arm_len = 1 then schedule_front t
 
 (* Replace the PIT with a fresh (empty) finite table.  Pending entries
@@ -215,7 +209,7 @@ let create engine ~rng ~label ?(tracer = Sim.Trace.disabled)
     ?(cs_capacity = 0) ?(cs_policy = Eviction.Lru) ?(pit_lifetime_ms = 4000.)
     ?pit_capacity ?pit_admission ?(nacks = false)
     ?(forwarding_delay = Sim.Latency.Constant 0.02) ?(honor_scope = true)
-    ?(caching = true) ?(sid = -1) ?(shard = 0) () =
+    ?(caching = true) ?(sid = 0) ?(shard = 0) () =
   let cs_rng =
     match cs_policy with Eviction.Random_replacement -> Some (Sim.Rng.split rng) | _ -> None
   in
@@ -557,13 +551,13 @@ let add_producer t ~prefix ?(production_delay_ms = 0.1) handler =
 
 let express_interest t ?scope ?(consumer_private = false) ?timeout_ms ~on_data
     ?(on_timeout = fun () -> ()) ?on_nack name =
-  (* Shard mode: claim a fresh trace-stitch key for this expression.
-     When called from a root context (a driver between runs) this gives
-     its emissions their own slot in the cross-shard total order; when
+  (* Claim a fresh trace-stitch key for this expression.  When called
+     from a root context (a driver between runs) this gives its
+     emissions their own slot in the cross-shard total order; when
      called from inside an event, overriding the event's key is equally
      shard-count-invariant because it happens at the same point of the
      node's deterministic history either way. *)
-  if t.sid >= 0 then Sim.Engine.set_cur_key t.engine (fresh_event_key t);
+  Sim.Engine.set_cur_key t.engine (fresh_event_key t);
   let now = Sim.Engine.now t.engine in
   let timeout_ms = Option.value timeout_ms ~default:t.pit_lifetime_ms in
   let cell =

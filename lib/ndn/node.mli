@@ -62,13 +62,14 @@ val create :
   ?shard:int ->
   unit ->
   t
-(** [sid]/[shard] (defaults [-1]/[0]) put the node in {e shard mode}:
-    with [sid >= 0] every event it schedules is keyed with the packed
+(** Every event the node schedules is keyed with the packed
     [(sid, per-node counter)] pair via {!Sim.Engine.schedule_key}, so
-    pop order is invariant under [Sim.Shard] partitioning.  [sid] must
-    then be globally unique (creation order) and [shard] names the
-    engine's shard.  Legacy networks leave both at their defaults and
-    are byte-for-byte unchanged.
+    pop order is invariant under [Sim.Shard] partitioning.  [sid]
+    (default [0]) must be unique among the nodes sharing a
+    {!Sim.Shard} partition ({!Network.add_node} uses creation order),
+    and [shard] (default [0]) names the node's shard.  A node built
+    alone on a fresh engine can leave both at their defaults, as long
+    as nothing else schedules keyed events on that engine.
 
     [tracer] (default {!Sim.Trace.disabled}): when enabled the node
     emits [interest.recv]/[interest.fwd]/[interest.collapsed],
@@ -153,26 +154,27 @@ val label : t -> string
 val engine : t -> Sim.Engine.t
 
 val tracer : t -> Sim.Trace.t
-(** The tracer passed at creation — in shard mode, the node's shard
+(** The tracer passed at creation — in a {!Network}, the node's shard
     tracer, which is where code acting on this node's behalf (link
     delivery, fault application, countermeasure wrappers) must emit so
     records land in the right stitch buffer. *)
 
 val shard : t -> int
-(** The shard index passed at creation ([0] for legacy nodes). *)
+(** The shard index passed at creation. *)
 
 val fresh_event_key : t -> int
 (** Next packed [(sid, counter)] event key, consuming one counter
     step.  For network plumbing that schedules on the node's behalf
-    (cross-shard link delivery); application code should use
-    {!schedule_app} instead.  Only meaningful in shard mode. *)
+    (link delivery, cross-shard sends); application code should use
+    {!schedule_app} instead. *)
 
 val schedule_app : t -> delay:float -> (unit -> unit) -> unit
 (** Schedule driver/application work on this node's engine, keyed with
-    the node's own event key in shard mode and with the engine's FIFO
-    counter otherwise.  Anything a driver wants to run "on a node" in a
-    sharded network must go through this (or {!schedule_app_at}) so the
-    event order stays shard-count-invariant. *)
+    the node's own event key.  Anything a driver wants to run "on a
+    node" must go through this (or {!schedule_app_at}) so the event
+    order stays shard-count-invariant: an unkeyed
+    {!Sim.Engine.schedule} on a network's engine would mix the engine's
+    FIFO counter with node keys. *)
 
 val schedule_app_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant of {!schedule_app}. *)

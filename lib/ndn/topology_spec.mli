@@ -171,8 +171,7 @@ val build :
   ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> spec -> (t, string) result
 (** Instantiate the network ([seed] defaults to 42; [tracer] — default
     {!Sim.Trace.disabled} — is threaded to the engine, every node and
-    every link; [shards] is forwarded to {!Network.create}, putting the
-    whole build in shard mode).  Semantic errors (duplicate node,
+    every link; [shards] is forwarded to {!Network.create}).  Semantic errors (duplicate node,
     undeclared endpoint, route without a link) carry the offending
     directive's line number. *)
 

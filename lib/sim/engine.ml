@@ -147,11 +147,6 @@ let hold_reached t h =
   if Array.unsafe_get t.clock 2 > Array.unsafe_get t.clock 0 then
     t.hold <- add_event t ~time:(Array.unsafe_get t.clock 2) ~seq:hold_seq nop
 
-let reserve_seq t =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  seq
-
 let schedule_key t ~delay ~key f =
   let delay = if delay < 0. then 0. else delay in
   schedule_key_at t ~time:(Array.unsafe_get t.clock 0 +. delay) ~key f

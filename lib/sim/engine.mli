@@ -60,14 +60,6 @@ val schedule_key : t -> delay:float -> key:int -> (unit -> unit) -> handle
 val schedule_key_at : t -> time:float -> key:int -> (unit -> unit) -> handle
 (** Absolute-time variant of {!schedule_key}. *)
 
-val reserve_seq : t -> int
-(** Take the insertion-order tie-break that an unkeyed {!schedule} made
-    now would get, without scheduling anything.  Passing it later to
-    {!schedule_key_at} places that event among same-instant events
-    exactly where scheduling it now would have.  The value comes from
-    the engine's own counter, so it never collides with unkeyed
-    events. *)
-
 val hold_until : t -> float -> unit
 (** Keep the engine busy until [time], as if an event were queued
     there: a drained {!run} ends with the clock at [time] or later, and
@@ -118,7 +110,7 @@ val pending : t -> int
 
 val has_queued : t -> bool
 (** Whether any event (live or lazily cancelled) is still physically
-    queued.  This is the condition legacy [run ~until] uses to decide
+    queued.  This is the condition a lone engine's [run ~until] uses to decide
     whether to advance the clock to the limit; {!Sim.Shard} needs the
     same predicate across all shard engines to compute a
     shard-count-invariant finish time. *)

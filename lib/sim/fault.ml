@@ -88,13 +88,6 @@ let random_link_flaps ~rng ~links ~mean_uptime_ms ~downtime_ms ~horizon_ms () =
     links
   |> sort
 
-(* --- installation --- *)
-
-let install ~engine ~apply schedule =
-  List.iter
-    (fun e -> ignore (Engine.schedule_at engine ~time:e.at (fun () -> apply e)))
-    schedule
-
 let phase_boundaries schedule =
   let times =
     List.concat_map

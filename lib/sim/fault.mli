@@ -4,14 +4,14 @@
     thing that evicts content is cache policy.  This module perturbs
     that assumption {e reproducibly}: a fault schedule is an ordinary
     piece of data (scripted by hand, parsed from a file, or generated
-    from a seeded {!Rng}), and {!install} turns it into ordinary engine
-    events — so a faulty run is exactly as deterministic as a healthy
-    one, and byte-identical for any [--jobs N].
+    from a seeded {!Rng}), and [Ndn.Network.install_faults] turns it
+    into ordinary engine events — so a faulty run is exactly as
+    deterministic as a healthy one, and byte-identical for any
+    [--jobs N].
 
     This layer is network-agnostic: faults name their targets by
-    string label and the embedding (see [Ndn.Network.install_faults])
-    supplies the semantics — link state flips, Content-Store flushes,
-    producer outages. *)
+    string label and the embedding supplies the semantics — link state
+    flips, Content-Store flushes, producer outages. *)
 
 (** Which direction of a (bidirectional) link a fault applies to.
     [Ab] is the a→b direction as the endpoints are named in the
@@ -92,14 +92,6 @@ val random_link_flaps :
   schedule
 (** Same process over links: [Link_down]/[Link_up] pairs (both
     directions). *)
-
-(** {1 Installation} *)
-
-val install : engine:Engine.t -> apply:(event -> unit) -> schedule -> unit
-(** Schedule every event on the engine ([schedule_at], so times in the
-    past clamp to "now"), calling [apply] when it fires.  Faults become
-    ordinary engine events: they interleave with protocol events by
-    virtual time and the run stays deterministic. *)
 
 val phase_boundaries : schedule -> float list
 (** The strictly increasing virtual times at which the network changes:

@@ -16,6 +16,13 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* Bits set in a 32-bit value held in a native int (SWAR count). *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
 (* Mix used to derive gammas for split generators; must differ from
    [mix64] to avoid correlations between state and gamma streams. *)
 let mix_gamma z =
@@ -25,11 +32,12 @@ let mix_gamma z =
   (* Reject gammas with too few bit transitions, as in the reference
      implementation. *)
   let transitions = Int64.logxor z (Int64.shift_right_logical z 1) in
-  let popcount x =
-    let rec go acc x = if Int64.equal x 0L then acc else go (acc + 1) (Int64.logand x (Int64.sub x 1L)) in
-    go 0 x
-  in
-  if popcount transitions < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL else z
+  (* Counted on the two 32-bit halves as native ints, so a split
+     allocates nothing beyond the new generator. *)
+  let lo = Int64.to_int (Int64.logand transitions 0xFFFFFFFFL) in
+  let hi = Int64.to_int (Int64.shift_right_logical transitions 32) in
+  if popcount32 lo + popcount32 hi < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL
+  else z
 
 let create seed =
   { state = mix64 (Int64.of_int seed); gamma = golden_gamma; spare_gaussian = None }

@@ -18,9 +18,9 @@
         publishes the sends, and the next round's drain picks them up.
 
    Determinism does not come from the windows (they only bound
-   *when* work may run) but from the event keys: every event in shard
-   mode is keyed with a globally unique [(node id, per-node counter)]
-   pair packed into an int, the heap pops in [(time, key)] order, and a
+   *when* work may run) but from the event keys: every event is keyed
+   with a globally unique [(node id, per-node counter)] pair packed
+   into an int, the heap pops in [(time, key)] order, and a
    node's full event sequence is therefore independent of which engine
    hosts it.  Trace records are tagged with the key of the event that
    emitted them and stitched across shards by [(time, tag)], giving one
@@ -49,6 +49,7 @@ let dummy_tagged =
 type t = {
   k : int;
   engines : Engine.t array;
+  into : Trace.t; (* where the stitched records go *)
   tracers : Trace.t array;
   tbufs : tbuf array;
   queues : queue array; (* length k*k, index src*k + dst *)
@@ -63,28 +64,65 @@ type t = {
    in a feedback loop, and unbounded queues would only defer the OOM. *)
 let queue_bound = 1 lsl 22
 
-let create ?(traced = false) ~shards () =
+let push buf tagged =
+  if buf.tlen = Array.length buf.ev then begin
+    let cap = max 64 (2 * Array.length buf.ev) in
+    let ev = Array.make cap dummy_tagged in
+    Array.blit buf.ev 0 ev 0 buf.tlen;
+    buf.ev <- ev
+  end;
+  buf.ev.(buf.tlen) <- tagged;
+  buf.tlen <- buf.tlen + 1
+
+(* Emit [all] into [into] sorted by [(time, tag)].  Stable: records
+   sharing a stitch tag come from one firing context on one shard and
+   stay in their emission order. *)
+let emit_stitched into all =
+  Array.stable_sort
+    (fun (k1, e1) (k2, e2) ->
+      let c = Float.compare e1.Trace.time e2.Trace.time in
+      if c <> 0 then c else Int.compare k1 k2)
+    all;
+  Array.iter (fun (_, e) -> Trace.emit into e) all
+
+let release into buf =
+  let all = Array.sub buf.ev 0 buf.tlen in
+  Array.fill buf.ev 0 buf.tlen dummy_tagged;
+  buf.tlen <- 0;
+  emit_stitched into all
+
+let create ?(tracer = Trace.disabled) ~shards () =
   if shards < 1 then invalid_arg "Sim.Shard.create: shards < 1";
-  let engines = Array.init shards (fun _ -> Engine.create ()) in
   let tbufs = Array.init shards (fun _ -> { ev = [||]; tlen = 0 }) in
+  let engines = ref [||] in
   let tracers =
-    if not traced then Array.make shards Trace.disabled
+    if not (Trace.enabled tracer) then Array.make shards Trace.disabled
     else
       Array.init shards (fun i ->
-          let buf = tbufs.(i) and eng = engines.(i) in
+          let buf = tbufs.(i) in
           Trace.with_sink (fun e ->
-              if buf.tlen = Array.length buf.ev then begin
-                let cap = max 64 (2 * Array.length buf.ev) in
-                let ev = Array.make cap dummy_tagged in
-                Array.blit buf.ev 0 ev 0 buf.tlen;
-                buf.ev <- ev
-              end;
-              buf.ev.(buf.tlen) <- (Engine.cur_key eng, e);
-              buf.tlen <- buf.tlen + 1))
+              (* A lone engine emits in non-decreasing time, so once
+                 time moves on, the buffered instant is complete and
+                 can be stitched out at once rather than held until the
+                 end of the run. *)
+              if
+                shards = 1
+                && buf.tlen > 0
+                && e.Trace.time > (snd buf.ev.(buf.tlen - 1)).Trace.time
+              then release tracer buf;
+              push buf (Engine.cur_key !engines.(i), e)))
   in
+  (* A lone engine sees every event, so at K = 1 its [engine.step]
+     records (queue depth, processed count) join the stitched trace.
+     At K >= 2 engines emit none: those figures depend on the
+     partition. *)
+  let engine_tracer = if shards = 1 then tracers.(0) else Trace.disabled in
+  engines :=
+    Array.init shards (fun _ -> Engine.create ~tracer:engine_tracer ());
   {
     k = shards;
-    engines;
+    engines = !engines;
+    into = tracer;
     tracers;
     tbufs;
     queues = Array.init (shards * shards) (fun _ -> { arr = [||]; len = 0 });
@@ -347,12 +385,8 @@ let align_finish t ~until ~pre =
   in
   Array.iter (fun e -> Engine.advance_clock_to e finish) t.engines
 
-let run ?until t =
-  let pre = Engine.now t.engines.(0) in
-  if t.k = 1 then Engine.run ?until t.engines.(0) else run_windows t ~until;
-  align_finish t ~until ~pre
-
-let flush_trace t ~into =
+(* Stitch and clear every shard's buffer. *)
+let flush_trace t =
   let total = Array.fold_left (fun acc b -> acc + b.tlen) 0 t.tbufs in
   if total > 0 then begin
     let all = Array.make total dummy_tagged in
@@ -364,15 +398,14 @@ let flush_trace t ~into =
         b.ev <- [||];
         b.tlen <- 0)
       t.tbufs;
-    (* Stable: records sharing a stitch tag come from one firing context
-       on one shard and stay in their emission order. *)
-    Array.stable_sort
-      (fun (k1, e1) (k2, e2) ->
-        let c = Float.compare e1.Trace.time e2.Trace.time in
-        if c <> 0 then c else Int.compare k1 k2)
-      all;
-    Array.iter (fun (_, e) -> Trace.emit into e) all
+    emit_stitched t.into all
   end
+
+let run ?until t =
+  let pre = Engine.now t.engines.(0) in
+  if t.k = 1 then Engine.run ?until t.engines.(0) else run_windows t ~until;
+  align_finish t ~until ~pre;
+  flush_trace t
 
 let now t = Engine.now t.engines.(0)
 

@@ -15,9 +15,10 @@
     [(time, key)] and the keys are partition-independent, so every
     node processes the identical event sequence for any shard count;
     trace records are tagged with the emitting event's key and
-    {!flush_trace} stitches the per-shard buffers by [(time, tag)] into
-    one byte stream.  [Ndn.Network] builds on this to make
-    [--shards N] byte-identical to [--shards 1].
+    stitched across the per-shard buffers by [(time, tag)] into one
+    byte stream.  Every [Ndn.Network] runs on this (K = 1 by
+    default), which makes [--shards N] byte-identical to [--shards 1]
+    except for the K = 1 engine's [engine.step] records.
 
     {b Threading rules.}  Between two {!run} calls everything belongs
     to the calling domain.  During {!run}, shard [i]'s engine (and the
@@ -26,13 +27,17 @@
 
 type t
 
-val create : ?traced:bool -> shards:int -> unit -> t
-(** [shards] engines with fresh clocks.  When [traced] (default
-    [false]), each shard gets an enabled sink {!tracer} that buffers
-    tagged records for {!flush_trace}; otherwise all shard tracers are
-    {!Trace.disabled}.  Engine-level [engine.step] records are never
-    emitted in shard mode: queue depth and processed counts are
-    per-engine quantities and would differ across shard counts.
+val create : ?tracer:Trace.t -> shards:int -> unit -> t
+(** [shards] engines with fresh clocks.  When [tracer] (default
+    {!Trace.disabled}) is enabled, each shard gets an enabled sink
+    {!tracer} that buffers tagged records; they reach [tracer] sorted by
+    [(time, tag)] — a total order independent of the shard count — at
+    the end of every {!run} and, at [shards = 1], as soon as virtual
+    time moves past their instant.  Otherwise all shard tracers are
+    {!Trace.disabled}.  At [shards = 1] the one engine also emits its
+    [engine.step] records, one per executed event; at [shards >= 2]
+    engines emit none: queue depth and processed counts are per-engine
+    quantities and would differ across shard counts.
     @raise Invalid_argument when [shards < 1]. *)
 
 val shards : t -> int
@@ -96,15 +101,10 @@ val run : ?until:float -> t -> unit
     [shards - 1] domains for the duration of the call; combined with
     {!Parallel} trial workers, budget them via
     {!Parallel.check_domains}.  On return all shard clocks are aligned
-    to one shard-count-invariant finish time.  An exception raised by
+    to one shard-count-invariant finish time, and every buffered trace
+    record has reached the creation [tracer].  An exception raised by
     any shard's event stops every shard at the next window boundary and
     is re-raised here. *)
-
-val flush_trace : t -> into:Trace.t -> unit
-(** Stitch and clear all per-shard tagged trace buffers: records are
-    emitted into [into] sorted by [(time, tag)] — a total order
-    independent of the shard count.  Call between {!run}s (never during
-    one). *)
 
 val now : t -> float
 (** The aligned clock (all shards agree between runs). *)

@@ -103,10 +103,7 @@ let test_karn_skips_retransmitted_sample () =
   down false;
   (* Repair the link while the first attempt's timeout is pending: the
      retry (attempt 2) then succeeds. *)
-  ignore
-    (Sim.Engine.schedule_at
-       (Ndn.Network.engine net)
-       ~time:50. (fun () -> down true));
+  Ndn.Node.schedule_app_at c ~time:50. (fun () -> down true);
   let estimator = Ndn.Consumer.Rtt_estimator.create ~initial_rto_ms:100. () in
   let o = fetch_sync ~estimator net c (Ndn.Name.of_string "/s/z") in
   Alcotest.(check bool) "data arrived on the retry" true

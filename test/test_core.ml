@@ -521,6 +521,28 @@ let test_interactive_session_predictable_completes () =
     (Core.Interactive_session.mean_frame_rtt session > 0.
     && Core.Interactive_session.mean_frame_rtt session < 20.)
 
+(* The cadence is keyed per side, so a call split across shards plays
+   out exactly as on one. *)
+let test_interactive_session_shard_invariant () =
+  let call ~shards =
+    let setup = Ndn.Network.conversation ~shards () in
+    let session =
+      Core.Interactive_session.start setup
+        ~naming:Core.Interactive_session.Predictable ~frames:12 ()
+    in
+    Ndn.Network.run setup.Ndn.Network.cnet;
+    ( setup,
+      Core.Interactive_session.frames_delivered session,
+      Core.Interactive_session.mean_frame_rtt session )
+  in
+  let _, frames1, rtt1 = call ~shards:1 in
+  let setup2, frames2, rtt2 = call ~shards:2 in
+  Alcotest.(check bool) "alice and bob on different shards" true
+    (Ndn.Node.shard setup2.Ndn.Network.alice
+    <> Ndn.Node.shard setup2.Ndn.Network.bob);
+  Alcotest.(check (pair int int)) "frames, K = 2 vs 1" frames1 frames2;
+  Alcotest.(check (float 0.)) "mean frame rtt, K = 2 vs 1" rtt1 rtt2
+
 let test_interactive_session_unpredictable_completes () =
   let setup = Ndn.Network.conversation () in
   let session =
@@ -762,6 +784,8 @@ let () =
             test_interactive_session_predictable_completes;
           Alcotest.test_case "unpredictable completes" `Quick
             test_interactive_session_unpredictable_completes;
+          Alcotest.test_case "shards 2 = shards 1" `Quick
+            test_interactive_session_shard_invariant;
           Alcotest.test_case "distinct direction names" `Quick
             test_interactive_session_directions_use_distinct_names;
           Alcotest.test_case "frames cached at router" `Quick

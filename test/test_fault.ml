@@ -89,7 +89,6 @@ let test_link_down_up_window () =
       at 0. (Sim.Fault.Link_down { a = "C"; b = "R"; dir = Sim.Fault.Both });
       at 100. (Sim.Fault.Link_up { a = "C"; b = "R"; dir = Sim.Fault.Both });
     ];
-  let engine = Ndn.Network.engine net in
   let during = ref (Some 0.) and after = ref (Some 0.) in
   let probe result name =
     Ndn.Node.express_interest c ~timeout_ms:50.
@@ -97,12 +96,8 @@ let test_link_down_up_window () =
       ~on_timeout:(fun () -> result := None)
       (Ndn.Name.of_string name)
   in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:10. (fun () ->
-         probe during "/s/down"));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:200. (fun () ->
-         probe after "/s/up"));
+  Ndn.Node.schedule_app_at c ~time:10. (fun () -> probe during "/s/down");
+  Ndn.Node.schedule_app_at c ~time:200. (fun () -> probe after "/s/up");
   Ndn.Network.run net;
   Alcotest.(check bool) "probe during outage times out" true (!during = None);
   Alcotest.(check bool) "probe after repair succeeds" true (!after <> None)
@@ -122,17 +117,14 @@ let test_degrade_inflates_latency () =
              until = 100.;
            });
     ];
-  let engine = Ndn.Network.engine net in
   let during = ref None and after = ref None in
   let probe result name =
     Ndn.Node.express_interest c
       ~on_data:(fun ~rtt_ms _ -> result := Some rtt_ms)
       (Ndn.Name.of_string name)
   in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1. (fun () -> probe during "/s/d"));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:200. (fun () -> probe after "/s/e"));
+  Ndn.Node.schedule_app_at c ~time:1. (fun () -> probe during "/s/d");
+  Ndn.Node.schedule_app_at c ~time:200. (fun () -> probe after "/s/e");
   Ndn.Network.run net;
   match (!during, !after) with
   | Some slow, Some fast ->
@@ -148,7 +140,6 @@ let test_producer_outage_window () =
   let net, c, _, _ = make_chain () in
   install_exn net
     [ at 0. (Sim.Fault.Producer_outage { node = "P"; until = 100. }) ];
-  let engine = Ndn.Network.engine net in
   let during = ref (Some 0.) and after = ref (Some 0.) in
   let probe result name =
     Ndn.Node.express_interest c ~timeout_ms:60.
@@ -156,10 +147,8 @@ let test_producer_outage_window () =
       ~on_timeout:(fun () -> result := None)
       (Ndn.Name.of_string name)
   in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:10. (fun () -> probe during "/s/o"));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:200. (fun () -> probe after "/s/p"));
+  Ndn.Node.schedule_app_at c ~time:10. (fun () -> probe during "/s/o");
+  Ndn.Node.schedule_app_at c ~time:200. (fun () -> probe after "/s/p");
   Ndn.Network.run net;
   Alcotest.(check bool) "silent producer: probe times out" true
     (!during = None);
@@ -197,15 +186,11 @@ let traced_workload ~schedule () =
   (match schedule with
   | None -> ()
   | Some s -> install_exn net s);
-  let engine = Ndn.Network.engine net in
   for i = 0 to 9 do
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:(float_of_int i *. 20.)
-         (fun () ->
-           Ndn.Node.express_interest c
-             ~on_data:(fun ~rtt_ms:_ _ -> ())
-             (Ndn.Name.of_string (Printf.sprintf "/s/w/%d" (i mod 4)))))
+    Ndn.Node.schedule_app_at c ~time:(float_of_int i *. 20.) (fun () ->
+        Ndn.Node.express_interest c
+          ~on_data:(fun ~rtt_ms:_ _ -> ())
+          (Ndn.Name.of_string (Printf.sprintf "/s/w/%d" (i mod 4))))
   done;
   Ndn.Network.run net;
   Sim.Trace.render Sim.Trace.Jsonl tracer
@@ -318,13 +303,51 @@ let qcheck_tests =
     QCheck.Test.make ~name:"install fires in sorted order" ~count:100
       schedule_arb
       (fun events ->
-        let schedule = Sim.Fault.sort events in
-        let engine = Sim.Engine.create () in
-        let fired = ref [] in
-        Sim.Fault.install ~engine ~apply:(fun e -> fired := e :: !fired)
-          schedule;
-        Sim.Engine.run engine;
-        List.rev !fired = schedule);
+        (* A triangle A-B-C names every generated target except the
+           self-links, which no network has. *)
+        let schedule =
+          Sim.Fault.sort
+            (List.filter
+               (fun e ->
+                 match e.Sim.Fault.kind with
+                 | Sim.Fault.Link_down { a; b; _ }
+                 | Link_up { a; b; _ }
+                 | Link_degrade { a; b; _ } -> a <> b
+                 | _ -> true)
+               events)
+        in
+        let tracer = Sim.Trace.create () in
+        let net = Ndn.Network.create ~tracer () in
+        let node l = Ndn.Network.add_node net l in
+        let a = node "A" and b = node "B" and c = node "C" in
+        let lat = Sim.Latency.Constant 1. in
+        List.iter
+          (fun (x, y) -> ignore (Ndn.Network.connect net ~latency:lat x y))
+          [ (a, b); (a, c); (b, c) ];
+        (match Ndn.Network.install_faults net schedule with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_report msg);
+        Ndn.Network.run net;
+        (* Each event leaves one record at its own time, naming its
+           first endpoint or its node; "restored" records are the
+           windowed faults' ends. *)
+        let fired =
+          Array.to_list (Sim.Trace.events tracer)
+          |> List.filter (fun e ->
+                 List.mem e.Sim.Trace.kind
+                   Sim.Trace.[ Fault_link; Fault_crash; Fault_restart; Fault_producer ]
+                 && List.assoc_opt "state" e.Sim.Trace.attrs <> Some "restored")
+          |> List.map (fun e -> (e.Sim.Trace.time, e.Sim.Trace.node))
+        in
+        let target e =
+          match e.Sim.Fault.kind with
+          | Sim.Fault.Link_down { a; _ } | Link_up { a; _ } | Link_degrade { a; _ } -> a
+          | Node_crash { node; _ }
+          | Node_restart { node }
+          | Producer_outage { node; _ }
+          | Producer_slowdown { node; _ } -> node
+        in
+        fired = List.map (fun e -> (e.Sim.Fault.at, target e)) schedule);
     QCheck.Test.make ~name:"print/parse is a fixpoint" ~count:200 schedule_arb
       (fun events ->
         let schedule = Sim.Fault.sort events in

@@ -407,11 +407,7 @@ let fault_schedule =
    the rendered trace and the processed-event total. *)
 let overload_run ?shards ?(watchdog = false) ~seed () =
   let tracer = Sim.Trace.create () in
-  let net =
-    match shards with
-    | None -> Ndn.Network.create ~seed ~tracer ()
-    | Some k -> Ndn.Network.create ~seed ~tracer ~shards:k ()
-  in
+  let net = Ndn.Network.create ~seed ~tracer ?shards () in
   if watchdog then
     Ndn.Network.set_stall_watchdog net ~stall_ms:300_000.
       ~clock_ms:(fun () -> 0.)
@@ -461,8 +457,16 @@ let overload_run ?shards ?(watchdog = false) ~seed () =
   Ndn.Network.run net;
   (render tracer, Ndn.Network.events_processed net)
 
+(* K-invariance covers every record but [engine.step], which only the
+   K = 1 engine emits. *)
+let drop_engine_steps trace =
+  String.split_on_char '\n' trace
+  |> List.filter (fun l -> not (contains_sub ~sub:{|"kind":"engine.step"|} l))
+  |> String.concat "\n"
+
 let test_shard_identity_under_overload () =
   let t1, e1 = overload_run ~shards:1 ~seed:7 () in
+  let t1 = drop_engine_steps t1 in
   Alcotest.(check bool) "overloaded run is non-trivial" true
     (String.length t1 > 1000);
   Alcotest.(check bool) "the robust plane is exercised" true
@@ -472,14 +476,15 @@ let test_shard_identity_under_overload () =
       let tk, ek = overload_run ~shards:k ~seed:7 () in
       Alcotest.(check string)
         (Printf.sprintf "shards %d vs 1: trace" k)
-        t1 tk;
+        t1 (drop_engine_steps tk);
       Alcotest.(check int)
         (Printf.sprintf "shards %d vs 1: events" k)
         e1 ek)
     [ 2; 4 ];
   (* The armed watchdog only watches: byte-identical output. *)
   let tw, ew = overload_run ~shards:4 ~watchdog:true ~seed:7 () in
-  Alcotest.(check string) "watchdog does not perturb the trace" t1 tw;
+  Alcotest.(check string) "watchdog does not perturb the trace" t1
+    (drop_engine_steps tw);
   Alcotest.(check int) "watchdog does not perturb event totals" e1 ew
 
 let test_jobs_identity_under_overload () =
@@ -514,16 +519,12 @@ let test_jobs_identity_under_overload () =
    The pinned digests cover the JSONL with [engine.step] lines removed:
    those carry the engine's event count and queue depth, which the
    number of sweep events legitimately moves.  Every other record —
-   node, name, time, attrs, order — is pinned unsharded and at
-   [--shards 2]; the digests were taken before the per-node sweep
+   node, name, time, attrs, order — is pinned at K = 1 and at
+   K = 2; the digests were taken before the per-node sweep
    replaced the per-forward one. *)
 let sweep_flood_trace ?shards () =
   let tracer = Sim.Trace.create () in
-  let net =
-    match shards with
-    | None -> Ndn.Network.create ~seed:19 ~tracer ()
-    | Some k -> Ndn.Network.create ~seed:19 ~tracer ~shards:k ()
-  in
+  let net = Ndn.Network.create ~seed:19 ~tracer ?shards () in
   let f = Ndn.Network.add_node net ~caching:false "F" in
   let u = Ndn.Network.add_node net ~caching:false "U" in
   let r1 = Ndn.Network.add_node net ~cs_capacity:8 "R1" in
@@ -572,10 +573,7 @@ let sweep_flood_trace ?shards () =
     ~on_done:(fun _ -> ())
     ();
   Ndn.Network.run net;
-  render tracer
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (contains_sub ~sub:{|"kind":"engine.step"|} l))
-  |> String.concat "\n"
+  drop_engine_steps (render tracer)
 
 let sweep_flood_sha256 =
   "c8eb1f2c899d383f24888c70e68e7b815f685680db9bbe5884b322b87ca8123c"
@@ -591,7 +589,7 @@ let test_sweep_trace_identity () =
     [ "pit.timeout"; "pit.drop"; "nack.pit_full" ];
   Alcotest.(check bool) "crash drains are traced" true
     (contains_sub ~sub:{|"reason":"crash"|} plain);
-  Alcotest.(check string) "sha256, unsharded" sweep_flood_sha256
+  Alcotest.(check string) "sha256, K = 1" sweep_flood_sha256
     (Ndn_crypto.Sha256.hex_digest plain);
   Alcotest.(check string) "sha256, --shards 2" sweep_flood_sharded_sha256
     (Ndn_crypto.Sha256.hex_digest (sweep_flood_trace ~shards:2 ()))
@@ -657,18 +655,14 @@ let sweep_row time n attrs =
     (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))
 
 (* The forwarder under test, with caching off so that every interest
-   reaches the PIT; [sharded] keys its events as shard mode does.
-   Returns its pit.timeout rows and the final clock. *)
-let sweep_real ~sharded script =
+   reaches the PIT.  Returns its pit.timeout rows and the final
+   clock. *)
+let sweep_real script =
   let engine = Sim.Engine.create () in
   let tracer = Sim.Trace.create () in
   let node =
-    if sharded then
-      Ndn.Node.create engine ~rng:(Sim.Rng.create 5) ~label:"N" ~tracer
-        ~pit_lifetime_ms:sweep_lifetime ~caching:false ~sid:0 ~shard:0 ()
-    else
-      Ndn.Node.create engine ~rng:(Sim.Rng.create 5) ~label:"N" ~tracer
-        ~pit_lifetime_ms:sweep_lifetime ~caching:false ()
+    Ndn.Node.create engine ~rng:(Sim.Rng.create 5) ~label:"N" ~tracer
+      ~pit_lifetime_ms:sweep_lifetime ~caching:false ()
   in
   let up = Ndn.Node.add_wire_face node (fun _ -> ()) in
   ignore (Ndn.Node.add_wire_face node (fun _ -> ()));
@@ -756,14 +750,10 @@ let qcheck_sweep_model =
        QCheck.Gen.(list_size (int_range 1 60) (pair sweep_gap_gen sweep_op_gen)))
     (fun script ->
       let want = sweep_reference script in
-      List.iter
-        (fun sharded ->
-          let got = sweep_real ~sharded script in
-          if got <> want then
-            QCheck.Test.fail_reportf "%s: node rows [%s], reference rows [%s]"
-              (if sharded then "keyed" else "unkeyed")
-              (String.concat "; " got) (String.concat "; " want))
-        [ false; true ];
+      let got = sweep_real script in
+      if got <> want then
+        QCheck.Test.fail_reportf "node rows [%s], reference rows [%s]"
+          (String.concat "; " got) (String.concat "; " want);
       true)
 
 (* --- stall watchdog plumbing --- *)

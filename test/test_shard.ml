@@ -13,16 +13,23 @@
    - generated topologies: tree / Watts-Strogatz / Barabasi-Albert
      graphs driven by aggregate consumers, byte-identical across shard
      counts (qcheck randomizes the graph parameters);
+   - "byte-identical" covers every record but [engine.step]: only the
+     K = 1 engine emits those, since queue depth and processed count
+     are per-engine figures, so [render] drops them;
    - domain budgeting: Sim.Parallel.check_domains and the
      Timing_experiment front door reject trials x shards
      over-subscription. *)
-
-let render = Sim.Trace.render Sim.Trace.Jsonl
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
+
+let render tr =
+  Sim.Trace.render Sim.Trace.Jsonl tr
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> not (contains_sub ~sub:{|"kind":"engine.step"|} l))
+  |> String.concat "\n"
 
 (* --- bare Sim.Shard: window protocol --- *)
 

@@ -40,6 +40,17 @@ let test_rng_split_independent () =
   let ys = List.init 50 (fun _ -> Sim.Rng.bits64 b) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
+(* Pins the split stream: gamma derivation (including its bit-count
+   rejection) must stay bit-identical, or every seeded run changes. *)
+let test_rng_split_stream_pinned () =
+  let rng = Sim.Rng.create 7 in
+  let h = ref 0L in
+  for _ = 1 to 200_000 do
+    h := Int64.add (Int64.mul !h 31L) (Sim.Rng.bits64 (Sim.Rng.split rng))
+  done;
+  Alcotest.(check string) "hash of 200k splits" "cb9a81d099a2c616"
+    (Printf.sprintf "%016Lx" !h)
+
 let test_rng_int_bounds () =
   let rng = Sim.Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -765,6 +776,8 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "split stream pinned" `Quick
+            test_rng_split_stream_pinned;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int bad bound" `Quick test_rng_int_rejects_bad_bound;
           Alcotest.test_case "int_in" `Quick test_rng_int_in;

@@ -272,20 +272,22 @@ let test_jobs_invariant_csv () =
    simulation's event order must update it consciously. *)
 let golden_lines = 50
 let golden_sha256 =
-  "b5a3cd390701d2f9efdfca984e5846bc7a8135f3d1263c00b64094cb19e58a5b"
+  "9695af38a255dbbc32a0d5d22d6c666a8a59ee3557c56d3308da6a352db95ed3"
 let golden_first =
   {|{"time":0.000000,"node":"U","kind":"interest.recv","name":"/prod/a","attrs":{"face":"0"}}|}
 let golden_last =
-  {|{"time":8005.934409,"node":"engine","kind":"engine.step","name":"","attrs":{"depth":"0","processed":"19"}}|}
+  {|{"time":8005.998576,"node":"engine","kind":"engine.step","name":"","attrs":{"depth":"0","processed":"19"}}|}
 
 (* Golden trace for the canonical small attack campaign (LAN, seed 11,
    8 contents x 4 runs — the same campaign the jobs-invariance tests
-   run).  Pinned before the zero-allocation heap/name rewrites, this is
-   the byte-identity contract that those rewrites are pure
+   run), at the default K = 1 with its [engine.step] records.  Re-pinned
+   when the one-shard [Sim.Shard] layout (per-link-direction RNG
+   streams, node-keyed events) became the only execution path; it is
+   the byte-identity contract that later rewrites are pure
    optimizations: same events, same order, same bytes. *)
 let golden_attack_lines = 2688
 let golden_attack_sha256 =
-  "5aa928689ffe8d6c02bebd078349468c88d8cd17b920c855b79ad900f5d44442"
+  "e4c37e0b5dcbf11d5e8096bbaeb04110ec288a8064d69616b7d3a8dc5aaeeecc"
 
 let test_golden_attack_trace () =
   let rendered =
@@ -299,39 +301,53 @@ let test_golden_attack_trace () =
     golden_attack_sha256
     (Ndn_crypto.Sha256.hex_digest rendered)
 
-(* The same canonical campaign under --shards 4.  Shard mode orders
-   same-time events by (node id, per-node counter) keys rather than the
-   legacy single-heap insertion order, so its bytes legitimately differ
-   from the legacy golden above — but they must be pinned just as hard:
-   one golden per execution mode, and within shard mode the bytes must
-   not depend on K (test_shard.ml sweeps K; here we pin K=4 against the
-   digest and against a --shards 1 rerun). *)
+(* The same canonical campaign under --shards K.  Every network runs on
+   a [Sim.Shard] partition (K = 1 by default), and the bytes must not
+   depend on K except for [engine.step] records, which only the K = 1
+   engine emits: test_shard.ml sweeps K; here K = 4 is pinned against
+   the golden above with its [engine.step] lines removed. *)
 let campaign_sharded ~shards =
   Attack.Timing_experiment.run
     ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ~shards ())
     ~contents:8 ~runs:4 ~seed:11 ~jobs:1 ~shards ~trace:true ()
 
-let golden_sharded_attack_lines = 1664
-let golden_sharded_attack_sha256 =
-  "30ca93bd37efb8391669321567e34cc832e0674558562c9a1b676c07f0aba11a"
+let without_engine_steps tr =
+  let t = Sim.Trace.create () in
+  Sim.Trace.iter tr (fun e ->
+      if e.Sim.Trace.kind <> Sim.Trace.Engine_step then Sim.Trace.emit t e);
+  t
 
 let test_golden_sharded_attack_trace () =
-  let rendered =
-    Sim.Trace.render Sim.Trace.Jsonl
-      (campaign_sharded ~shards:4).Attack.Timing_experiment.trace
+  let golden = (campaign ~jobs:1).Attack.Timing_experiment.trace in
+  let render = Sim.Trace.render Sim.Trace.Jsonl in
+  Alcotest.(check string) "--shards 1 is the default" (render golden)
+    (render (campaign_sharded ~shards:1).Attack.Timing_experiment.trace);
+  Alcotest.(check string) "--shards 4 = golden without engine.step"
+    (render (without_engine_steps golden))
+    (render (campaign_sharded ~shards:4).Attack.Timing_experiment.trace)
+
+(* A one-shard network traces one [engine.step] per executed event; a
+   partitioned one traces none. *)
+let test_engine_steps_count_events () =
+  let steps ~shards =
+    let tracer = Sim.Trace.create () in
+    let setup = Ndn.Network.lan ~seed:42 ~tracer ~shards () in
+    let net = setup.Ndn.Network.net in
+    List.iter
+      (fun from ->
+        ignore (Ndn.Network.fetch_rtt net ~from (Ndn.Name.of_string "/prod/a")))
+      [ setup.Ndn.Network.user; setup.Ndn.Network.adversary ];
+    let n = ref 0 in
+    Sim.Trace.iter tracer (fun e ->
+        if e.Sim.Trace.kind = Sim.Trace.Engine_step then incr n);
+    (!n, Ndn.Network.events_processed net)
   in
-  let lines =
-    String.split_on_char '\n' rendered |> List.filter (fun l -> l <> "")
-  in
-  Alcotest.(check int) "line count" golden_sharded_attack_lines
-    (List.length lines);
-  Alcotest.(check string) "sha256 of the sharded attack trace"
-    golden_sharded_attack_sha256
-    (Ndn_crypto.Sha256.hex_digest rendered);
-  Alcotest.(check string) "--shards 4 matches --shards 1"
-    (Sim.Trace.render Sim.Trace.Jsonl
-       (campaign_sharded ~shards:1).Attack.Timing_experiment.trace)
-    rendered
+  let n1, e1 = steps ~shards:1 in
+  Alcotest.(check bool) "events ran" true (e1 > 0);
+  Alcotest.(check int) "K = 1: one engine.step per event" e1 n1;
+  let n2, e2 = steps ~shards:2 in
+  Alcotest.(check int) "K = 2: same event total" e1 e2;
+  Alcotest.(check int) "K = 2: no engine.step" 0 n2
 
 let test_golden_probe_trace () =
   let rendered = Sim.Trace.render Sim.Trace.Jsonl (probe_trace ()) in
@@ -699,7 +715,7 @@ let test_binary_write_matches_render () =
    the wire layout, and update this fixture consciously. *)
 let golden_binary_bytes = 1248
 let golden_binary_sha256 =
-  "2cd404634356838a4d34651b89088a0165a65893361fd7320c7c88c6748ae539"
+  "5597a20513be92f29d23dfe4d27578f9b967993a2acdc9aeaa5cc28c4ccf4e04"
 
 let test_golden_binary_probe_trace () =
   let bin = Sim.Trace.render Sim.Trace.Binary (probe_trace ()) in
@@ -864,10 +880,12 @@ let test_analyze_attack_numbers () =
 let test_analyze_sharded_matches () =
   (* Shard stitching orders same-time events by (node id, counter); the
      binary writer must observe that stitched order identically for any
-     K — same bytes, and a fortiori the same analyzer summary. *)
+     K — same bytes once the K = 1 [engine.step] records are dropped,
+     and the same analyzer summary. *)
   let b1 =
     Sim.Trace.render Sim.Trace.Binary
-      (campaign_sharded ~shards:1).Attack.Timing_experiment.trace
+      (without_engine_steps
+         (campaign_sharded ~shards:1).Attack.Timing_experiment.trace)
   in
   let b4 =
     Sim.Trace.render Sim.Trace.Binary
@@ -993,6 +1011,8 @@ let () =
             test_golden_attack_trace;
           Alcotest.test_case "golden sharded attack trace" `Slow
             test_golden_sharded_attack_trace;
+          Alcotest.test_case "engine.step per event at K = 1" `Quick
+            test_engine_steps_count_events;
         ] );
       ( "topo",
         [
