@@ -34,10 +34,17 @@ type 'meta t = {
   tracer : Sim.Trace.t;
   owner : string; (* label of the node this store belongs to *)
   table : 'meta node Name.Tbl.t;
+  (* [census.(n)] counts the cached names of length [n].  A non-exact
+     lookup that misses [table] has no other candidate unless some
+     cached name is longer than the query, and the census answers that
+     without the index below. *)
+  mutable census : int array;
   (* Prefix index for NDN extension matching, built from [table] on the
-     first non-exact lookup and maintained only while [indexed]: an
-     exact-only store (the trace replay) never pays for a second table
-     operation on insert and evict. *)
+     first non-exact lookup that could find a longer name, and
+     maintained only while [indexed]: a store whose queries never have
+     a longer cached name (the trace replay, a tree of equal-depth
+     names) never pays for a second table operation on insert and
+     evict. *)
   index : unit Name_trie.t;
   mutable indexed : bool;
   mutable head : 'meta node option;
@@ -71,6 +78,7 @@ let create ?(policy = Eviction.Lru) ?rng ?(tracer = Sim.Trace.disabled)
     tracer;
     owner;
     table = Name.Tbl.create 256;
+    census = [||];
     index = Name_trie.create ();
     indexed = false;
     head = None;
@@ -159,11 +167,31 @@ let slots_remove t name =
     t.slots_len <- last;
     Name.Tbl.remove t.slot_of name
 
+(* --- length census --- *)
+
+let census_add t name =
+  let len = Name.length name in
+  if len >= Array.length t.census then begin
+    let census = Array.make (Int.max 8 (2 * len)) 0 in
+    Array.blit t.census 0 census 0 (Array.length t.census);
+    t.census <- census
+  end;
+  t.census.(len) <- t.census.(len) + 1
+
+let rec any_from census n =
+  n < Array.length census && (census.(n) > 0 || any_from census (n + 1))
+
+(* Is any cached name longer than [name]? *)
+(* ndnlint: hot *)
+let has_longer t name = any_from t.census (Name.length name + 1)
+
 (* --- removal core --- *)
 
 let remove_node t node =
   let name = node.entry.data.Data.name in
   Name.Tbl.remove t.table name;
+  let len = Name.length name in
+  t.census.(len) <- t.census.(len) - 1;
   if t.indexed then Name_trie.remove t.index name;
   detach t node;
   if t.policy = Eviction.Random_replacement then slots_remove t name
@@ -235,6 +263,7 @@ let insert t ~now data meta =
   in
   let rec node = { entry; prev = None; next = None; self = Some node } in
   Name.Tbl.replace t.table name node;
+  census_add t name;
   if t.indexed then Name_trie.add t.index name ();
   push_front t node;
   if t.policy = Eviction.Lfu then begin
@@ -283,11 +312,15 @@ let touch t ~now node =
     push_front t node
   | _ -> ()
 
-(* The counted miss exit, shared by both lookup flavours. *)
+(* The counted miss, shared by both lookup flavours. *)
+(* ndnlint: hot *)
+let count_miss t ~now name =
+  t.misses <- t.misses + 1;
+  if Sim.Trace.enabled t.tracer then trace t ~now Sim.Trace.Cs_miss name []
+
 (* ndnlint: hot *)
 let miss t ~now name =
-  t.misses <- t.misses + 1;
-  if Sim.Trace.enabled t.tracer then trace t ~now Sim.Trace.Cs_miss name [];
+  count_miss t ~now name;
   raise Not_found
 
 (* The counted hit exit: refresh recency, count, trace. *)
@@ -325,24 +358,38 @@ let build_index t =
   go t.head;
   t.indexed <- true
 
-let find_matching_node t name =
-  match Name.Tbl.find_opt t.table name with
-  | Some node -> Some node
-  | None ->
-    if not t.indexed then build_index t;
-    (* NDN prefix semantics: any cached extension of the interest name
-       can satisfy it — unless the object demands strict matching
-       (unpredictable-name content, paper footnote 5). *)
-    let candidate =
-      Name_trie.fold_subtree t.index name ~init:None ~f:(fun acc n () ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-            match Name.Tbl.find_opt t.table n with
-            | Some node when not node.entry.data.Data.strict_match -> Some node
-            | _ -> None))
-    in
-    candidate
+(* NDN prefix semantics: any cached extension of the interest name can
+   satisfy it — unless the object demands strict matching
+   (unpredictable-name content, paper footnote 5).  Called once the
+   exact name has missed and the census has reported a longer name. *)
+let find_extension t name =
+  if not t.indexed then build_index t;
+  Name_trie.fold_subtree t.index name ~init:None ~f:(fun acc n () ->
+      match acc with
+      | Some _ -> acc
+      | None -> (
+        match Name.Tbl.find_opt t.table n with
+        | Some node when not node.entry.data.Data.strict_match -> Some node
+        | _ -> None))
+
+(* A non-exact lookup: the exact name, else an extension.  A stale
+   answer is expired and the search repeated.  With no longer name
+   cached, the only possible extension is the query itself, which the
+   table has just missed, so the miss is answered without the index.
+   A top-level function, so a call builds no closure. *)
+let rec lookup_matching t ~now name =
+  match Name.Tbl.find t.table name with
+  | node -> matched t ~now name node
+  | exception Not_found -> (
+    match if has_longer t name then find_extension t name else None with
+    | Some node -> matched t ~now name node
+    | None ->
+      count_miss t ~now name;
+      None)
+
+and matched t ~now name node =
+  if expire_if_stale t ~now node then lookup_matching t ~now name
+  else Some (hit t ~now node)
 
 let lookup t ~now ?(exact = false) name =
   if exact then
@@ -351,14 +398,7 @@ let lookup t ~now ?(exact = false) name =
     | exception Not_found -> None
   else begin
     t.lookups <- t.lookups + 1;
-    let rec attempt () =
-      match find_matching_node t name with
-      | None -> ( try miss t ~now name with Not_found -> None)
-      | Some node ->
-        if expire_if_stale t ~now node then attempt ()
-        else Some (hit t ~now node)
-    in
-    attempt ()
+    lookup_matching t ~now name
   end
 
 let peek t name =
@@ -377,6 +417,7 @@ let set_meta t name meta =
 
 let clear t =
   Name.Tbl.reset t.table;
+  Array.fill t.census 0 (Array.length t.census) 0;
   Name_trie.clear t.index;
   t.indexed <- false;
   t.head <- None;

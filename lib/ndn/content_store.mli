@@ -45,11 +45,15 @@ val lookup : 'meta t -> now:float -> ?exact:bool -> Name.t -> 'meta entry option
     refreshes recency and increments [access_count].  Stale entries
     (per {!Data.t.freshness_ms}) are expired, not returned.
 
-    Extension matching uses a prefix index of the cached names.  It is
-    built on the first non-exact lookup and maintained from then on
-    ({!clear} drops it), so a store only ever probed with
-    [~exact:true] never pays for it.  The answers do not depend on when
-    it was built. *)
+    A per-length count of the cached names answers a non-exact lookup
+    that misses the exact name at once when no cached name is longer
+    than the query: the only candidate extension is then the query
+    itself.  Otherwise extension matching uses a prefix index of the
+    cached names.  It is built on the first non-exact lookup that could
+    find a longer name and maintained from then on ({!clear} drops it),
+    so a store probed only with [~exact:true], or only with names no
+    shorter than any it caches, never pays for it.  The answers do not
+    depend on when it was built. *)
 
 val find_exact : 'meta t -> now:float -> Name.t -> 'meta entry
 (** Exact-name lookup with the same side effects as

@@ -37,6 +37,13 @@ type t = {
   tracer : Trace.t;
   (* The queued hold event ([nil] when none); see [hold_until]. *)
   mutable hold : handle;
+  (* Replace-top dispatch: [true] while the heap root is the entry of
+     an event that has already fired.  The first event scheduled after
+     that takes over the root with one sift-down; if none is, the dead
+     root is dropped once the action returns, or on entry to the next
+     [run]/[step] if the action raised.  Nothing that reports on the
+     queue counts it. *)
+  mutable firing : bool;
 }
 
 and handle = {
@@ -61,6 +68,7 @@ let create ?(tracer = Trace.disabled) () =
       nil;
       tracer;
       hold = nil;
+      firing = false;
     }
   and nil = { state = Fired; action = nop; owner = eng; next_free = nil } in
   eng
@@ -108,7 +116,11 @@ let add_event t ~time ~seq f =
       (* ndnlint: allow A1 -- pool growth only; steady state recycles *)
       { state = Pending; action = f; owner = t; next_free = t.nil }
   in
-  Heap.add t.queue ~time ~seq h;
+  if t.firing then begin
+    t.firing <- false;
+    Heap.replace_min t.queue ~time ~seq h
+  end
+  else Heap.add t.queue ~time ~seq h;
   t.live <- t.live + 1;
   h
 
@@ -160,11 +172,19 @@ let cancel h =
 
 let is_cancelled h = h.state = Cancelled
 
-(* Dispatch a popped pending event: mark, count, trace, recycle, run.
-   The record is recycled before the action runs (the closure was saved
-   out), so events scheduled from inside the action reuse it at once.
-   The clock has already been advanced to the event's time by the fused
-   pop, so the (cold) trace branch reads it back from there. *)
+(* Drop the dead root left by a fired event that scheduled nothing. *)
+let settle t =
+  if t.firing then begin
+    t.firing <- false;
+    ignore (Heap.pop_min_elt t.queue)
+  end
+
+(* Fire the pending event at the heap root: mark, count, trace, recycle,
+   run.  The root stays queued, dead, while the action runs, so that
+   the action's first [schedule] replaces it instead of paying a pop
+   and an add; the trace's [depth] therefore leaves it out.  The record
+   is recycled before the action runs (the closure was saved out), so
+   events scheduled from inside the action reuse it at once. *)
 (* ndnlint: hot *)
 let fire t h =
   h.state <- Fired;
@@ -173,6 +193,7 @@ let fire t h =
   Array.unsafe_set t.clock 1 (Array.unsafe_get t.clock 0);
   let action = h.action in
   recycle t h;
+  t.firing <- true;
   if Trace.enabled t.tracer then
     Trace.emit t.tracer
       {
@@ -182,26 +203,43 @@ let fire t h =
         name = "";
         attrs =
           [
-            ("depth", string_of_int (Heap.length t.queue));
+            ("depth", string_of_int (Heap.length t.queue - 1));
             ("processed", string_of_int t.processed);
           ];
       };
-  action ()
+  action ();
+  settle t
+
+(* Dispatch the event at the root of a queue with no dead root: move
+   the clock to it, then fire it, or pop it if it is the hold event or
+   was cancelled.  Returns whether an event was executed. *)
+(* ndnlint: hot *)
+let dispatch_min t =
+  let h = Heap.min_elt_writing_time t.queue ~time_into:t.clock in
+  if h == t.hold then begin
+    ignore (Heap.pop_min_elt t.queue);
+    hold_reached t h;
+    false
+  end
+  else begin
+    t.cur_key <- Heap.min_seq t.queue;
+    match h.state with
+    | Pending ->
+      fire t h;
+      true
+    | Cancelled ->
+      ignore (Heap.pop_min_elt t.queue);
+      recycle t h;
+      false
+    | Fired -> assert false
+  end
 
 (* ndnlint: hot *)
 let step t =
+  settle t;
   if Heap.is_empty t.queue then false
   else begin
-    let key = Heap.min_seq t.queue in
-    let h = Heap.pop_min_elt_writing_time t.queue ~time_into:t.clock in
-    if h == t.hold then hold_reached t h
-    else begin
-      t.cur_key <- key;
-      match h.state with
-      | Cancelled -> recycle t h
-      | Fired -> assert false
-      | Pending -> fire t h
-    end;
+    ignore (dispatch_min t);
     true
   end
 
@@ -210,27 +248,13 @@ let run ?until ?max_events t =
   let limit = match until with Some l -> l | None -> Float.infinity in
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
   let continue = ref true in
+  settle t;
   while !continue && !budget > 0 do
-    (* [min_before] + the fused pop replace the old peek/pop double
-       traversal: one unboxed bound test, one sift, and the clock
-       written in place of a boxed-float hand-off. *)
     if Heap.min_before t.queue limit then begin
-      let key = Heap.min_seq t.queue in
-      let h = Heap.pop_min_elt_writing_time t.queue ~time_into:t.clock in
-      if h == t.hold then hold_reached t h
-      else begin
-        t.cur_key <- key;
-        match h.state with
-        | Cancelled ->
-          (* Lazily dropped; consumes no [max_events] budget — the
-             budget counts executed events, matching
-             [events_processed]. *)
-          recycle t h
-        | Fired -> assert false
-        | Pending ->
-          fire t h;
-          decr budget
-      end
+      (* Lazily dropped cancelled events and the hold event consume no
+         [max_events] budget — the budget counts executed events,
+         matching [events_processed]. *)
+      if dispatch_min t then decr budget
     end
     else begin
       (* Queue empty, or the next event is beyond [until].  In the
@@ -245,9 +269,10 @@ let run ?until ?max_events t =
 
 let pending t = t.live
 
-let has_queued t = not (Heap.is_empty t.queue)
+let has_queued t = Heap.length t.queue > (if t.firing then 1 else 0)
 
 let next_event_time t =
+  settle t;
   if Heap.is_empty t.queue then Float.infinity else Heap.min_time t.queue
 
 let events_processed t = t.processed

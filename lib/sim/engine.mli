@@ -14,7 +14,16 @@
     the record may be reused by a later [schedule], at which point
     {!cancel}/{!is_cancelled} on the stale handle refer to the new
     event.  Cancel an event only while it is still pending — which is
-    the only useful time to do so. *)
+    the only useful time to do so.
+
+    Dispatch is replace-top: a fired event's heap entry stays at the
+    root, dead, while its action runs, and the first event the action
+    schedules takes that slot with one sift-down from the root — a pop
+    and an add would sift twice.  If the action schedules nothing, the
+    root is dropped when it returns; if it raises, on entry to the next
+    {!run} or {!step}.  The dead root is never reported: {!has_queued},
+    {!next_event_time} and the [engine.step] depth leave it out, and pop
+    order is the same total [(time, key)] order as before. *)
 
 type t
 
@@ -68,7 +77,8 @@ val hold_until : t -> float -> unit
     clock, but it is not counted by {!events_processed}, traced, or
     charged to [max_events].  A forwarder that skips an event it no
     longer needs holds the engine at that event's time, so the end of a
-    run does not move. *)
+    run does not move.  While queued, the hold event counts in
+    {!pending}, as the event it stands for would. *)
 
 val cur_key : t -> int
 (** Heap key of the event currently being dispatched (or the value most

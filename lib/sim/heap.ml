@@ -125,8 +125,9 @@ let add t ~time ~seq x =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slot_of !i slot
 
-(* Hole-based sift-down of the (time, seq, slot) displaced from the
-   last position after a pop. *)
+(* Hole-based sift-down from the root of a (time, seq, slot): the key
+   displaced from the last position after a pop, or the new key of a
+   [replace_min]. *)
 (* ndnlint: hot *)
 let sift_down_from_root t time seq slot =
   let times = t.times and seqs = t.seqs and slot_of = t.slot_of in
@@ -194,27 +195,23 @@ let pop_min_elt t =
       (Array.unsafe_get t.slot_of last);
   x
 
-(* [pop_min_elt], fused with delivering the popped key's time through a
-   caller-provided one-element float array (index 0).  The engine's
-   dispatch loop is the reason this exists: its virtual clock is such
-   an array, and the fused store moves the time without a cross-module
-   boxed-float return on the hottest path in the simulator. *)
+(* The element with the smallest key, left in place, with its time
+   written into [time_into.(0)].  The engine's dispatch peeks through
+   this: its virtual clock is such an array, and the fused store moves
+   the time without the cross-module boxed-float return a separate
+   [min_time] call costs on the hottest path in the simulator. *)
 (* ndnlint: hot *)
-let pop_min_elt_writing_time t ~time_into =
-  if t.size = 0 then invalid_arg "Heap.pop_min_elt_writing_time: empty heap";
+let min_elt_writing_time t ~time_into =
+  if t.size = 0 then invalid_arg "Heap.min_elt_writing_time: empty heap";
   time_into.(0) <- Array.unsafe_get t.times 0;
+  Array.unsafe_get t.elts (Array.unsafe_get t.slot_of 0)
+
+(* ndnlint: hot *)
+let replace_min t ~time ~seq x =
+  if t.size = 0 then invalid_arg "Heap.replace_min: empty heap";
   let slot = Array.unsafe_get t.slot_of 0 in
-  let x = Array.unsafe_get t.elts slot in
-  Array.unsafe_set t.free_slots t.free_len slot;
-  t.free_len <- t.free_len + 1;
-  let last = t.size - 1 in
-  t.size <- last;
-  if last > 0 then
-    sift_down_from_root t
-      (Array.unsafe_get t.times last)
-      (Array.unsafe_get t.seqs last)
-      (Array.unsafe_get t.slot_of last);
-  x
+  Array.unsafe_set t.elts slot x;
+  sift_down_from_root t time seq slot
 
 let peek_min t =
   if t.size = 0 then None

@@ -14,11 +14,15 @@
     Elements live in a slot-indexed array and are never moved by a
     sift, so the sift loops permute only unboxed floats and ints (no
     write barriers, no polymorphic-array dispatch).  [add],
-    [pop_min_elt], [min_time]/[min_before], and
-    [pop_min_elt_writing_time] allocate nothing; only the
+    [pop_min_elt], [min_elt_writing_time], [replace_min] and
+    [min_time]/[min_before] allocate nothing; only the
     tuple-returning conveniences ([pop_min], [peek_min]) box their
     result.  A popped element may remain reachable from its retired
-    slot until the slot is reused by a later [add] or [clear]. *)
+    slot until the slot is reused by a later [add] or [clear].
+
+    The engine dispatches by peeking ({!min_elt_writing_time}) and then
+    either dropping the root ({!pop_min_elt}) or handing its slot to
+    the next event ({!replace_min}), so most events cost one sift. *)
 
 type 'a t
 
@@ -53,13 +57,20 @@ val pop_min_elt : 'a t -> 'a
     the key (read it first via {!min_time}/{!min_seq} if needed).
     @raise Invalid_argument when empty. *)
 
-val pop_min_elt_writing_time : 'a t -> time_into:float array -> 'a
-(** {!pop_min_elt}, fused with writing the popped key's time into
-    [time_into.(0)].  Lets a caller whose clock is a one-element float
-    array (the engine) receive the time without a cross-module
-    boxed-float hand-off.
+val min_elt_writing_time : 'a t -> time_into:float array -> 'a
+(** The element with the smallest key, left in the heap, with its time
+    key written into [time_into.(0)].  Lets a caller whose clock is a
+    one-element float array (the engine) receive the time without a
+    cross-module boxed-float hand-off.  Allocation-free.
     @raise Invalid_argument when empty.  [time_into] must have length
     [>= 1]. *)
+
+val replace_min : 'a t -> time:float -> seq:int -> 'a -> unit
+(** [replace_min t ~time ~seq x] removes the minimum element and inserts
+    [x] under the given key, in one sift-down from the root — a
+    {!pop_min_elt} followed by an {!add} sifts twice.  The new key may
+    be smaller or larger than the old one.  Allocation-free.
+    @raise Invalid_argument when empty. *)
 
 val pop_min : 'a t -> (float * int * 'a) option
 (** Remove and return the element with the smallest key, or [None] when

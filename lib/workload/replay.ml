@@ -61,8 +61,8 @@ let replay trace config =
   (* Data objects for catalog contents are interned: replaying 3.2M
      requests must not re-sign a popular object on every re-insertion. *)
   let interned = Hashtbl.create 4096 in
-  let data_of content name =
-    match Hashtbl.find_opt interned content with
+  let data_of content name known =
+    match known with
     | Some d -> d
     | None ->
       let d =
@@ -79,7 +79,15 @@ let replay trace config =
   and hidden_hits = ref 0
   and private_requests = ref 0 in
   Trace.iter trace ~f:(fun r ->
-      let name = Trace.name_of r.Trace.content in
+      (* An interned object carries its content's name already, so
+         only a content seen for the first time (or not interned)
+         builds, hashes and interns [/trace/c<id>]. *)
+      let known = Hashtbl.find_opt interned r.Trace.content in
+      let name =
+        match known with
+        | Some d -> d.Ndn.Data.name
+        | None -> Trace.name_of r.Trace.content
+      in
       let now = r.Trace.time_s *. 1000. in
       let cached =
         match Ndn.Content_store.lookup cs ~now ~exact:true name with
@@ -98,7 +106,7 @@ let replay trace config =
       if not cached then
         (* Fetched from upstream and cached (the router caches all
            content, per Section VII). *)
-        Ndn.Content_store.insert cs ~now (data_of r.Trace.content name) ());
+        Ndn.Content_store.insert cs ~now (data_of r.Trace.content name known) ());
   let counters = Ndn.Content_store.counters cs in
   {
     requests = Trace.length trace;

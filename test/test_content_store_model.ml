@@ -16,9 +16,17 @@
    replacement it is predicted from a snapshot of the store taken just
    before the lookup.
 
-   The store builds its prefix index on the first non-exact lookup, so
-   the prefix generators first run an exact-only stretch of churn,
-   evictions and expiries, then mix in prefix lookups and flushes. *)
+   A non-exact lookup that misses the exact name is answered by the
+   store's length census when no cached name is longer than the query,
+   and the store builds its prefix index only on the first one that
+   could find a longer name.  So the prefix generators first run an
+   exact-only stretch of churn, evictions and expiries, then mix in
+   prefix lookups and flushes; the census generator runs a stretch
+   where every cached name has the same length (its misses never reach
+   the index) before longer and shorter names arrive.  Deterministic
+   cases pin the census's edges: a longer name arriving after census
+   misses, the eviction or expiry of the last longer name, strict
+   objects and a flush. *)
 
 (* --- operation language --- *)
 
@@ -114,6 +122,33 @@ let gen_mixed_op =
         (1, return Flush);
       ])
 
+(* Names of one length (three components) and the queries no shorter
+   than them: while only these are cached, no cached name is longer
+   than a query, so every prefix miss is answered by the census. *)
+let equal_length = [| 1; 2; 4; 5; 7 |]
+
+let long_queries =
+  Array.of_list
+    (List.filter
+       (fun q -> List.length query_paths.(q) >= 3)
+       (List.init (Array.length queries) Fun.id))
+
+let gen_equal_length_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map3
+            (fun i f strict -> Insert (equal_length.(i), f, strict))
+            (int_bound (Array.length equal_length - 1))
+            (frequency
+               [ (3, return None); (1, return (Some 5.)); (1, return (Some 20.)) ])
+            (frequency [ (3, return false); (1, return true) ]) );
+        (5, map (fun i -> Lookup_prefix long_queries.(i)) (int_bound (Array.length long_queries - 1)));
+        (2, map (fun i -> Lookup equal_length.(i)) (int_bound (Array.length equal_length - 1)));
+        (2, map (fun dt -> Advance (float_of_int dt)) (int_range 1 12));
+      ])
+
 let print_ops ops = String.concat "; " (List.map pp_op ops)
 
 let arb_ops =
@@ -125,6 +160,15 @@ let arb_prefix_ops =
     QCheck.Gen.(
       map2 ( @ )
         (list_size (int_range 0 60) gen_exact_op)
+        (list_size (int_range 1 60) gen_mixed_op))
+
+(* Equal-length churn with census-answered misses, then every name
+   length, evictions, expiries and flushes. *)
+let arb_census_ops =
+  QCheck.make ~print:print_ops
+    QCheck.Gen.(
+      map2 ( @ )
+        (list_size (int_range 1 40) gen_equal_length_op)
         (list_size (int_range 1 60) gen_mixed_op))
 
 (* --- exact reference model for LRU / FIFO --- *)
@@ -355,8 +399,123 @@ let qcheck_tests =
     QCheck.Test.make ~name:"prefix lookups under random replacement" ~count:400
       QCheck.(pair (make Gen.(int_bound 1_000_000) ~print:string_of_int) arb_prefix_ops)
       (fun (seed, ops) -> random_invariants_hold seed ops);
+    QCheck.Test.make ~name:"census misses agree with list model (LRU)" ~count:400
+      arb_census_ops
+      (model_agrees Ndn.Eviction.Lru);
+    QCheck.Test.make ~name:"census misses agree with list model (FIFO)" ~count:400
+      arb_census_ops
+      (model_agrees Ndn.Eviction.Fifo);
+    QCheck.Test.make ~name:"census misses under random replacement" ~count:400
+      QCheck.(pair (make Gen.(int_bound 1_000_000) ~print:string_of_int) arb_census_ops)
+      (fun (seed, ops) -> random_invariants_hold seed ops);
   ]
+
+(* --- the census's edges, case by case --- *)
+
+let census_data ?freshness ?(strict = false) path =
+  Ndn.Data.create ?freshness_ms:freshness ~strict_match:strict ~producer:"model"
+    ~key:"model-key" ~payload:"x" (Ndn.Name.of_string path)
+
+let census_store ?(capacity = 8) policy =
+  Ndn.Content_store.create ~policy ~rng:(Sim.Rng.create 5) ~capacity ()
+
+let answer cs ~now q =
+  Ndn.Content_store.lookup cs ~now (Ndn.Name.of_string q)
+  |> Option.map (fun e -> Ndn.Name.to_string e.Ndn.Content_store.data.Ndn.Data.name)
+
+let check_answer msg want got = Alcotest.(check (option string)) msg want got
+
+let check_counts msg cs ~lookups ~hits ~expirations =
+  let c = Ndn.Content_store.counters cs in
+  Alcotest.(check (list int))
+    (msg ^ ": lookups, hits, misses, expirations")
+    [ lookups; hits; lookups - hits; expirations ]
+    [
+      c.Ndn.Content_store.lookups;
+      c.Ndn.Content_store.hits;
+      c.Ndn.Content_store.misses;
+      c.Ndn.Content_store.expirations;
+    ]
+
+let policies =
+  [ Ndn.Eviction.Lru; Ndn.Eviction.Fifo; Ndn.Eviction.Lfu; Ndn.Eviction.Random_replacement ]
+
+(* Misses answered by the census, then a longer name arrives: the next
+   query of its prefix must find it. *)
+let test_longer_after_census_misses () =
+  List.iter
+    (fun policy ->
+      let cs = census_store policy in
+      Ndn.Content_store.insert cs ~now:0. (census_data "/s/a/1") ();
+      Ndn.Content_store.insert cs ~now:0. (census_data "/s/b/1") ();
+      check_answer "census miss" None (answer cs ~now:1. "/s/c/1");
+      check_answer "exact hit" (Some "/s/a/1") (answer cs ~now:1. "/s/a/1");
+      check_answer "longer query" None (answer cs ~now:1. "/s/a/1/v");
+      Ndn.Content_store.insert cs ~now:2. (census_data "/s/c/1/v") ();
+      check_answer "extension after census misses" (Some "/s/c/1/v")
+        (answer cs ~now:3. "/s/c/1");
+      check_answer "shorter query" (Some "/s/a/1") (answer cs ~now:3. "/s/a");
+      check_counts (Ndn.Eviction.to_string policy) cs ~lookups:5 ~hits:3 ~expirations:0)
+    policies
+
+(* The last longer name leaves by eviction: its prefix misses again,
+   and a new longer name is found through the maintained index. *)
+let test_last_longer_evicted () =
+  List.iter
+    (fun policy ->
+      let cs = census_store ~capacity:1 policy in
+      Ndn.Content_store.insert cs ~now:0. (census_data "/s/a/1/v") ();
+      check_answer "extension" (Some "/s/a/1/v") (answer cs ~now:1. "/s/a/1");
+      Ndn.Content_store.insert cs ~now:2. (census_data "/s/b/1") ();
+      Alcotest.(check int) "evicted" 1
+        (Ndn.Content_store.counters cs).Ndn.Content_store.evictions;
+      check_answer "miss after eviction" None (answer cs ~now:3. "/s/a/1");
+      check_answer "equal-length miss" None (answer cs ~now:3. "/s/c/1");
+      Ndn.Content_store.insert cs ~now:4. (census_data "/s/a/1/w") ();
+      check_answer "new extension" (Some "/s/a/1/w") (answer cs ~now:5. "/s/a/1");
+      check_counts (Ndn.Eviction.to_string policy) cs ~lookups:4 ~hits:2 ~expirations:0)
+    policies
+
+(* A strict object answers only its own name; a stale longer name is
+   expired by the lookup that finds it, after which the census alone
+   answers. *)
+let test_strict_and_expiry () =
+  List.iter
+    (fun policy ->
+      let cs = census_store policy in
+      Ndn.Content_store.insert cs ~now:0. (census_data ~strict:true "/s/a/1/v") ();
+      check_answer "strict extension" None (answer cs ~now:1. "/s/a/1");
+      check_answer "strict exact" (Some "/s/a/1/v") (answer cs ~now:1. "/s/a/1/v");
+      Ndn.Content_store.insert cs ~now:0. (census_data ~freshness:5. "/s/b/1/v") ();
+      check_answer "fresh extension" (Some "/s/b/1/v") (answer cs ~now:2. "/s/b/1");
+      check_answer "stale extension" None (answer cs ~now:10. "/s/b/1");
+      Ndn.Content_store.remove cs (Ndn.Name.of_string "/s/a/1/v");
+      Ndn.Content_store.insert cs ~now:11. (census_data "/s/c/1") ();
+      check_answer "census miss after expiry" None (answer cs ~now:12. "/s/b/1");
+      check_counts (Ndn.Eviction.to_string policy) cs ~lookups:5 ~hits:2 ~expirations:1)
+    policies
+
+(* A flush empties the census with the store. *)
+let test_flush_resets_census () =
+  let cs = census_store Ndn.Eviction.Lru in
+  Ndn.Content_store.insert cs ~now:0. (census_data "/s/a/1/v") ();
+  check_answer "extension" (Some "/s/a/1/v") (answer cs ~now:1. "/s/a/1");
+  Ndn.Content_store.flush cs ~now:2.;
+  check_answer "nothing after flush" None (answer cs ~now:3. "/s/a/1");
+  Ndn.Content_store.insert cs ~now:4. (census_data "/s/a/1") ();
+  check_answer "shorter query after flush" (Some "/s/a/1") (answer cs ~now:5. "/s/a");
+  check_answer "equal-length miss after flush" None (answer cs ~now:5. "/s/a/2")
 
 let () =
   Alcotest.run "content_store_model"
-    [ ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+    [
+      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "census",
+        [
+          Alcotest.test_case "longer name after census misses" `Quick
+            test_longer_after_census_misses;
+          Alcotest.test_case "last longer name evicted" `Quick test_last_longer_evicted;
+          Alcotest.test_case "strict objects and expiry" `Quick test_strict_and_expiry;
+          Alcotest.test_case "flush resets the census" `Quick test_flush_resets_census;
+        ] );
+    ]

@@ -156,8 +156,9 @@ let test_hot_inventory () =
         (Printf.sprintf "%s is annotated hot" expected)
         true (List.mem expected names))
     [
-      "find_exact"; "pop_min_elt"; "run"; "expire"; "touch"; "process_block";
-      "find"; "sweep_pit"; "longest_prefix_value";
+      "find_exact"; "pop_min_elt"; "replace_min"; "min_elt_writing_time"; "run";
+      "expire"; "touch"; "process_block"; "find"; "sweep_pit";
+      "longest_prefix_value"; "has_longer";
     ]
 
 (* Merged-universe staleness: with both passes' findings in hand, every
