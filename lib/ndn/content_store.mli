@@ -15,6 +15,8 @@ type 'meta entry = private {
 }
 
 type 'meta t
+(** Entries live in slot arrays behind a {!Name_index}; the recency
+    list is a pair of int arrays. *)
 
 val create :
   ?policy:Eviction.t ->
@@ -62,9 +64,10 @@ val find_exact : 'meta t -> now:float -> Name.t -> 'meta entry
     @raise Not_found on a miss (counted and traced as such).
 
     This is the hot-path variant: with tracing disabled it performs no
-    minor-heap allocation at all (no [option] wrapper, exception-style
-    hash-table probe, preallocated intrusive-list links for the LRU
-    move-to-front).  The [bench core] CS-hit benchmark asserts this. *)
+    minor-heap allocation at all (one {!Name_index} probe, and the LRU
+    move-to-front relinks int arrays).  The [bench core] CS-hit
+    benchmark asserts this.  {!lookup} returns a hit's entry in the
+    [Some] cell built at insert, so it allocates no option either. *)
 
 val peek : 'meta t -> Name.t -> 'meta entry option
 (** Exact lookup with no side effects: no recency update, no hit count,

@@ -3,11 +3,11 @@
    instead of a string-compare descent.  Each binding is stored as its
    own [Some] cell, built once at [add], so [find] returns it without
    allocating.  The table and the census are created with the first
-   binding: a node builds several indexes (PIT, FIB, local
-   registrations, CS prefix index) and many stay empty for life.
+   binding: a node builds several indexes (FIB, local registrations,
+   CS prefix index) and many stay empty for life.
 
    [census.(n)] counts the bound names of length [n].  [fold_prefixes]
-   (PIT satisfy) probes the table only at the lengths the census holds.
+   (local dispatch) probes the table only at the lengths the census holds.
    Extension queries need the names below a node in component order,
    so a component-keyed tree ([Smap], stdlib Map) is built from the
    table on the first extension query that could find something beyond

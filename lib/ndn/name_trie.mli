@@ -1,10 +1,10 @@
 (** A name index with prefix queries, keyed by {!Name.t}.
 
     Shared index structure behind the FIB (longest-prefix match of an
-    interest name against routed prefixes), the content store
-    (does any cached name extend this interest name?), the PIT
-    (which pending interest names are prefixes of an arriving Data
-    name?) and a node's local-application registrations.
+    interest name against routed prefixes), the content store's prefix
+    index (does any cached name extend this interest name?) and a
+    node's local-application registrations.  The exact-name index of
+    the content store and the PIT is {!Name_index}.
 
     Representation and costs:
     - Bindings live in a {!Name.Tbl} hash table.  Names are hash-consed
@@ -57,7 +57,8 @@ val longest_prefix_value : 'a t -> Name.t -> 'a option
 
 val fold_prefixes : 'a t -> Name.t -> init:'acc -> f:('acc -> Name.t -> 'a -> 'acc) -> 'acc
 (** Fold over every bound name that is a prefix of the query, shortest
-    first (used to satisfy all PIT entries matched by a Data packet). *)
+    first (used to hand an arriving Data packet to every local
+    application registered under a prefix of its name). *)
 
 val first_extension : 'a t -> Name.t -> (Name.t * 'a) option
 (** The smallest (in {!Name.compare} order) bound name of which the

@@ -332,28 +332,6 @@ let set_link_state t ~a ~b ?(dir = Sim.Fault.Both) ~up () =
       List.iter (fun d -> d.up <- up) (dirs_of link ~flipped dir))
     (find_link t a b)
 
-let degrade_link t ~a ~b ?(dir = Sim.Fault.Both) ?loss ?latency_factor () =
-  Result.map
-    (fun (link, flipped) ->
-      List.iter
-        (fun d ->
-          (match loss with Some l -> d.loss <- l | None -> ());
-          match latency_factor with
-          | Some f -> d.latency_factor <- f
-          | None -> ())
-        (dirs_of link ~flipped dir))
-    (find_link t a b)
-
-let restore_link t ~a ~b ?(dir = Sim.Fault.Both) () =
-  Result.map
-    (fun (link, flipped) ->
-      List.iter
-        (fun d ->
-          d.loss <- d.base_loss;
-          d.latency_factor <- 1.)
-        (dirs_of link ~flipped dir))
-    (find_link t a b)
-
 let set_link_queue t ~a ~b ?(dir = Sim.Fault.Both) ~rate_mbps ~depth
     ?(policy = Drop_tail) () =
   if not (rate_mbps > 0. && Float.is_finite rate_mbps) then
@@ -370,18 +348,6 @@ let set_link_queue t ~a ~b ?(dir = Sim.Fault.Both) ~rate_mbps ~depth
             d.q_policy <- policy)
           (dirs_of link ~flipped dir))
       (find_link t a b)
-
-let clear_link_queue t ~a ~b ?(dir = Sim.Fault.Both) () =
-  Result.map
-    (fun (link, flipped) ->
-      List.iter
-        (fun d ->
-          d.q_rate <- 0.;
-          d.q_depth <- 0;
-          d.busy_until <- 0.;
-          d.qlen <- 0)
-        (dirs_of link ~flipped dir))
-    (find_link t a b)
 
 let f6 = Printf.sprintf "%.6f"
 

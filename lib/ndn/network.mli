@@ -110,18 +110,6 @@ val set_link_state :
     a downed direction are dropped silently (traced as [link.drop] with
     [reason=down]).  [Error _] if no such link exists. *)
 
-val degrade_link :
-  t -> a:string -> b:string -> ?dir:Sim.Fault.direction -> ?loss:float ->
-  ?latency_factor:float -> unit -> (unit, string) result
-(** Override a link direction's loss probability and/or multiply its
-    sampled latencies.  Omitted parameters are left untouched. *)
-
-val restore_link :
-  t -> a:string -> b:string -> ?dir:Sim.Fault.direction -> unit ->
-  (unit, string) result
-(** Reset a link direction to its base parameters from {!connect}:
-    configured loss, latency factor 1.  Does not change up/down state. *)
-
 (** {1 Bounded link queues}
 
     By default links have infinite capacity: every offered packet is
@@ -153,18 +141,12 @@ val set_link_queue :
     traffic runs.  [Error _] if the link does not exist, the rate is
     not positive and finite, or [depth <= 0]. *)
 
-val clear_link_queue :
-  t -> a:string -> b:string -> ?dir:Sim.Fault.direction -> unit ->
-  (unit, string) result
-(** Return a direction to the unbounded legacy model (and forget any
-    backlog state). *)
-
 val install_faults : t -> Sim.Fault.schedule -> (unit, string) result
 (** Validate the schedule ({!Sim.Fault.validate} plus an upfront check
     that every named node and link exists in this network) and schedule
     each event with the engine.  Applying an event emits a [fault.*]
-    trace record and then performs its semantics: link events drive
-    {!set_link_state}/{!degrade_link}, [Node_crash]/[Node_restart] call
+    trace record and then performs its semantics: link events set
+    each direction's up/down state, loss and latency factor, [Node_crash]/[Node_restart] call
     {!Node.crash}/{!Node.restart}, producer faults toggle
     {!Node.set_producers_enabled}/{!Node.set_production_factor}.
     Windowed faults ([Link_degrade], [Producer_outage],

@@ -14,6 +14,7 @@
     exactly as it always has. *)
 
 type t
+(** Entries live in slot arrays behind a {!Name_index}. *)
 
 (** What a full table does with a genuinely new name. *)
 type admission =
@@ -97,11 +98,11 @@ val faces : t -> Name.t -> int list
 
 val expire : t -> now:float -> Name.t list
 (** Drop entries older than the lifetime; returns their names in
-    canonical (trie) order.  Cost is O(expired + stale index slots
-    popped), {e not} a scan of the live table: a FIFO expiry index
+    {!Name.compare} order.  Cost is O(expired + stale index slots
+    popped), {e not} a scan of the live table: a FIFO expiry ring
     (insertion order = expiry order, since the lifetime is fixed and
     the clock monotone) is popped while its front is old enough, with
-    stamp checks skipping slots whose entries were satisfied or
+    stamp checks skipping pairs whose entries were satisfied or
     evicted early. *)
 
 val sweep_useful : t -> now:float -> at:float -> bool

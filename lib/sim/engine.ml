@@ -21,7 +21,8 @@ type t = {
   mutable processed : int;
   (* Live events: scheduled, not yet fired, not cancelled.  Maintained
      at schedule/fire/cancel time, so the pop path drops lazily
-     cancelled events without any counter churn. *)
+     cancelled events without any counter churn.  The hold event is
+     queued but never counted here. *)
   mutable live : int;
   (* Intrusive free-list of recycled handle records ([free == nil] means
      empty); [nil] is a per-engine sentinel whose [next_free] is
@@ -121,19 +122,22 @@ let add_event t ~time ~seq f =
     Heap.replace_min t.queue ~time ~seq h
   end
   else Heap.add t.queue ~time ~seq h;
-  t.live <- t.live + 1;
   h
 
 let schedule_at t ~time f =
   let h = add_event t ~time ~seq:t.next_seq f in
   t.next_seq <- t.next_seq + 1;
+  t.live <- t.live + 1;
   h
 
 let schedule t ~delay f =
   let delay = if delay < 0. then 0. else delay in
   schedule_at t ~time:(Array.unsafe_get t.clock 0 +. delay) f
 
-let schedule_key_at t ~time ~key f = add_event t ~time ~seq:key f
+let schedule_key_at t ~time ~key f =
+  let h = add_event t ~time ~seq:key f in
+  t.live <- t.live + 1;
+  h
 
 (* The hold event's heap key: below every counter value and every
    shard key, and unique, since at most one hold event is queued. *)
@@ -153,7 +157,6 @@ let hold_until t time =
 let hold_reached t h =
   Array.unsafe_set t.clock 1 (Array.unsafe_get t.clock 0);
   h.state <- Fired;
-  t.live <- t.live - 1;
   recycle t h;
   t.hold <- t.nil;
   if Array.unsafe_get t.clock 2 > Array.unsafe_get t.clock 0 then

@@ -77,8 +77,9 @@ val hold_until : t -> float -> unit
     clock, but it is not counted by {!events_processed}, traced, or
     charged to [max_events].  A forwarder that skips an event it no
     longer needs holds the engine at that event's time, so the end of a
-    run does not move.  While queued, the hold event counts in
-    {!pending}, as the event it stands for would. *)
+    run does not move.  The hold event is not counted by {!pending}:
+    it stands for events that were skipped, not for one that will
+    run. *)
 
 val cur_key : t -> int
 (** Heap key of the event currently being dispatched (or the value most
@@ -116,7 +117,8 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 val pending : t -> int
 (** Number of {e live} queued events: scheduled, not yet fired and not
     cancelled.  (Cancelled events physically stay in the queue until
-    their instant passes, but they are not counted here.) *)
+    their instant passes, and a queued {!hold_until} event stays there
+    until its time; neither is counted here.) *)
 
 val has_queued : t -> bool
 (** Whether any event (live or lazily cancelled) is still physically

@@ -213,10 +213,6 @@ let replace_min t ~time ~seq x =
   Array.unsafe_set t.elts slot x;
   sift_down_from_root t time seq slot
 
-let peek_min t =
-  if t.size = 0 then None
-  else Some (t.times.(0), t.seqs.(0), t.elts.(t.slot_of.(0)))
-
 let pop_min t =
   if t.size = 0 then None
   else begin
@@ -224,10 +220,6 @@ let pop_min t =
     let x = pop_min_elt t in
     Some (time, seq, x)
   end
-
-let pop_if_min_before t limit =
-  if t.size = 0 || t.times.(0) > limit then None
-  else Some (pop_min_elt t)
 
 let clear t =
   t.times <- [||];

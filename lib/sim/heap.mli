@@ -16,9 +16,9 @@
     write barriers, no polymorphic-array dispatch).  [add],
     [pop_min_elt], [min_elt_writing_time], [replace_min] and
     [min_time]/[min_before] allocate nothing; only the
-    tuple-returning conveniences ([pop_min], [peek_min]) box their
-    result.  A popped element may remain reachable from its retired
-    slot until the slot is reused by a later [add] or [clear].
+    tuple-returning {!pop_min} boxes its result.  A popped element may
+    remain reachable from its retired slot until the slot is reused by
+    a later [add] or [clear].
 
     The engine dispatches by peeking ({!min_elt_writing_time}) and then
     either dropping the root ({!pop_min_elt}) or handing its slot to
@@ -46,7 +46,7 @@ val min_before : 'a t -> float -> bool
 (** [min_before t limit] is [true] iff the heap is non-empty and the
     minimum element's time key is [<= limit].  The unboxed bound test
     behind [Engine.run ~until]'s stopping rule — no boxed-float return
-    as with {!min_time}, no [option] as with {!peek_min}. *)
+    as with {!min_time} and no [option]. *)
 
 val min_seq : 'a t -> int
 (** Sequence key of the minimum element.
@@ -75,16 +75,6 @@ val replace_min : 'a t -> time:float -> seq:int -> 'a -> unit
 val pop_min : 'a t -> (float * int * 'a) option
 (** Remove and return the element with the smallest key, or [None] when
     empty. *)
-
-val peek_min : 'a t -> (float * int * 'a) option
-(** Return the smallest-keyed element without removing it. *)
-
-val pop_if_min_before : 'a t -> float -> 'a option
-(** [pop_if_min_before t limit] pops and returns the minimum element if
-    its time key is [<= limit], in one traversal — the
-    [Engine.run ~until] stopping rule without a separate peek/pop
-    pair.  [None] when the heap is empty or the head is later than
-    [limit] (the heap is left untouched). *)
 
 val clear : 'a t -> unit
 (** Remove all elements and release the backing arrays. *)

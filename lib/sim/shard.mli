@@ -113,5 +113,6 @@ val events_processed : t -> int
 (** Total events executed across all shard engines. *)
 
 val pending : t -> int
-(** Live queued events across all shard engines (cross-shard messages
-    still in flight between runs are not counted). *)
+(** Live queued events across all shard engines: scheduled, unfired
+    and uncancelled, as {!Engine.pending} counts them (cross-shard
+    messages still in flight between runs are not counted). *)

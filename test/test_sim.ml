@@ -200,14 +200,16 @@ let test_heap_fifo_ties () =
 
 let test_heap_peek () =
   let h = Sim.Heap.create () in
-  Alcotest.(check bool) "empty peek" true (Sim.Heap.peek_min h = None);
+  Alcotest.(check bool) "empty min_before" false (Sim.Heap.min_before h infinity);
   Sim.Heap.add h ~time:2. ~seq:0 "b";
   Sim.Heap.add h ~time:1. ~seq:1 "a";
-  (match Sim.Heap.peek_min h with
-  | Some (t, _, v) ->
-    check_float "peek time" 1. t;
-    Alcotest.(check string) "peek value" "a" v
-  | None -> Alcotest.fail "expected peek");
+  let clock = [| 0. |] in
+  Alcotest.(check string) "peek value" "a" (Sim.Heap.min_elt_writing_time h ~time_into:clock);
+  check_float "peek time" 1. clock.(0);
+  check_float "min_time" 1. (Sim.Heap.min_time h);
+  Alcotest.(check int) "min_seq" 1 (Sim.Heap.min_seq h);
+  Alcotest.(check bool) "min_before at the head" true (Sim.Heap.min_before h 1.);
+  Alcotest.(check bool) "min_before below the head" false (Sim.Heap.min_before h 0.5);
   Alcotest.(check int) "peek does not remove" 2 (Sim.Heap.length h)
 
 let test_heap_clear () =
@@ -336,6 +338,7 @@ let test_engine_hold () =
   Sim.Engine.run ~until:7. e;
   check_float "a limit before the horizon stops the clock there" 7. (Sim.Engine.now e);
   Alcotest.(check bool) "the hold is still queued" true (Sim.Engine.has_queued e);
+  Alcotest.(check int) "a queued hold is not pending" 0 (Sim.Engine.pending e);
   Sim.Engine.run e;
   check_float "a drained run ends at the latest hold" 9. (Sim.Engine.now e);
   check_float "and reports it as the last fire" 9. (Sim.Engine.last_fire_time e);
@@ -575,8 +578,8 @@ end
    popped from the front before their action runs, so it has no heap,
    no dead root and no replace-top dispatch.  The hold event (key -1,
    re-armed at the horizon when reached) and lazily dropped cancelled
-   events follow [Sim.Engine]'s documented rules; a queued hold counts
-   in [pending], as the event it stands for would.  [steps] records
+   events follow [Sim.Engine]'s documented rules; [pending] counts the
+   live scheduled events only, never the hold.  [steps] records
    (depth, processed) per executed event, newest first: what the
    engine's [engine.step] records carry. *)
 module Engine_model = struct
@@ -684,9 +687,7 @@ module Engine_model = struct
     in
     go max_events
 
-  let pending t =
-    List.length (List.filter (fun ev -> ev.live) t.queue)
-    + if Option.is_some t.hold then 1 else 0
+  let pending t = List.length (List.filter (fun ev -> ev.live) t.queue)
   let has_queued t = match t.queue with [] -> false | _ :: _ -> true
 
   let next_event_time t =
@@ -907,14 +908,13 @@ let qcheck_tests =
         in
         drain neg_infinity);
     (* Model check: the slot-indirection heap against a sorted-list
-       reference, over an arbitrary interleaving of adds, pops,
-       bounded pops ([pop_if_min_before]), root replacements
-       ([replace_min]: drop the head, then insert, with a new key that
-       may sort before or after the old root) and clears.  Times are drawn
-       from a coarse grid so ties are common, which pins the FIFO
-       seq tie-break; element identity (not just key order) is compared
-       so a slot-recycling bug that served the wrong payload would be
-       caught. *)
+       reference, over an arbitrary interleaving of adds, pops, root
+       replacements ([replace_min]: drop the head, then insert, with a
+       new key that may sort before or after the old root) and clears.
+       Times are drawn from a coarse grid so ties are common, which
+       pins the FIFO seq tie-break; element identity (not just key
+       order) is compared so a slot-recycling bug that served the wrong
+       payload would be caught. *)
     QCheck.Test.make ~name:"heap agrees with sorted-list model" ~count:300
       QCheck.(
         list
@@ -924,10 +924,6 @@ let qcheck_tests =
                |> make ~print:(fun _ -> "op");
                always `Pop;
                Gen.map (fun t -> `Replace (float_of_int t)) (Gen.int_range 0 20)
-               |> make ~print:(fun _ -> "op");
-               Gen.map
-                 (fun t -> `Pop_before (float_of_int t))
-                 (Gen.int_range 0 20)
                |> make ~print:(fun _ -> "op");
                always `Clear;
              ]))
@@ -976,19 +972,12 @@ let qcheck_tests =
                 model := rest;
                 insert (t, s, payload);
                 Sim.Heap.length h = List.length !model
-                && Sim.Heap.peek_min h = Some (List.hd !model))
-            | `Pop_before limit -> (
-              let expect =
-                match !model with
-                | (t, _, p) :: rest when t <= limit ->
-                  model := rest;
-                  Some p
-                | _ -> None
-              in
-              match (Sim.Heap.pop_if_min_before h limit, expect) with
-              | None, None -> true
-              | Some got, Some want -> got = want
-              | _ -> false)
+                &&
+                let time, seq, payload = List.hd !model in
+                let clock = [| nan |] in
+                Sim.Heap.min_elt_writing_time h ~time_into:clock = payload
+                && clock.(0) = time
+                && Sim.Heap.min_seq h = seq)
             | `Clear ->
               Sim.Heap.clear h;
               model := [];
