@@ -1,24 +1,16 @@
-(* bench core: the machine-readable perf-regression harness.
+(* bench core: the allocation ceilings and layer micro-costs.
 
-   Measures the hot paths that the zero-allocation work targets —
-   engine event churn, content-store exact-hit and insert/evict mixes
-   per eviction policy, and one end-to-end Figure 3 LAN campaign — and
-   writes BENCH_core.json for CI and for before/after comparisons.
+   Measures the hot paths perfbench's end-to-end runs cannot isolate —
+   engine event churn, CS exact hits, misses and insert/evict mixes per
+   eviction policy, FIB and PIT round trips, the fault-hook cost pair
+   and trace emit — and merges its "core" section into the bench ledger
+   (BENCH_core.json, see ledger.ml).
 
-   Hard checks run here rather than in a test:
-   - the CS exact-hit path with tracing disabled must stay within
-     [cs_hit_alloc_ceiling] minor words per lookup (the zero-allocation
-     contract), a CS non-exact miss on a store of equal-length names
-     within [cs_miss_alloc_ceiling], a FIB longest-prefix hit
-     within [fib_lookup_alloc_ceiling], an LRU insert that evicts within
-     [cs_insert_lru_alloc_ceiling] and a PIT insert + satisfy within
-     [pit_insert_satisfy_alloc_ceiling]; exceeding any makes the process
-     exit non-zero, which fails the CI bench-smoke job;
-   - the engine-churn timing is measured twice, once against a verbatim
-     copy of the pre-rewrite boxed heap + handle-per-schedule engine
-     (module [Baseline] below), so the JSON carries an honest
-     before/after pair from the same binary, same workload, same
-     machine. *)
+   Hard checks run here rather than in a test: each row with an
+   allocation ceiling below, and the idle-fault-schedule row against the
+   no-schedule row, must stay within its bound in minor words per op;
+   exceeding any makes the process exit non-zero, which fails the CI
+   bench-smoke job. *)
 
 let clock_ns () = Int64.to_float (Monotonic_clock.now ())
 
@@ -54,170 +46,18 @@ let cs_insert_lru_alloc_ceiling = 10.01
 let pit_insert_satisfy_alloc_ceiling = 19.01
 
 (* ------------------------------------------------------------------ *)
-(* Baseline: the pre-rewrite event queue, kept verbatim (boxed
-   (time, seq, payload) entries, a fresh handle record per schedule, an
-   option-tuple pop) so the speedup claim in BENCH_core.json is
-   measured, not remembered. *)
-
-module Baseline = struct
-  module Old_heap = struct
-    type 'a entry = { time : float; seq : int; payload : 'a }
-    type 'a t = { mutable data : 'a entry array; mutable size : int }
-
-    let create () = { data = [||]; size = 0 }
-
-    let key_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-    let grow t entry =
-      let cap = Array.length t.data in
-      if t.size = cap then begin
-        let ncap = max 16 (2 * cap) in
-        let ndata = Array.make ncap entry in
-        Array.blit t.data 0 ndata 0 t.size;
-        t.data <- ndata
-      end
-
-    let rec sift_up t i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if key_lt t.data.(i) t.data.(parent) then begin
-          let tmp = t.data.(i) in
-          t.data.(i) <- t.data.(parent);
-          t.data.(parent) <- tmp;
-          sift_up t parent
-        end
-      end
-
-    let rec sift_down t i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < t.size && key_lt t.data.(l) t.data.(!smallest) then smallest := l;
-      if r < t.size && key_lt t.data.(r) t.data.(!smallest) then smallest := r;
-      if !smallest <> i then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(!smallest);
-        t.data.(!smallest) <- tmp;
-        sift_down t !smallest
-      end
-
-    let add t ~time ~seq payload =
-      let entry = { time; seq; payload } in
-      grow t entry;
-      t.data.(t.size) <- entry;
-      t.size <- t.size + 1;
-      sift_up t (t.size - 1)
-
-    let peek_min t =
-      if t.size = 0 then None
-      else
-        let e = t.data.(0) in
-        Some (e.time, e.seq, e.payload)
-
-    let pop_min t =
-      if t.size = 0 then None
-      else begin
-        let e = t.data.(0) in
-        t.size <- t.size - 1;
-        if t.size > 0 then begin
-          t.data.(0) <- t.data.(t.size);
-          sift_down t 0
-        end;
-        Some (e.time, e.seq, e.payload)
-      end
-  end
-
-  type state = Pending | Fired | Cancelled
-
-  type handle = { mutable state : state; action : unit -> unit }
-
-  type t = {
-    queue : handle Old_heap.t;
-    mutable clock : float;
-    mutable next_seq : int;
-    mutable processed : int;
-    mutable cancelled_queued : int;
-    tracer : Sim.Trace.t;
-  }
-
-  let create () =
-    {
-      queue = Old_heap.create ();
-      clock = 0.;
-      next_seq = 0;
-      processed = 0;
-      cancelled_queued = 0;
-      tracer = Sim.Trace.disabled;
-    }
-
-  let schedule t ~delay f =
-    let delay = if delay < 0. then 0. else delay in
-    let h = { state = Pending; action = f } in
-    Old_heap.add t.queue ~time:(t.clock +. delay) ~seq:t.next_seq h;
-    t.next_seq <- t.next_seq + 1;
-    h
-
-  let cancel t h =
-    if h.state = Pending then begin
-      h.state <- Cancelled;
-      t.cancelled_queued <- t.cancelled_queued + 1
-    end
-
-  let step t =
-    match Old_heap.pop_min t.queue with
-    | None -> false
-    | Some (time, _seq, h) ->
-      t.clock <- time;
-      (match h.state with
-      | Cancelled -> t.cancelled_queued <- t.cancelled_queued - 1
-      | Fired -> ()
-      | Pending ->
-        h.state <- Fired;
-        t.processed <- t.processed + 1;
-        if Sim.Trace.enabled t.tracer then
-          Sim.Trace.emit t.tracer
-            {
-              Sim.Trace.time;
-              node = "engine";
-              kind = Sim.Trace.Engine_step;
-              name = "";
-              attrs = [];
-            };
-        h.action ());
-      true
-
-  (* The pre-rewrite [Engine.run] inner step: peek to test the [until]
-     bound, then pop — the double traversal (and double option-tuple
-     allocation) per event that [pop_if_min_before]/[min_time] replaced. *)
-  let run_one t ~until =
-    match Old_heap.peek_min t.queue with
-    | None -> false
-    | Some (time, _, _) ->
-      if time > until then false
-      else begin
-        ignore (step t);
-        true
-      end
-end
-
-(* ------------------------------------------------------------------ *)
 (* Engine churn: steady-state schedule/cancel/fire traffic over a
    ~[depth]-deep queue — the inner loop of every simulated experiment.
    One op = one schedule (every 4th immediately cancelled, exercising
-   the lazy cancelled-pop drain) + one step.  The same workload, same
-   pseudo-delays, runs against the baseline engine above.  Depth 4096
-   matches the pending-event population of the trace-driven fig5
-   campaigns (one in-flight timer per client plus per-hop forwarding
-   events); the boxed baseline degrades faster with depth because every
-   sift level chases an entry pointer where the SoA heap reads a flat
-   float array. *)
+   the lazy cancelled-pop drain) + one step.  Depth 4096 matches the
+   pending-event population of the trace-driven fig5 campaigns (one
+   in-flight timer per client plus per-hop forwarding events). *)
 
 let churn_depth = 4096
 
 (* Pseudo-random-looking delays, precomputed: [(i * 7919) land 1023] has
-   period 1024 in [i], so a 1024-entry table covers every op.  Both
-   sides of the before/after pair read the same table — the per-op
-   workload cost outside the engine is one unboxed array load, so it
-   dilutes the measured ratio as little as possible. *)
+   period 1024 in [i], so a 1024-entry table covers every op and the
+   per-op workload cost outside the engine is one unboxed array load. *)
 let churn_delays =
   Array.init 1024 (fun i -> float_of_int (((i * 7919) land 1023) + 1))
 
@@ -234,17 +74,6 @@ let churn_new ops =
     let h = Sim.Engine.schedule e ~delay:(churn_delay i) nop in
     if i land 3 = 0 then Sim.Engine.cancel h;
     ignore (Sim.Engine.step e)
-  done
-
-let churn_baseline ops =
-  let e = Baseline.create () in
-  for i = 1 to churn_depth do
-    ignore (Baseline.schedule e ~delay:(churn_delay i) nop)
-  done;
-  for i = 1 to ops do
-    let h = Baseline.schedule e ~delay:(churn_delay i) nop in
-    if i land 3 = 0 then Baseline.cancel e h;
-    ignore (Baseline.run_one e ~until:infinity)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -395,18 +224,40 @@ let pit_insert_satisfy_workload () =
     done
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: one Figure 3 LAN campaign — every subsystem the rest of
-   this file measures in isolation, composed. *)
+(* Fault-hook cost: the link delivery path consults per-direction fault
+   state (up, loss override, latency factor) on every packet.  One op =
+   one fetch over a two-node network, run with no fault schedule and
+   with an idle one installed; the hooks are a branch and a multiply, so
+   the idle row may allocate no more than the no-schedule row plus
+   [fault_hook_alloc_slack]. *)
 
-let fig3_lan_workload ~quick () =
-  let contents = if quick then 8 else 25 in
-  let runs = if quick then 2 else 4 in
+let fault_hook_alloc_slack = 0.01
+
+let fault_fetch_workload ~faulted =
+  let net = Ndn.Network.create ~seed:11 () in
+  let c = Ndn.Network.add_node net ~caching:false "C" in
+  let p = Ndn.Network.add_node net "P" in
+  let prefix = Ndn.Name.of_string "/m" in
+  let cf, _ = Ndn.Network.connect net ~latency:(Sim.Latency.Constant 1.) c p in
+  Ndn.Network.route net c ~prefix ~via:cf;
+  Ndn.Node.add_producer p ~prefix (fun i ->
+      Some (Ndn.Data.create ~producer:"P" ~key:"k" ~payload:"x" i.Ndn.Interest.name));
+  if faulted then begin
+    (* A degrade window that opens and closes during the first fetch:
+       afterwards every op runs with the fault machinery armed but the
+       link at its base parameters. *)
+    let degrade =
+      Sim.Fault.Link_degrade
+        { a = "C"; b = "P"; dir = Sim.Fault.Both; loss = 0.; latency_factor = 1.; until = 0.5 }
+    in
+    match Ndn.Network.install_faults net [ { Sim.Fault.at = 0.; kind = degrade } ] with
+    | Ok () -> ()
+    | Error msg -> failwith msg
+  end;
+  let name = Ndn.Name.of_string "/m/bench" in
   fun ops ->
-    for i = 1 to ops do
-      ignore
-        (Attack.Timing_experiment.run
-           ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
-           ~contents ~runs ~seed:(10 + i) ~jobs:1 ())
+    for _ = 1 to ops do
+      ignore (Ndn.Network.fetch_rtt net ~from:c name)
     done
 
 (* ------------------------------------------------------------------ *)
@@ -469,24 +320,6 @@ let analyze_workload ~n bin =
     done
 
 (* ------------------------------------------------------------------ *)
-(* JSON assembly. *)
-
-let read_git_rev () =
-  let read_line path =
-    match open_in path with
-    | exception Sys_error _ -> None
-    | ic ->
-      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-      close_in ic;
-      line
-  in
-  match read_line ".git/HEAD" with
-  | None -> "unknown"
-  | Some head ->
-    if String.length head > 5 && String.sub head 0 5 = "ref: " then
-      let ref_path = ".git/" ^ String.sub head 5 (String.length head - 5) in
-      Option.value (read_line ref_path) ~default:"unknown"
-    else head
 
 let run ~quick () =
   Format.printf "@.================ Core perf-regression suite ================@.";
@@ -497,47 +330,33 @@ let run ~quick () =
     Format.printf "%a@." Sim.Bench.pp_result r;
     r
   in
-  (* The before/after churn pair is measured interleaved — one run of
-     each, alternating, minimum per side — so slow drift in machine
-     speed (frequency scaling, co-tenancy) cannot bias the ratio the
-     way two back-to-back blocks would. *)
-  let measure_pair ~label_a fa ~label_b fb ~ops ~rounds =
-    let one label f =
-      Sim.Bench.measure ~clock_ns ~warmup:0 ~runs:1 ~label ~ops f
+  (* A pair compared against each other is measured interleaved — one
+     run of each, alternating, minimum per side — so slow drift in
+     machine speed (frequency scaling, co-tenancy) cannot bias the ratio
+     the way two back-to-back blocks would. *)
+  let measure_pair ~label_a fa ~label_b fb ~ops =
+    let one label f = Sim.Bench.measure ~clock_ns ~warmup:0 ~runs:1 ~label ~ops f in
+    let keep b r =
+      {
+        r with
+        Sim.Bench.ns_per_op = Float.min b.Sim.Bench.ns_per_op r.Sim.Bench.ns_per_op;
+        allocs_per_op = Float.min b.Sim.Bench.allocs_per_op r.Sim.Bench.allocs_per_op;
+        runs = 2 * runs;
+      }
     in
-    ignore (fa ops);
-    ignore (fb ops);
-    let best = ref None in
-    for _ = 1 to rounds do
+    fa ops;
+    fb ops;
+    let best = ref (one label_a fa, one label_b fb) in
+    for _ = 2 to 2 * runs do
+      let ba, bb = !best in
       let ra = one label_a fa in
-      let rb = one label_b fb in
-      best :=
-        Some
-          (match !best with
-          | None -> (ra, rb)
-          | Some (ba, bb) ->
-            let keep b r =
-              {
-                r with
-                Sim.Bench.ns_per_op = Float.min b.Sim.Bench.ns_per_op r.Sim.Bench.ns_per_op;
-                allocs_per_op = Float.min b.Sim.Bench.allocs_per_op r.Sim.Bench.allocs_per_op;
-                runs = rounds;
-              }
-            in
-            (keep ba ra, keep bb rb))
+      best := (keep ba ra, keep bb (one label_b fb))
     done;
-    Option.get !best
+    let ra, rb = !best in
+    Format.printf "%a@.%a@." Sim.Bench.pp_result ra Sim.Bench.pp_result rb;
+    !best
   in
-  let churn_old, churn =
-    let old_r, new_r =
-      measure_pair ~label_a:"engine-churn/boxed-baseline" churn_baseline
-        ~label_b:"engine-churn" churn_new ~ops:(100_000 * ops_scale)
-        ~rounds:(2 * runs)
-    in
-    Format.printf "%a@." Sim.Bench.pp_result old_r;
-    Format.printf "%a@." Sim.Bench.pp_result new_r;
-    (old_r, new_r)
-  in
+  let churn = m ~label:"engine-churn" churn_new in
   let cs_hit = m ~label:"cs-hit/exact-untraced" (cs_hit_workload ()) in
   let cs_miss = m ~label:"cs-miss/extension-untraced" (cs_miss_workload ()) in
   let fib_lookup = m ~label:"fib-lookup/hit-untraced" (fib_lookup_workload ()) in
@@ -558,50 +377,37 @@ let run ~quick () =
         Ndn.Eviction.Random_replacement;
       ]
   in
-  let fig3 =
-    let r =
-      Sim.Bench.measure ~clock_ns ~warmup:1 ~runs:(if quick then 2 else 3)
-        ~label:"fig3-lan-trial" ~ops:1
-        (fig3_lan_workload ~quick ())
-    in
-    Format.printf "%a@." Sim.Bench.pp_result r;
-    r
+  let fault_none, fault_idle =
+    measure_pair ~label_a:"fault-fetch/no-schedule"
+      (fault_fetch_workload ~faulted:false)
+      ~label_b:"fault-fetch/idle-schedule"
+      (fault_fetch_workload ~faulted:true)
+      ~ops:(20_000 * ops_scale)
   in
-  let speedup = churn_old.Sim.Bench.ns_per_op /. churn.Sim.Bench.ns_per_op in
-  Format.printf "engine churn speedup vs boxed baseline: %.2fx@." speedup;
-  (* Trace throughput: emit both formats interleaved (same drift
-     immunity as the churn pair), then the streaming analyzer over the
-     binary stream. *)
+  (* Trace throughput: emit both formats interleaved, then the streaming
+     analyzer over the binary stream. *)
   let trace_events = Sim.Trace.events (trace_campaign ~quick ()) in
   let trace_n = Array.length trace_events in
-  let trace_jsonl_bytes, trace_binary_bytes =
+  let trace_bin, trace_jsonl_bytes =
     let tr = Sim.Trace.create () in
     Array.iter (Sim.Trace.emit tr) trace_events;
-    ( String.length (Sim.Trace.render Sim.Trace.Jsonl tr),
-      String.length (Sim.Trace.render Sim.Trace.Binary tr) )
+    (Sim.Trace.render Sim.Trace.Binary tr, String.length (Sim.Trace.render Sim.Trace.Jsonl tr))
   in
+  let trace_binary_bytes = String.length trace_bin in
   let trace_ops =
     let passes = max 1 (((20_000 * ops_scale) + trace_n - 1) / trace_n) in
     passes * trace_n
   in
   let trace_jsonl_emit, trace_binary_emit =
-    let ja, jb =
-      measure_pair ~label_a:"trace-emit/jsonl"
-        (jsonl_emit_workload trace_events)
-        ~label_b:"trace-emit/binary"
-        (binary_emit_workload trace_events)
-        ~ops:trace_ops ~rounds:(2 * runs)
-    in
-    Format.printf "%a@." Sim.Bench.pp_result ja;
-    Format.printf "%a@." Sim.Bench.pp_result jb;
-    (ja, jb)
+    measure_pair ~label_a:"trace-emit/jsonl"
+      (jsonl_emit_workload trace_events)
+      ~label_b:"trace-emit/binary"
+      (binary_emit_workload trace_events)
+      ~ops:trace_ops
   in
   let trace_analyze =
-    let tr = Sim.Trace.create () in
-    Array.iter (Sim.Trace.emit tr) trace_events;
-    let bin = Sim.Trace.render Sim.Trace.Binary tr in
     m ~ops:trace_ops ~label:"trace-analyze/binary-stream"
-      (analyze_workload ~n:trace_n bin)
+      (analyze_workload ~n:trace_n trace_bin)
   in
   let emit_speedup =
     trace_jsonl_emit.Sim.Bench.ns_per_op /. trace_binary_emit.Sim.Bench.ns_per_op
@@ -614,106 +420,60 @@ let run ~quick () =
     emit_speedup bytes_ratio trace_n;
   let results =
     (churn :: cs_hit :: cs_miss :: fib_lookup :: pit_expire :: pit_round_trip :: cs_inserts)
-    @ [ fig3; trace_jsonl_emit; trace_binary_emit; trace_analyze ]
+    @ [ fault_none; fault_idle; trace_jsonl_emit; trace_binary_emit; trace_analyze ]
   in
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        Printf.sprintf "  \"suite\": \"bench-core\",\n";
-        Printf.sprintf "  \"git_rev\": \"%s\",\n"
-          (Sim.Bench.json_escape (read_git_rev ()));
-        Printf.sprintf "  \"config\": {\"quick\": %b, \"ops_scale\": %d},\n" quick
-          ops_scale;
-        Printf.sprintf "  \"cs_hit_alloc_ceiling\": %.6f,\n" cs_hit_alloc_ceiling;
-        Printf.sprintf "  \"cs_miss_alloc_ceiling\": %.6f,\n" cs_miss_alloc_ceiling;
-        Printf.sprintf "  \"fib_lookup_alloc_ceiling\": %.6f,\n"
-          fib_lookup_alloc_ceiling;
-        Printf.sprintf "  \"cs_insert_lru_alloc_ceiling\": %.6f,\n"
-          cs_insert_lru_alloc_ceiling;
-        Printf.sprintf "  \"pit_insert_satisfy_alloc_ceiling\": %.6f,\n"
-          pit_insert_satisfy_alloc_ceiling;
+  let f6 = Printf.sprintf "%.6f" in
+  Ledger.write "core"
+    [
+      ("config", Printf.sprintf "{\"quick\": %b, \"ops_scale\": %d}" quick ops_scale);
+      ("cs_hit_alloc_ceiling", f6 cs_hit_alloc_ceiling);
+      ("cs_miss_alloc_ceiling", f6 cs_miss_alloc_ceiling);
+      ("fib_lookup_alloc_ceiling", f6 fib_lookup_alloc_ceiling);
+      ("cs_insert_lru_alloc_ceiling", f6 cs_insert_lru_alloc_ceiling);
+      ("pit_insert_satisfy_alloc_ceiling", f6 pit_insert_satisfy_alloc_ceiling);
+      ("fault_hook_alloc_slack", f6 fault_hook_alloc_slack);
+      ("binary_emit_alloc_ceiling", f6 binary_emit_alloc_ceiling);
+      (* Emit and analyze costs are the trace-* rows of "results". *)
+      ( "trace",
         Printf.sprintf
-          "  \"baseline\": {\"op\": \"engine-churn\", \"before_ns_per_op\": \
-           %.3f, \"after_ns_per_op\": %.3f, \"speedup\": %.3f},\n"
-          churn_old.Sim.Bench.ns_per_op churn.Sim.Bench.ns_per_op speedup;
-        Printf.sprintf
-          "  \"trace\": {\"events\": %d, \"jsonl_bytes_per_event\": %.3f, \
+          "{\"events\": %d, \"jsonl_bytes_per_event\": %.3f, \
            \"binary_bytes_per_event\": %.3f, \"bytes_ratio\": %.4f, \
-           \"jsonl_emit_ns_per_event\": %.3f, \"binary_emit_ns_per_event\": \
-           %.3f, \"emit_speedup\": %.3f, \"binary_emit_allocs_per_op\": %.6f, \
-           \"binary_emit_alloc_ceiling\": %.6f, \"analyze_ns_per_event\": \
-           %.3f, \"analyze_events_per_s\": %.0f},\n"
+           \"emit_speedup\": %.3f}"
           trace_n
           (float_of_int trace_jsonl_bytes /. float_of_int trace_n)
           (float_of_int trace_binary_bytes /. float_of_int trace_n)
-          bytes_ratio trace_jsonl_emit.Sim.Bench.ns_per_op
-          trace_binary_emit.Sim.Bench.ns_per_op emit_speedup
-          trace_binary_emit.Sim.Bench.allocs_per_op binary_emit_alloc_ceiling
-          trace_analyze.Sim.Bench.ns_per_op
-          (1e9 /. trace_analyze.Sim.Bench.ns_per_op);
-        "  \"results\": [\n";
-        String.concat ",\n"
-          (List.map (fun r -> "    " ^ Sim.Bench.result_to_json r) results);
-        "\n  ]\n";
-        "}\n";
-      ]
+          bytes_ratio emit_speedup );
+      ( "results",
+        "[\n"
+        ^ String.concat ",\n"
+            (List.map (fun r -> "      " ^ Sim.Bench.result_to_json r) results)
+        ^ "\n    ]" );
+    ];
+  let ceilings =
+    [
+      (cs_hit, cs_hit_alloc_ceiling, "the zero-allocation hit-path contract is broken");
+      ( cs_miss,
+        cs_miss_alloc_ceiling,
+        "a census-answered miss reaches the prefix index or builds a closure again" );
+      (fib_lookup, fib_lookup_alloc_ceiling, "the value-only FIB query builds a name or a box again");
+      (List.hd cs_inserts, cs_insert_lru_alloc_ceiling, "an insert allocates more than its entry again");
+      (pit_round_trip, pit_insert_satisfy_alloc_ceiling, "the PIT boxes per-entry state again");
+      ( trace_binary_emit,
+        binary_emit_alloc_ceiling,
+        "a closure or box crept into the encoder hot path" );
+      ( fault_idle,
+        fault_none.Sim.Bench.allocs_per_op +. fault_hook_alloc_slack,
+        "an idle fault schedule allocates on the packet delivery path" );
+    ]
   in
-  let oc = open_out "BENCH_core.json" in
-  output_string oc json;
-  close_out oc;
-  Format.printf "wrote BENCH_core.json (git %s)@." (read_git_rev ());
-  if cs_hit.Sim.Bench.allocs_per_op > cs_hit_alloc_ceiling then begin
-    Format.eprintf
-      "FAIL: cs-hit allocates %.6f minor words/op (ceiling %.6f) — the \
-       zero-allocation hit-path contract is broken@."
-      cs_hit.Sim.Bench.allocs_per_op cs_hit_alloc_ceiling;
-    exit 1
-  end;
-  if cs_miss.Sim.Bench.allocs_per_op > cs_miss_alloc_ceiling then begin
-    Format.eprintf
-      "FAIL: cs-miss allocates %.6f minor words/op (ceiling %.6f) — a \
-       census-answered miss reaches the prefix index or builds a closure \
-       again@."
-      cs_miss.Sim.Bench.allocs_per_op cs_miss_alloc_ceiling;
-    exit 1
-  end;
-  if fib_lookup.Sim.Bench.allocs_per_op > fib_lookup_alloc_ceiling then begin
-    Format.eprintf
-      "FAIL: fib-lookup allocates %.6f minor words/op (ceiling %.6f) — the \
-       value-only FIB query builds a name or a box again@."
-      fib_lookup.Sim.Bench.allocs_per_op fib_lookup_alloc_ceiling;
-    exit 1
-  end;
-  let cs_insert_lru = List.hd cs_inserts in
-  if cs_insert_lru.Sim.Bench.allocs_per_op > cs_insert_lru_alloc_ceiling then begin
-    Format.eprintf
-      "FAIL: cs-insert-evict/lru allocates %.6f minor words/op (ceiling %.6f) \
-       — an insert allocates more than its entry again@."
-      cs_insert_lru.Sim.Bench.allocs_per_op cs_insert_lru_alloc_ceiling;
-    exit 1
-  end;
-  if pit_round_trip.Sim.Bench.allocs_per_op > pit_insert_satisfy_alloc_ceiling
-  then begin
-    Format.eprintf
-      "FAIL: pit-insert-satisfy allocates %.6f minor words/op (ceiling %.6f) \
-       — the PIT boxes per-entry state again@."
-      pit_round_trip.Sim.Bench.allocs_per_op pit_insert_satisfy_alloc_ceiling;
-    exit 1
-  end;
-  if trace_binary_emit.Sim.Bench.allocs_per_op > binary_emit_alloc_ceiling
-  then begin
-    Format.eprintf
-      "FAIL: binary trace emit allocates %.6f minor words/op (ceiling %.6f) — \
-       a closure or box crept into the encoder hot path@."
-      trace_binary_emit.Sim.Bench.allocs_per_op binary_emit_alloc_ceiling;
-    exit 1
-  end;
-  if speedup < 2.0 then
-    Format.eprintf
-      "warning: engine churn speedup %.2fx below the 2x target (noise, or a \
-       regression — compare BENCH_core.json against the checked-in one)@."
-      speedup;
+  let breaches =
+    List.filter (fun (r, ceiling, _) -> r.Sim.Bench.allocs_per_op > ceiling) ceilings
+  in
+  List.iter
+    (fun (r, ceiling, why) ->
+      Format.eprintf "FAIL: %s allocates %.6f minor words/op (ceiling %.6f) — %s@."
+        r.Sim.Bench.label r.Sim.Bench.allocs_per_op ceiling why)
+    breaches;
   if emit_speedup < 3.0 then
     Format.eprintf
       "warning: binary emit only %.2fx faster than jsonl (3x target — noise, \
@@ -731,4 +491,5 @@ let run ~quick () =
     Format.eprintf
       "warning: pit-expire at %.0f ns/op looks like a live-table rescan — \
        the FIFO expiry index should make expire O(expired)@."
-      pit_expire.Sim.Bench.ns_per_op
+      pit_expire.Sim.Bench.ns_per_op;
+  if breaches <> [] then exit 1

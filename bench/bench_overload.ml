@@ -43,8 +43,8 @@
    attacked edge fastest (the full table rejects honest newcomers);
    Evict_oldest lets the flood churn every tier's PIT instead.
 
-   Output: a point array spliced into BENCH_core.json under
-   "overload".  All robust-plane features are opt-in switches flipped
+   Output: a point array merged into BENCH_core.json as its
+   "overload" section.  All robust-plane features are opt-in switches flipped
    here; nothing in this bench changes defaults elsewhere. *)
 
 let clock_ns () = Int64.to_float (Monotonic_clock.now ())
@@ -115,51 +115,6 @@ let default_queue_depth = 32
 let depth_sweep = [ 8; 128 ]
 let depth_sweep_rate = 8.
 let depth_sweep_policy = Ndn.Pit.Evict_oldest
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_core.json splicing: replace or add the "overload" member
-   without disturbing whatever bench core / bench scale last wrote. *)
-
-let find_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let splice_bench_core entry =
-  let path = "BENCH_core.json" in
-  let marker = ",\n  \"overload\":" in
-  let base =
-    match open_in path with
-    | exception Sys_error _ -> "{\n  \"suite\": \"bench-core\""
-    | ic ->
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (match find_substring text marker with
-      | Some i -> String.sub text 0 i
-      | None -> (
-        match String.rindex_opt text '}' with
-        | Some i ->
-          let prefix = String.sub text 0 i in
-          let len = ref (String.length prefix) in
-          while
-            !len > 0
-            && (prefix.[!len - 1] = '\n' || prefix.[!len - 1] = ' ')
-          do
-            decr len
-          done;
-          String.sub prefix 0 !len
-        | None -> "{\n  \"suite\": \"bench-core\""))
-  in
-  let oc = open_out path in
-  output_string oc (base ^ marker ^ " " ^ entry ^ "\n}\n");
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 
@@ -611,20 +566,20 @@ let run ~quick () =
         run_one ~flood_rate:depth_sweep_rate ~policy:depth_sweep_policy ~depth)
       depth_sweep
   in
-  splice_bench_core
-    (Printf.sprintf
-       "{\"quick\": %b, \"routers\": %d, \"access_routers\": %d, \
-        \"represented_users\": %d, \"pit_capacity\": %d, \
-        \"queue_rate_mbps\": %.1f, \"default_queue_depth\": %d, \
-        \"monotone\": {\"attacker_accuracy\": \"decreasing\", \
-        \"false_negative_rate\": \"increasing\", \"rc_utility\": \
-        \"decreasing\", \"edge_goodput\": \"decreasing\", \
-        \"give_up_rate\": \"increasing\"}, \
-        \"points\": [%s], \"depth_sweep\": [%s]}"
-       quick g.TS.Gen.node_count
-       counts.(k - 1)
-       (p.users_per_edge * counts.(k - 1))
-       p.pit_capacity p.queue_rate_mbps default_queue_depth
-       (String.concat ", " (List.map point_json grid))
-       (String.concat ", " (List.map point_json depths)));
-  Format.printf "spliced overload into BENCH_core.json@."
+  let points pts = "[" ^ String.concat ", " (List.map point_json pts) ^ "]" in
+  Ledger.write "overload"
+    [
+      ("quick", string_of_bool quick);
+      ("routers", string_of_int g.TS.Gen.node_count);
+      ("access_routers", string_of_int counts.(k - 1));
+      ("represented_users", string_of_int (p.users_per_edge * counts.(k - 1)));
+      ("pit_capacity", string_of_int p.pit_capacity);
+      ("queue_rate_mbps", Printf.sprintf "%.1f" p.queue_rate_mbps);
+      ("default_queue_depth", string_of_int default_queue_depth);
+      ( "monotone",
+        "{\"attacker_accuracy\": \"decreasing\", \"false_negative_rate\": \
+         \"increasing\", \"rc_utility\": \"decreasing\", \"edge_goodput\": \
+         \"decreasing\", \"give_up_rate\": \"increasing\"}" );
+      ("points", points grid);
+      ("depth_sweep", points depths);
+    ]

@@ -25,7 +25,7 @@
    3 tiers = 211 routers for the CI smoke job.
 
    Outputs: per-tier CSV (BENCH_scale_tiers.csv) and an events/sec
-   entry spliced into BENCH_core.json under "bench_scale". *)
+   entry merged into BENCH_core.json as its "bench_scale" section. *)
 
 let clock_ns () = Int64.to_float (Monotonic_clock.now ())
 
@@ -62,52 +62,6 @@ let params ~quick =
          cs=8192,4096,1024,512,256 \
          latency=const:8,const:4,const:2,const:1,const:0.5 payload=16 seed=7";
     }
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_core.json splicing: replace or add the "bench_scale" member
-   without disturbing whatever bench core last wrote. *)
-
-let find_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let splice_bench_core entry =
-  let path = "BENCH_core.json" in
-  let marker = ",\n  \"bench_scale\":" in
-  let base =
-    match open_in path with
-    | exception Sys_error _ -> "{\n  \"suite\": \"bench-core\""
-    | ic ->
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (match find_substring text marker with
-      | Some i -> String.sub text 0 i
-      | None -> (
-        (* Strip the final closing brace (and trailing whitespace). *)
-        match String.rindex_opt text '}' with
-        | Some i ->
-          let prefix = String.sub text 0 i in
-          let len = ref (String.length prefix) in
-          while
-            !len > 0
-            && (prefix.[!len - 1] = '\n' || prefix.[!len - 1] = ' ')
-          do
-            decr len
-          done;
-          String.sub prefix 0 !len
-        | None -> "{\n  \"suite\": \"bench-core\""))
-  in
-  let oc = open_out path in
-  output_string oc (base ^ marker ^ " " ^ entry ^ "\n}\n");
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 
@@ -425,9 +379,9 @@ let run ~quick ?shards () =
      wall-clock ratios on this host: with fewer hardware threads than
      shards the extra domains time-slice and the ratio sits near (or
      below) 1. *)
-  let sharded_json =
+  let sharded =
     match shards with
-    | None -> ""
+    | None -> []
     | Some n ->
       let ks = List.sort_uniq compare [ 1; max 1 (n / 2); n ] in
       let rows =
@@ -459,27 +413,32 @@ let run ~quick ?shards () =
         | Some r -> r.wwall_s
         | None -> wall_s
       in
-      Printf.sprintf ", \"host_domains\": %d, \"sharded\": [%s]"
-        (Sim.Parallel.default_jobs ())
-        (String.concat ", "
-           (List.map
-              (fun (sk, r) ->
-                Printf.sprintf
-                  "{\"shards\": %d, \"events\": %d, \"wall_s\": %.3f, \
-                   \"events_per_sec\": %.0f, \"speedup_vs_1\": %.3f}"
-                  sk r.wevents r.wwall_s
-                  (float_of_int r.wevents /. Float.max 1e-9 r.wwall_s)
-                  (base_wall /. Float.max 1e-9 r.wwall_s))
-              rows))
+      [
+        ( "sharded",
+          "["
+          ^ String.concat ", "
+              (List.map
+                 (fun (sk, r) ->
+                   Printf.sprintf
+                     "{\"shards\": %d, \"events\": %d, \"wall_s\": %.3f, \
+                      \"events_per_sec\": %.0f, \"speedup_vs_1\": %.3f}"
+                     sk r.wevents r.wwall_s
+                     (float_of_int r.wevents /. Float.max 1e-9 r.wwall_s)
+                     (base_wall /. Float.max 1e-9 r.wwall_s))
+                 rows)
+          ^ "]" );
+      ]
   in
-  splice_bench_core
-    (Printf.sprintf
-       "{\"quick\": %b, \"routers\": %d, \"access_routers\": %d, \
-        \"represented_users\": %d, \"requests\": %d, \"events\": %d, \
-        \"wall_s\": %.3f, \"events_per_sec\": %.0f, \
-        \"attacker_accuracy\": %.4f%s}"
-       quick g.TS.Gen.node_count
-       counts.(k - 1)
-       (p.users_per_edge * counts.(k - 1))
-       issued events wall_s events_per_sec overall sharded_json);
-  Format.printf "spliced bench_scale into BENCH_core.json@."
+  Ledger.write "bench_scale"
+    ([
+       ("quick", string_of_bool quick);
+       ("routers", string_of_int g.TS.Gen.node_count);
+       ("access_routers", string_of_int counts.(k - 1));
+       ("represented_users", string_of_int (p.users_per_edge * counts.(k - 1)));
+       ("requests", string_of_int issued);
+       ("events", string_of_int events);
+       ("wall_s", Printf.sprintf "%.3f" wall_s);
+       ("events_per_sec", Printf.sprintf "%.0f" events_per_sec);
+       ("attacker_accuracy", Printf.sprintf "%.4f" overall);
+     ]
+    @ sharded)

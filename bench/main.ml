@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every figure and in-text claim of the
    paper's evaluation, checks the theorems against ground truth, and
-   runs Bechamel micro-benchmarks.
+   runs the allocation-ceiling suite.
 
      dune exec bench/main.exe                 # everything, default scale
      dune exec bench/main.exe -- fig3         # one experiment family
@@ -26,118 +26,40 @@
      thms  - Theorems VI.1-VI.4 vs exact enumeration / Monte-Carlo
      ablation - design-choice ablations
      chaos - attack accuracy and cache utility under router churn
-     micro - Bechamel micro-benchmarks
-     core  - perf-regression suite (Sim.Bench); writes BENCH_core.json,
-             exits non-zero if the CS hit path allocates (--quick for
-             the CI smoke variant)
+     core  - allocation ceilings and layer micro-costs (Sim.Bench);
+             merges the "core" section into BENCH_core.json and exits
+             non-zero on a ceiling breach (--quick for the CI smoke)
      scale - opt-in (not in "all"): cache-privacy sweep on a generated
              ISP hierarchy (11k routers / 1M aggregate users; --quick
              for a 211-router smoke) driven by Workload.Aggregate;
-             writes BENCH_scale_tiers.csv and splices an events/sec
-             entry into BENCH_core.json.  --shards K runs the network
-             sharded over K Sim.Shard engine domains and adds a
-             per-shard-count events/sec sweep (with wall-clock speedup
-             vs one shard) to that entry
+             writes BENCH_scale_tiers.csv and the "bench_scale" section
+             of BENCH_core.json.  --shards K adds a per-shard-count
+             events/sec sweep (with wall-clock speedup vs one shard)
      overload - opt-in (not in "all"): interest-flooding sweep on the
              same generated hierarchy with the robust plane armed
              (finite PITs, NACKs, bounded link queues): flood
-             intensity x admission policy x queue depth, recording
-             attacker accuracy, false-negative rate, Random-Cache
-             utility, goodput and give-up rate; splices an "overload"
-             entry into BENCH_core.json (--quick for the smoke
-             variant) *)
+             intensity x admission policy x queue depth; writes the
+             "overload" section of BENCH_core.json (--quick for the
+             smoke variant)
 
-let usage () =
-  print_endline
-    "usage: main.exe \
-     [all|fig3|fig4|fig5|text|thms|ablation|chaos|micro|core|scale|overload]... \
-     [--fast|--full|--quick] [--jobs N] [--shards K] [--trace FILE] \
-     [--trace-format jsonl|csv|binary]";
-  exit 1
+   BENCH_core.json is one ledger: each writer merges its own section,
+   stamped with git rev, host domains and argv, and leaves the others
+   byte for byte (ledger.ml). *)
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let scale =
-    if List.mem "--full" args then 4 else if List.mem "--fast" args then 1 else 2
-  in
-  let fig5_scale =
-    (* fig5 cost is dominated by trace length: 100k requests per unit.
-       --full matches the paper's 3.2M requests. *)
-    if List.mem "--full" args then 32 else if List.mem "--fast" args then 1 else 3
-  in
-  let jobs, args =
-    let rec grab acc = function
-      | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some j when j >= 1 -> (Some j, List.rev_append acc rest)
-        | _ ->
-          prerr_endline "--jobs expects a positive integer";
-          usage ())
-      | "--jobs" :: [] ->
-        prerr_endline "--jobs expects a positive integer";
-        usage ()
-      | a :: rest -> grab (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    grab [] args
-  in
-  let jobs = match jobs with Some j -> j | None -> Sim.Parallel.default_jobs () in
-  let shards, args =
-    let rec grab acc = function
-      | "--shards" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some s when s >= 1 -> (Some s, List.rev_append acc rest)
-        | _ ->
-          prerr_endline "--shards expects a positive integer";
-          usage ())
-      | "--shards" :: [] ->
-        prerr_endline "--shards expects a positive integer";
-        usage ()
-      | a :: rest -> grab (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    grab [] args
-  in
-  let trace_file, args =
-    let rec grab acc = function
-      | "--trace" :: file :: rest when file = "" || file.[0] <> '-' ->
-        (Some file, List.rev_append acc rest)
-      | "--trace" :: _ ->
-        prerr_endline "--trace expects a file name";
-        usage ()
-      | a :: rest -> grab (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    grab [] args
-  in
-  let trace_format, args =
-    let rec grab acc = function
-      | "--trace-format" :: f :: rest -> (
-        match Sim.Trace.format_of_string f with
-        | Some fmt -> (fmt, List.rev_append acc rest)
-        | None ->
-          prerr_endline "--trace-format expects jsonl, csv or binary";
-          usage ())
-      | "--trace-format" :: [] ->
-        prerr_endline "--trace-format expects jsonl, csv or binary";
-        usage ()
-      | a :: rest -> grab (a :: acc) rest
-      | [] -> (Sim.Trace.Jsonl, List.rev acc)
-    in
-    grab [] args
-  in
+open Cmdliner
+
+let families =
+  [ "all"; "fig3"; "fig4"; "fig5"; "text"; "thms"; "ablation"; "chaos"; "core"; "scale"; "overload" ]
+
+let run selected full fast quick jobs shards trace_file trace_format =
+  let selected = if selected = [] then [ "all" ] else selected in
+  let scale = if full then 4 else if fast then 1 else 2 in
+  (* fig5 cost is dominated by trace length: 100k requests per unit.
+     --full matches the paper's 3.2M requests. *)
+  let fig5_scale = if full then 32 else if fast then 1 else 3 in
+  let jobs = Option.value jobs ~default:(Sim.Parallel.default_jobs ()) in
   let trace = Option.map (fun file -> (file, trace_format)) trace_file in
-  let selected =
-    match List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args with
-    | [] -> [ "all" ]
-    | names -> names
-  in
   let want name = List.mem "all" selected || List.mem name selected in
-  List.iter
-    (fun name ->
-      if not (List.mem name [ "all"; "fig3"; "fig4"; "fig5"; "text"; "thms"; "ablation"; "chaos"; "micro"; "core"; "scale"; "overload" ])
-      then usage ())
-    selected;
   if want "fig3" then Bench_fig3.run ~scale ~jobs ?trace ();
   if want "fig4" then Bench_fig4.run ();
   if want "fig5" then Bench_fig5.run ~scale:fig5_scale ~jobs ();
@@ -145,14 +67,46 @@ let () =
   if want "thms" then Bench_thms.run ~scale ~jobs ();
   if want "ablation" then Bench_ablation.run ~scale ~jobs ();
   if want "chaos" then Bench_chaos.run ~scale ~jobs ();
-  if want "micro" then Bench_micro.run ();
-  if want "core" then Bench_core.run ~quick:(List.mem "--quick" args) ();
-  (* scale is opt-in (not part of "all"): the default run is an
-     11k-router, 1M-user sweep. *)
-  if List.mem "scale" selected then
-    Bench_scale.run ~quick:(List.mem "--quick" args) ?shards ();
-  (* overload is opt-in for the same reason: a 10-point flood sweep
-     over the generated hierarchy. *)
-  if List.mem "overload" selected then
-    Bench_overload.run ~quick:(List.mem "--quick" args) ();
+  if want "core" then Bench_core.run ~quick ();
+  (* scale and overload are opt-in (not part of "all"): the default
+     scale run is an 11k-router, 1M-user sweep, overload a 10-point
+     flood sweep over the same hierarchy. *)
+  if List.mem "scale" selected then Bench_scale.run ~quick ?shards ();
+  if List.mem "overload" selected then Bench_overload.run ~quick ();
   Format.printf "@.done.@."
+
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let trace_format =
+  let parse s =
+    match Sim.Trace.format_of_string s with
+    | Some fmt -> Ok fmt
+    | None -> Error (`Msg (Printf.sprintf "expected jsonl, csv or binary, got %S" s))
+  in
+  Arg.conv (parse, fun ppf fmt -> Format.pp_print_string ppf (Sim.Trace.format_to_string fmt))
+
+let () =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let opt kind default name docv doc = Arg.(value & opt kind default & info [ name ] ~docv ~doc) in
+  let term =
+    Term.(
+      const run
+      $ Arg.(
+          value
+          & pos_all (enum (List.map (fun f -> (f, f)) families)) []
+          & info [] ~docv:"FAMILY" ~doc:"Families to run (default $(b,all)).")
+      $ flag "full" "Paper scale."
+      $ flag "fast" "Smoke scale."
+      $ flag "quick" "Smoke variant of $(b,core), $(b,scale) and $(b,overload)."
+      $ opt (Arg.some positive) None "jobs" "N" "Sim.Parallel domain-pool size."
+      $ opt (Arg.some positive) None "shards" "K" "Shard-count sweep up to $(docv) for $(b,scale)."
+      $ opt Arg.(some string) None "trace" "FILE" "Record the fig3 campaigns' event traces."
+      $ opt trace_format Sim.Trace.Jsonl "trace-format" "FMT" "$(b,jsonl), $(b,csv) or $(b,binary).")
+  in
+  exit (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc:"Reproduce the paper's evaluation.") term))

@@ -50,3 +50,33 @@ val result_to_json : result -> string
 
 val pp_result : Format.formatter -> result -> unit
 (** Human-oriented one-line rendering for terminal output. *)
+
+(** {1 The bench ledger}
+
+    [BENCH_core.json] is one JSON object with one member, a {e section},
+    per writer ([core], [bench_scale], [overload]).  A writer merges its
+    own section and leaves every other section's text byte for byte.
+    File I/O stays with the caller. *)
+
+val section :
+  git_rev:string -> host_domains:int -> argv:string list -> (string * string) list -> string
+(** One section: a JSON object whose members are the run's provenance
+    — the commit, the host's domain count and the arguments — then
+    [fields], (member name, JSON value text) pairs, in order, one
+    member per line. *)
+
+val merge_section :
+  string option -> name:string -> string -> (string, string) Stdlib.result
+(** [merge_section ledger ~name section] is the ledger text with member
+    [name] set to [section]: replaced in place when present, appended
+    otherwise.  Every other member's value text is copied unchanged.
+    [None] (no file yet) starts a fresh ledger.  [Error "line L, column
+    C: ..."] when [ledger], or the merged result, is not one JSON
+    object. *)
+
+val git_rev : read:(string -> string option) -> string option
+(** The commit [HEAD] names, resolved as [git rev-parse HEAD] resolves a
+    detached HEAD, a loose ref and a ref found only in [packed-refs]
+    (symbolic refs are followed up to five levels).  [read path] returns
+    the contents of [path] relative to the git directory, or [None].
+    [None] when no 40-hex commit is reached. *)
