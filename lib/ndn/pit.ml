@@ -307,8 +307,6 @@ let satisfy_timed t name =
     List.iter (remove_slot t) matched;
     (faces, Some oldest)
 
-let satisfy t name = fst (satisfy_timed t name)
-
 let take t name =
   let s = Name_index.find t.index name in
   if s < 0 then []

@@ -73,20 +73,18 @@ val insert : t -> now:float -> face:int -> nonce:int64 -> Name.t -> insert_resul
     engine clock) — the expiry index relies on insertion order being
     expiry order. *)
 
-val satisfy : t -> Name.t -> int list
+val satisfy_timed : t -> Name.t -> int list * float option
 (** Faces awaiting an arriving Data packet with the given name — the
     union over every pending name that is a prefix of it — removing
-    those entries.  Order: registration order, duplicates removed. *)
-
-val satisfy_timed : t -> Name.t -> int list * float option
-(** Like {!satisfy} but also returns the creation time of the oldest
-    satisfied entry — the forwarder uses [now - created] as the
-    measured fetch delay feeding the content-specific-delay
+    those entries, with the creation time of the oldest satisfied
+    entry ([None] when nothing matched).  Face order: registration
+    order, duplicates removed.  The forwarder uses [now - created] as
+    the measured fetch delay feeding the content-specific-delay
     countermeasure. *)
 
 val take : t -> Name.t -> int list
 (** Remove the exact-name entry, returning its faces (registration
-    order, duplicates removed; [[]] if none).  Unlike {!satisfy} this
+    order, duplicates removed; [[]] if none).  Unlike {!satisfy_timed} this
     touches no other entry — the NACK path consumes exactly the entry
     being refused, so an unrelated pending prefix keeps waiting. *)
 

@@ -3,10 +3,12 @@
     Used for content-object signatures and as the compression function
     behind {!Hmac}, which in turn drives the unpredictable-name
     countermeasure of the paper (Section V-A).  Signing is a large share
-    of a simulated LAN attack, so the kernel loads big-endian words,
-    computes each Σ/σ group as shifts of one doubled word under a single
-    mask, and pads in place without allocating.  Not constant-time:
-    never use it against real adversaries. *)
+    of a simulated LAN attack, so the kernel runs the message schedule
+    and the 64 rounds on unboxed [int64] locals (no tag bit to restore
+    after a shift or logical op, nothing allocated per block), computes
+    each Σ/σ group as three shifts of one doubled word, masks only the
+    words that are rotated again, and pads in place without allocating.
+    Not constant-time: never use it against real adversaries. *)
 
 type ctx
 (** Streaming hash context. *)

@@ -182,14 +182,6 @@ let events t =
   | None -> [||]
   | Some buf -> Array.sub buf 0 t.len
 
-let clear t =
-  (* No-op on [disabled], which must never be written (it is shared
-     across domains). *)
-  if t.on then begin
-    t.len <- 0;
-    match t.buf with None -> () | Some _ -> t.buf <- Some [||]
-  end
-
 let iter t f =
   match t.buf with
   | None -> ()

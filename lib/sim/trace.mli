@@ -134,9 +134,6 @@ val events : t -> event array
 
 val length : t -> int
 
-val clear : t -> unit
-(** Drop buffered events (sinks stay subscribed). *)
-
 val iter : t -> (event -> unit) -> unit
 
 val merge_into : into:t -> t -> unit

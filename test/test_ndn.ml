@@ -894,9 +894,11 @@ let test_pit_satisfy () =
   let pit = Pit.create () in
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a"));
   ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:2L (name "/a"));
-  Alcotest.(check (list int)) "both faces" [ 1; 2 ] (Pit.satisfy pit (name "/a"));
+  Alcotest.(check (list int)) "both faces" [ 1; 2 ]
+    (fst (Pit.satisfy_timed pit (name "/a")));
   Alcotest.(check bool) "entry flushed" false (Pit.pending pit (name "/a"));
-  Alcotest.(check (list int)) "second satisfy empty" [] (Pit.satisfy pit (name "/a"))
+  Alcotest.(check (list int)) "second satisfy empty" []
+    (fst (Pit.satisfy_timed pit (name "/a")))
 
 let test_pit_satisfy_by_extension () =
   (* Data named /a/b/c satisfies pending interests for /a/b and /a/b/c. *)
@@ -904,7 +906,7 @@ let test_pit_satisfy_by_extension () =
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a/b"));
   ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:2L (name "/a/b/c"));
   ignore (Pit.insert pit ~now:0. ~face:3 ~nonce:3L (name "/a/x"));
-  let faces = Pit.satisfy pit (name "/a/b/c") in
+  let faces = fst (Pit.satisfy_timed pit (name "/a/b/c")) in
   Alcotest.(check (list int)) "prefix entries satisfied" [ 1; 2 ] faces;
   Alcotest.(check bool) "unrelated survives" true (Pit.pending pit (name "/a/x"))
 
@@ -912,7 +914,8 @@ let test_pit_satisfy_dedups_faces () =
   let pit = Pit.create () in
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a"));
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:2L (name "/a/b"));
-  Alcotest.(check (list int)) "face listed once" [ 1 ] (Pit.satisfy pit (name "/a/b"));
+  Alcotest.(check (list int)) "face listed once" [ 1 ]
+    (fst (Pit.satisfy_timed pit (name "/a/b")));
   (* Registration order across entries, shortest name first, each face
      at its first arrival; a retransmission does not move its face. *)
   ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:3L (name "/a"));
@@ -921,7 +924,7 @@ let test_pit_satisfy_dedups_faces () =
   ignore (Pit.insert pit ~now:0. ~face:3 ~nonce:6L (name "/a/b"));
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:7L (name "/a/b"));
   Alcotest.(check (list int)) "faces in registration order" [ 2; 1; 3 ]
-    (Pit.satisfy pit (name "/a/b"))
+    (fst (Pit.satisfy_timed pit (name "/a/b")))
 
 let test_pit_satisfy_timed () =
   let pit = Pit.create () in
@@ -1598,7 +1601,7 @@ let qcheck_tests =
           inserts;
         List.for_all
           (fun (n, _) ->
-            ignore (Pit.satisfy pit n);
+            ignore (Pit.satisfy_timed pit n);
             not (Pit.pending pit n))
           inserts);
   ]

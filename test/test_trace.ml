@@ -121,7 +121,6 @@ let test_disabled_is_inert () =
   Alcotest.(check bool) "not enabled" false (Sim.Trace.enabled d);
   Sim.Trace.emit d (ev ());
   Alcotest.(check int) "emit buffers nothing" 0 (Sim.Trace.length d);
-  Sim.Trace.clear d;
   Alcotest.check_raises "subscribe raises"
     (Invalid_argument "Trace.subscribe: tracer is disabled") (fun () ->
       Sim.Trace.subscribe d ignore)
@@ -135,8 +134,7 @@ let test_buffering_order () =
   let times = Array.map (fun e -> e.Sim.Trace.time) (Sim.Trace.events t) in
   Alcotest.(check bool) "emission order kept" true
     (times = Array.init 100 float_of_int);
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Sim.Trace.length t)
+  Alcotest.(check int) "fresh tracer is empty" 0 (Sim.Trace.length (Sim.Trace.create ()))
 
 let test_sink_streams () =
   let seen = ref 0 in
