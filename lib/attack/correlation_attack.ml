@@ -6,9 +6,8 @@ type result = {
 
 let related_name i = Ndn.Name.of_string (Printf.sprintf "/site/album/photo-%d" i)
 
-let run ~grouping ~kdist ~related_contents ~prior_requests ?(trials = 400)
-    ?(seed = 23) () =
-  let rng = Sim.Rng.create seed in
+let run ~grouping ~kdist ~related_contents ~prior_requests ?(trials = 400) () =
+  let rng = Sim.Rng.create 23 in
   let registry = Ndn.Name.Tbl.create 16 in
   (* All related contents belong to one producer-declared group for
      the By_content_id case. *)

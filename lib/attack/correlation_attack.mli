@@ -24,7 +24,6 @@ val run :
   related_contents:int ->
   prior_requests:int ->
   ?trials:int ->
-  ?seed:int ->
   unit ->
   result
 (** Per trial: a fresh Random-Cache instance keyed by [grouping]; with

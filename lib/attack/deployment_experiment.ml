@@ -38,7 +38,8 @@ let make_setup placement ~seed =
 let fetch setup ~from name =
   Ndn.Network.fetch_rtt setup.Ndn.Network.ecnet ~from name
 
-let run placement ?(trials = 40) ?(seed = 17) () =
+let run placement ?(trials = 40) () =
+  let seed = 17 in
   let hit_samples = ref [] and miss_samples = ref [] in
   let remote_hits = Sim.Stats.create () and remote_misses = Sim.Stats.create () in
   for trial = 0 to trials - 1 do

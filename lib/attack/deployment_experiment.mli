@@ -19,8 +19,6 @@
 
 type placement = No_defence | Edge_only | Core_only | Everywhere
 
-val placement_label : placement -> string
-
 val all_placements : placement list
 
 type result = {
@@ -35,7 +33,7 @@ type result = {
       (** Same consumer fetching cold content (baseline). *)
 }
 
-val run : placement -> ?trials:int -> ?seed:int -> unit -> result
+val run : placement -> ?trials:int -> unit -> result
 (** [trials] (default 40) independent contents per measurement. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -77,9 +77,8 @@ let split fraction arr =
   let k = max 1 (min (n - 1) (int_of_float (fraction *. float_of_int n))) in
   (Array.sub arr 0 k, Array.sub arr k (n - k))
 
-let success_rate ?(train_fraction = 0.5) ?bins ~hit_samples ~miss_samples () =
-  ignore bins;
-  let h_train, h_test = split train_fraction hit_samples in
-  let m_train, m_test = split train_fraction miss_samples in
+let success_rate ~hit_samples ~miss_samples () =
+  let h_train, h_test = split 0.5 hit_samples in
+  let m_train, m_test = split 0.5 miss_samples in
   let t = train ~hit_samples:h_train ~miss_samples:m_train in
   evaluate t ~hit_samples:h_test ~miss_samples:m_test

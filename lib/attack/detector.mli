@@ -31,13 +31,6 @@ val evaluate : t -> hit_samples:float array -> miss_samples:float array -> float
     cache". *)
 
 val success_rate :
-  ?train_fraction:float ->
-  ?bins:int ->
-  hit_samples:float array ->
-  miss_samples:float array ->
-  unit ->
-  float
-(** One-call experiment: split each sample set (first
-    [train_fraction], default 0.5, for training), train, and report
-    held-out balanced accuracy.  [bins] is accepted for API stability
-    but unused by the threshold classifier. *)
+  hit_samples:float array -> miss_samples:float array -> unit -> float
+(** One-call experiment: split each sample set (first half for
+    training), train, and report held-out balanced accuracy. *)

@@ -15,13 +15,12 @@ let scope_probe_hit (setup : Ndn.Network.conversation_setup) name =
   | Some _ -> true
   | None -> false
 
-let probe_conversation (setup : Ndn.Network.conversation_setup) ?(max_seq = 32)
-    () =
+let probe_conversation (setup : Ndn.Network.conversation_setup) () =
   (* Predictable frame names: prefix/<seq>. The adversary sweeps recent
      sequence numbers on both sides. *)
   let side_active prefix =
     let rec go seq =
-      if seq >= max_seq then false
+      if seq >= 32 then false
       else if scope_probe_hit setup (Ndn.Name.append prefix (string_of_int seq))
       then true
       else go (seq + 1)

@@ -22,12 +22,9 @@ type result = {
 }
 
 val probe_conversation :
-  Ndn.Network.conversation_setup ->
-  ?max_seq:int ->
-  unit ->
-  verdict
+  Ndn.Network.conversation_setup -> unit -> verdict
 (** One campaign against a (possibly silent) conversation topology:
-    probe sequence numbers [0 .. max_seq) (default 32) under both
+    probe sequence numbers [0 .. 32) under both
     parties' predictable namespaces with scope-2 interests and declare
     {!Talking} iff both sides show a cached frame. *)
 

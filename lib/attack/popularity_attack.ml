@@ -19,9 +19,9 @@ let default_probes kdist =
   | Core.Kdist.Weighted pairs ->
     2 + List.fold_left (fun acc (k, _) -> max acc k) 0 pairs
 
-let run ~kdist ~true_count ~max_count ?probes ?(trials = 500) ?(seed = 5) () =
-  let probes = Option.value probes ~default:(default_probes kdist) in
-  let rng = Sim.Rng.create seed in
+let run ~kdist ~true_count ~max_count ?(trials = 500) () =
+  let probes = default_probes kdist in
+  let rng = Sim.Rng.create 5 in
   let name = Ndn.Name.of_string "/victim/content" in
   let exact = ref 0 and abs_err = ref 0 and entropy_acc = ref 0. in
   for _ = 1 to trials do

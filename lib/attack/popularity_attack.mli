@@ -16,27 +16,16 @@ type result = {
       (** Residual uncertainty after the attack. *)
 }
 
-val estimate :
-  kdist:Core.Kdist.t ->
-  max_count:int ->
-  probes:int ->
-  observed_misses:int ->
-  int Privacy.Dist.t
-(** Posterior over the hidden prior-request count (uniform prior on
-    [0..max_count]) given the adversary's transcript. *)
-
 val run :
   kdist:Core.Kdist.t ->
   true_count:int ->
   max_count:int ->
-  ?probes:int ->
   ?trials:int ->
-  ?seed:int ->
   unit ->
   result
 (** Monte-Carlo: per trial, a fresh Random-Cache instance receives
-    [true_count] honest requests; the adversary probes [probes] times
-    (default: enough to saturate), computes the posterior, and answers
+    [true_count] honest requests; the adversary probes enough times to
+    saturate the threshold, computes the posterior, and answers
     its MAP estimate. *)
 
 val information_leak_bits :

@@ -1,7 +1,7 @@
 open Ndn
 
-let measure (setup : Network.probe_setup) ~from ?scope ?consumer_private name =
-  Network.fetch_rtt setup.Network.net ~from ?scope ?consumer_private name
+let measure (setup : Network.probe_setup) ~from name =
+  Network.fetch_rtt setup.Network.net ~from name
 
 let warm (setup : Network.probe_setup) name =
   ignore (measure setup ~from:setup.Network.user name)
@@ -13,12 +13,10 @@ let baseline_hit_rtt (setup : Network.probe_setup) name =
 
 type decision = Was_cached | Not_cached
 
-let two_probe_decision (setup : Network.probe_setup) ~target ~reference
-    ?margin_ms () =
+let two_probe_decision (setup : Network.probe_setup) ~target ~reference () =
   let d1 = measure setup ~from:setup.Network.adversary target in
   let d2 = baseline_hit_rtt setup reference in
   match (d1, d2) with
   | Some d1, Some d2 ->
-    let margin = Option.value margin_ms ~default:(0.25 *. d2) in
-    Some (if d1 <= d2 +. margin then Was_cached else Not_cached)
+    Some (if d1 <= d2 +. (0.25 *. d2) then Was_cached else Not_cached)
   | _ -> None

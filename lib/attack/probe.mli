@@ -3,8 +3,6 @@
 val measure :
   Ndn.Network.probe_setup ->
   from:Ndn.Node.t ->
-  ?scope:int ->
-  ?consumer_private:bool ->
   Ndn.Name.t ->
   float option
 (** One probe: express an interest, run the simulation to completion,
@@ -25,11 +23,10 @@ val two_probe_decision :
   Ndn.Network.probe_setup ->
   target:Ndn.Name.t ->
   reference:Ndn.Name.t ->
-  ?margin_ms:float ->
   unit ->
   decision option
 (** The full online attack: measure d1 for the target, establish the d2
     cache-hit baseline with a throwaway reference content, and decide
-    [Was_cached] iff [d1 <= d2 + margin] (default margin 25% of d2).
+    [Was_cached] iff [d1 <= d2 + margin], the margin being 25% of d2.
     [None] if any probe times out.  Note this consumes the target: the
     probe itself caches it at R. *)

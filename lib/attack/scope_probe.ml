@@ -1,9 +1,9 @@
 type verdict = Cached | Not_cached
 
-let probe (setup : Ndn.Network.probe_setup) ?(timeout_ms = 500.) name =
+let probe (setup : Ndn.Network.probe_setup) name =
   match
     Ndn.Network.fetch_rtt setup.Ndn.Network.net
-      ~from:setup.Ndn.Network.adversary ~scope:2 ~timeout_ms name
+      ~from:setup.Ndn.Network.adversary ~scope:2 ~timeout_ms:500. name
   with
   | Some _ -> Cached
   | None -> Not_cached

@@ -10,9 +10,8 @@ type verdict =
   | Cached  (** Content returned: it was in the first-hop cache. *)
   | Not_cached  (** Timeout: not in the first-hop cache (or dropped). *)
 
-val probe :
-  Ndn.Network.probe_setup -> ?timeout_ms:float -> Ndn.Name.t -> verdict
-(** Issue a scope-2 interest from the adversary and wait it out.
+val probe : Ndn.Network.probe_setup -> Ndn.Name.t -> verdict
+(** Issue a scope-2 interest from the adversary and wait it out (500 ms).
     Deterministic — no distinguisher involved. *)
 
 val census :

@@ -15,7 +15,8 @@ type result = {
 let segment_name ~trial ~kind ~seg =
   Ndn.Name.of_string (Printf.sprintf "/prod/seg%d/%s/%d" trial kind seg)
 
-let run ~make_setup ~segments ?(trials = 60) ?(seed = 11) () =
+let run ~make_setup ~segments ?(trials = 60) () =
+  let seed = 11 in
   (* Phase 1: train the per-segment detector on reference content in a
      dedicated setup. *)
   let train_setup = make_setup ~seed in

@@ -24,7 +24,6 @@ val run :
   make_setup:(seed:int -> Ndn.Network.probe_setup) ->
   segments:int ->
   ?trials:int ->
-  ?seed:int ->
   unit ->
   result
 (** Empirical check in a live topology: per trial, a multi-segment

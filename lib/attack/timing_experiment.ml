@@ -118,8 +118,8 @@ let default_interval ~faults ~contents =
   in
   Float.max 50. ((horizon +. 1000.) /. float_of_int (max 1 contents))
 
-let collect ?jobs ?(shards = 1) ?(trace = false) ?(faults = [])
-    ?probe_interval_ms ?probe_lag_ms ~make_setup ~contents ~runs ~seed () =
+let collect ?jobs ?(shards = 1) ?(trace = false) ~faults ~make_setup
+    ~contents ~runs ~seed () =
   (* Per-run sample lists (and trace buffers) are concatenated in run
      order, so the merged arrays — and the exported trace bytes — are
      identical to a sequential (jobs = 1) campaign. *)
@@ -138,16 +138,9 @@ let collect ?jobs ?(shards = 1) ?(trace = false) ?(faults = [])
   let runner =
     if faults = [] then collect_run ~make_setup ~contents ~seed ~trace
     else
-      let interval =
-        match probe_interval_ms with
-        | Some i -> i
-        | None -> default_interval ~faults ~contents
-      in
-      let lag =
-        match probe_lag_ms with Some l -> l | None -> interval /. 2.
-      in
+      let interval = default_interval ~faults ~contents in
       collect_run_faulted ~make_setup ~contents ~seed ~trace ~faults ~interval
-        ~lag
+        ~lag:(interval /. 2.)
   in
   let per_run = Sim.Parallel.map ~jobs runs runner in
   let warm_obs =
@@ -258,12 +251,9 @@ let summarize ~bins ~faults (warm_obs, cold_obs, trace) =
   }
 
 let run ~make_setup ?(contents = 100) ?(runs = 10) ?(seed = 7) ?(bins = 40)
-    ?jobs ?shards ?trace ?(faults = []) ?probe_interval_ms ?probe_lag_ms () =
+    ?jobs ?shards ?trace ?(faults = []) () =
   summarize ~bins ~faults
-    (collect ?jobs ?shards ?trace ~faults ?probe_interval_ms ?probe_lag_ms
-       ~make_setup ~contents ~runs ~seed ())
-
-let run_producer_privacy = run
+    (collect ?jobs ?shards ?trace ~faults ~make_setup ~contents ~runs ~seed ())
 
 let false_negative_rate r =
   (* Warm-probe-weighted average of the per-phase rates; [nan] when the

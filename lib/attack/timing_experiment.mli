@@ -46,8 +46,6 @@ val run :
   ?shards:int ->
   ?trace:bool ->
   ?faults:Sim.Fault.schedule ->
-  ?probe_interval_ms:float ->
-  ?probe_lag_ms:float ->
   unit ->
   result
 (** Reproduce the paper's procedure: per run (fresh caches), the
@@ -55,6 +53,9 @@ val run :
     the "warm" half, and the adversary then probes warm names (hit
     samples) and never-requested names (miss samples).  Defaults:
     [contents = 100] per run, [runs = 10], 40 histogram [bins].
+    Figure 3(c) uses the same mechanics with a different reading:
+    "hit" means {e some consumer} recently requested the content (it
+    sits in R's cache), "miss" means only the producer has it.
 
     Runs execute on [jobs] domains via {!Sim.Parallel} — run [r] is a
     pure function of [seed + r] and per-run samples are concatenated in
@@ -79,35 +80,15 @@ val run :
     [faults] (default empty — byte-identical to the unfaulted
     procedure) installs the schedule into every run's fresh network and
     paces the warm/probe/probe triples across the fault horizon, one
-    triple every [probe_interval_ms] (default: the horizon plus a tail,
-    divided by [contents], floored at 50 ms), so probes sample every
-    network regime; [result.phases] then reports per-phase
-    separability.  Within each triple the adversary probes
-    [probe_lag_ms] (default: half the interval) after the user's fetch
+    triple every interval (the horizon plus a tail, divided by
+    [contents], floored at 50 ms), so probes sample every network
+    regime; [result.phases] then reports per-phase separability.
+    Within each triple the adversary probes half an interval after the
+    user's fetch
     — the adversary cannot observe the fetch, so a router reboot inside
     that window flushes the cache and produces a false negative.
     @raise Invalid_argument if the schedule names unknown nodes or
     links. *)
-
-val run_producer_privacy :
-  make_setup:(seed:int -> tracer:Sim.Trace.t -> Ndn.Network.probe_setup) ->
-  ?contents:int ->
-  ?runs:int ->
-  ?seed:int ->
-  ?bins:int ->
-  ?jobs:int ->
-  ?shards:int ->
-  ?trace:bool ->
-  ?faults:Sim.Fault.schedule ->
-  ?probe_interval_ms:float ->
-  ?probe_lag_ms:float ->
-  unit ->
-  result
-(** Variant for Figure 3(c): "hit" means {e some consumer} recently
-    requested the content (it sits in R's cache), "miss" means only
-    the producer has it.  Identical mechanics, different
-    interpretation; kept separate so call sites document which claim
-    they reproduce. *)
 
 val false_negative_rate : result -> float
 (** Warm-probe-weighted average of the per-phase false-negative rates;

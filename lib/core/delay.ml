@@ -15,10 +15,3 @@ let miss_padding t ~actual_delay =
   match t with
   | Constant gamma -> Float.max 0. (gamma -. actual_delay)
   | Content_specific | Dynamic _ -> 0.
-
-let pp ppf = function
-  | Constant gamma -> Format.fprintf ppf "constant(%.1fms)" gamma
-  | Content_specific -> Format.pp_print_string ppf "content-specific"
-  | Dynamic { floor; half_life_requests } ->
-    Format.fprintf ppf "dynamic(floor=%.1fms, half-life=%.0f reqs)" floor
-      half_life_requests

@@ -32,5 +32,3 @@ val miss_padding : t -> actual_delay:float -> float
     downstream, so the total matches the policy's target ([0] for
     content-specific and dynamic policies, whose target equals the
     actual delay). *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,8 +14,3 @@ let register_id ~registry ~name ~id =
      collide with real content names. *)
   Ndn.Name.Tbl.replace registry name
     (Ndn.Name.of_components [ "__content-id"; id ])
-
-let pp ppf = function
-  | By_content -> Format.pp_print_string ppf "by-content"
-  | By_namespace d -> Format.fprintf ppf "by-namespace(%d)" d
-  | By_content_id -> Format.pp_print_string ppf "by-content-id"

@@ -29,5 +29,3 @@ val key : t -> registry:Ndn.Name.t Ndn.Name.Tbl.t -> Ndn.Name.t -> Ndn.Name.t
 val register_id : registry:Ndn.Name.t Ndn.Name.Tbl.t -> name:Ndn.Name.t -> id:string -> unit
 (** Record that [name] belongs to the producer-declared group [id]
     (the "content id field" extension the paper sketches). *)
-
-val pp : Format.formatter -> t -> unit

@@ -22,7 +22,9 @@ let name_of endpoint ~seq =
   | Some session -> Unpredictable_names.name_of_seq session ~seq
   | None -> Ndn.Name.append endpoint.prefix (string_of_int seq)
 
-let install_producer ~freshness_ms endpoint =
+let freshness_ms = 30_000.
+
+let install_producer endpoint =
   let label = Ndn.Node.label endpoint.node in
   Ndn.Node.add_producer endpoint.node ~prefix:endpoint.prefix
     ~production_delay_ms:0.05 (fun interest ->
@@ -50,8 +52,7 @@ let install_producer ~freshness_ms endpoint =
                ~payload:(payload seq) name)
         | Some _ | None -> None))
 
-let start (setup : Ndn.Network.conversation_setup) ~naming ~frames
-    ?(interval_ms = 20.) ?(freshness_ms = 30_000.) () =
+let start (setup : Ndn.Network.conversation_setup) ~naming ~frames () =
   let make_endpoint node prefix key who =
     let session =
       match naming with
@@ -72,8 +73,8 @@ let start (setup : Ndn.Network.conversation_setup) ~naming ~frames
     make_endpoint setup.Ndn.Network.bob setup.Ndn.Network.bob_prefix
       setup.Ndn.Network.bob_key "bob"
   in
-  install_producer ~freshness_ms a;
-  install_producer ~freshness_ms b;
+  install_producer a;
+  install_producer b;
   (* Schedule the cadence: at tick i, each side pulls the peer's frame
      i, as an event keyed on its own node.  A real client would
      retransmit on loss; links here are lossless so a single expression
@@ -87,7 +88,7 @@ let start (setup : Ndn.Network.conversation_setup) ~naming ~frames
           (name_of peer ~seq))
   in
   for seq = 0 to frames - 1 do
-    let at = float_of_int (seq + 1) *. interval_ms in
+    let at = float_of_int (seq + 1) *. 20. in
     pull a b ~seq ~at;
     pull b a ~seq ~at
   done;

@@ -18,12 +18,10 @@ val start :
   Ndn.Network.conversation_setup ->
   naming:naming ->
   frames:int ->
-  ?interval_ms:float ->
-  ?freshness_ms:float ->
   unit ->
   t
 (** Wire producers on both endpoints and schedule the exchange: every
-    [interval_ms] (default 20 ms — a voice frame cadence) Alice
+    20 ms (a voice frame cadence) Alice
     requests Bob's next frame and vice versa, [frames] times each.
     Each side's requests are events keyed on its own node
     ({!Ndn.Node.schedule_app_at}), so the call plays out identically at

@@ -26,5 +26,3 @@ let classify t ~name ~producer_private ~consumer_private =
 let is_triggered t name = Ndn.Name.Tbl.mem t.triggered name
 
 let on_evicted t name = Ndn.Name.Tbl.remove t.triggered name
-
-let reset t = Ndn.Name.Tbl.reset t.triggered

@@ -31,10 +31,6 @@ val classify :
 (** Apply the combination rules to one interest hitting cached content,
     updating trigger state. *)
 
-val reserved_component : string
-(** ["private"] — the reserved name component of the producer-driven
-    naming convention. *)
-
 val name_marked_private : Ndn.Name.t -> bool
 (** Does the name carry the reserved ["private"] component as its last
     component? *)
@@ -46,5 +42,3 @@ val on_evicted : t -> Ndn.Name.t -> unit
 (** Forget trigger state when the object leaves the cache: the
     non-private status only holds "as long as it remains in R's
     cache". *)
-
-val reset : t -> unit

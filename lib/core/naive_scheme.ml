@@ -14,8 +14,3 @@ let on_request t key =
   | Some c ->
     incr c;
     if !c <= t.k then Random_cache.Miss else Random_cache.Hit
-
-let request_count t key =
-  match Ndn.Name.Tbl.find_opt t.counts key with None -> 0 | Some c -> !c
-
-let reset t = Ndn.Name.Tbl.reset t.counts

@@ -19,7 +19,3 @@ val on_request : t -> Ndn.Name.t -> Random_cache.output
 (** Deterministic threshold test: request number [c] (1-based) is a
     miss iff [c <= k] — with the same first-request bookkeeping as
     Algorithm 1. *)
-
-val request_count : t -> Ndn.Name.t -> int
-
-val reset : t -> unit

@@ -15,8 +15,6 @@ let create ?(grouping = Grouping.By_content) ~rng kind =
   in
   { kind; grouping; registry = Ndn.Name.Tbl.create 64; algorithm }
 
-let kind t = t.kind
-
 let label t =
   match t.kind with
   | No_privacy -> "No Privacy"
@@ -43,7 +41,3 @@ let on_request t ~name ~is_private ~cached =
       let output = Random_cache.on_request algorithm key in
       if cached then output else Random_cache.Miss
     end
-
-let reset t =
-  Ndn.Name.Tbl.reset t.registry;
-  match t.algorithm with Some a -> Random_cache.reset a | None -> ()

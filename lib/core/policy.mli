@@ -27,8 +27,6 @@ val create : ?grouping:Grouping.t -> rng:Sim.Rng.t -> kind -> t
 (** [grouping] (default {!Grouping.By_content}) keys Algorithm 1 state
     by content group to resist correlation attacks. *)
 
-val kind : t -> kind
-
 val label : t -> string
 (** Display name matching the paper's legend, e.g.
     ["Uniform-Random-Cache"]. *)
@@ -39,5 +37,3 @@ val on_request :
     are always observable misses — "CM can hide cache hits but cannot
     hide cache misses" (Section IV); Algorithm-1 counters still advance
     on them. *)
-
-val reset : t -> unit

@@ -18,7 +18,6 @@ type internal_stats = {
 }
 
 type t = {
-  node : Ndn.Node.t;
   cm : countermeasure;
   marking : Marking.t;
   fetch_delays : float Ndn.Name.Tbl.t;
@@ -29,12 +28,6 @@ type t = {
   s : internal_stats;
 }
 
-let node t = t.node
-let countermeasure t = t.cm
-let marking t = t.marking
-
-let fetch_delay t name = Ndn.Name.Tbl.find_opt t.fetch_delays name
-
 let stats t : stats =
   {
     public_hits = t.s.public_hits;
@@ -42,11 +35,6 @@ let stats t : stats =
     private_hits_hidden = t.s.private_hits_hidden;
     misses_padded = t.s.misses_padded;
   }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "public_hits=%d private_served=%d private_hidden=%d misses_padded=%d"
-    s.public_hits s.private_hits_served s.private_hits_hidden s.misses_padded
 
 (* Fallback when a hit arrives for content whose fetch we never
    observed (e.g. pre-seeded caches): a conservative, clearly
@@ -169,7 +157,6 @@ let attach ?tracer node ~rng cm =
   in
   let t =
     {
-      node;
       cm;
       marking = Marking.create ();
       fetch_delays = Ndn.Name.Tbl.create 256;

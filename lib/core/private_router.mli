@@ -41,16 +41,4 @@ val attach :
     interest for a hidden hit takes the true miss path, so it dies at
     the scope boundary exactly as if the content were absent. *)
 
-val node : t -> Ndn.Node.t
-
-val countermeasure : t -> countermeasure
-
 val stats : t -> stats
-
-val marking : t -> Marking.t
-(** The router's marking/trigger state (exposed for tests). *)
-
-val fetch_delay : t -> Ndn.Name.t -> float option
-(** The recorded γ_C for a name, if the router fetched it. *)
-
-val pp_stats : Format.formatter -> stats -> unit

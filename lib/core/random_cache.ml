@@ -15,8 +15,6 @@ let create ?(tracer = Sim.Trace.disabled) ?(label = "")
     ?(clock = fun () -> 0.) ~kdist ~rng () =
   { kdist; rng; table = Ndn.Name.Tbl.create 256; tracer; label; clock }
 
-let kdist t = t.kdist
-
 let trace t kind key attrs =
   if Sim.Trace.enabled t.tracer then
     Sim.Trace.emit t.tracer
@@ -63,8 +61,6 @@ let threshold t key =
 let tracked t = Ndn.Name.Tbl.length t.table
 
 let forget t key = Ndn.Name.Tbl.remove t.table key
-
-let reset t = Ndn.Name.Tbl.reset t.table
 
 let pp_output ppf = function
   | Hit -> Format.pp_print_string ppf "hit"

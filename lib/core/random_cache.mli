@@ -26,8 +26,6 @@ val create :
     [clock] (typically the simulation engine's clock; defaults to a
     constant [0.]). *)
 
-val kdist : t -> Kdist.t
-
 val on_request : t -> Ndn.Name.t -> output
 (** Process one request for a content key and return the observable
     outcome per Algorithm 1.  The first request for a key draws its
@@ -48,8 +46,6 @@ val tracked : t -> int
 val forget : t -> Ndn.Name.t -> unit
 (** Drop a key's state entirely: its next request re-enters Algorithm 1
     from scratch with a fresh threshold. *)
-
-val reset : t -> unit
 
 val pp_output : Format.formatter -> output -> unit
 

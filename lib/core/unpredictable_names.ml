@@ -8,8 +8,6 @@ let guess_space_bits = rand_hex_len * 4
 
 let create ~secret ~prefix = { secret; prefix }
 
-let prefix t = t.prefix
-
 let rand_component t ~seq =
   if seq < 0 then invalid_arg "Unpredictable_names: negative seq";
   let msg = Ndn.Name.to_string t.prefix ^ "|" ^ string_of_int seq in

@@ -16,17 +16,12 @@ val create : secret:string -> prefix:Ndn.Name.t -> session
 (** A session between parties sharing [secret], exchanging content
     under [prefix] (e.g. ["/alice/skype/0"]). *)
 
-val prefix : session -> Ndn.Name.t
-
 val name_of_seq : session -> seq:int -> Ndn.Name.t
 (** The full content name of sequence number [seq]:
     [prefix / seq / rand] where
     [rand = HMAC(secret, prefix || seq)] (hex, truncated).  Both
     parties compute identical names; outsiders cannot.
     @raise Invalid_argument if [seq < 0]. *)
-
-val rand_component : session -> seq:int -> string
-(** Just the unpredictable component. *)
 
 val verify_name : session -> Ndn.Name.t -> int option
 (** If the name is a well-formed session name, return its sequence

@@ -168,13 +168,12 @@ let fetch node ?(max_retries = 3) ?estimator ?backoff ?consumer_private
   in
   attempt 1
 
-let fetch_sequence node ?max_retries ?backoff ?consumer_private ~names ~on_done
-    () =
+let fetch_sequence node ?max_retries ?backoff ~names ~on_done () =
   let estimator = Rtt_estimator.create () in
   let rec go acc = function
     | [] -> on_done (List.rev acc)
     | name :: rest ->
-      fetch node ?max_retries ~estimator ?backoff ?consumer_private
+      fetch node ?max_retries ~estimator ?backoff
         ~on_done:(fun outcome -> go (outcome :: acc) rest)
         name
   in

@@ -101,7 +101,6 @@ val fetch_sequence :
   Node.t ->
   ?max_retries:int ->
   ?backoff:backoff ->
-  ?consumer_private:bool ->
   names:Name.t list ->
   on_done:(outcome list -> unit) ->
   unit ->

@@ -443,8 +443,3 @@ let counters t =
     evictions = t.evictions;
     expirations = t.expirations;
   }
-
-let pp_counters ppf (c : counters) =
-  Format.fprintf ppf
-    "lookups=%d hits=%d misses=%d insertions=%d evictions=%d expirations=%d"
-    c.lookups c.hits c.misses c.insertions c.evictions c.expirations

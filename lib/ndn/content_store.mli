@@ -107,5 +107,3 @@ type counters = {
 }
 
 val counters : 'meta t -> counters
-
-val pp_counters : Format.formatter -> counters -> unit

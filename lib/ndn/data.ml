@@ -68,9 +68,3 @@ let is_fresh t ~age_ms =
   match t.freshness_ms with None -> true | Some f -> age_ms <= f
 
 let import t = { t with name = Name.import t.name }
-
-let pp ppf t =
-  Format.fprintf ppf "Data(%a by=%s%s%s %dB)" Name.pp t.name t.producer
-    (if t.producer_private then " private" else "")
-    (if t.strict_match then " strict" else "")
-    (String.length t.payload)

@@ -28,11 +28,6 @@ type t = private {
           uses short freshness because stale frames are useless. *)
 }
 
-val signed_bytes : name:Name.t -> payload:string -> producer:string ->
-  producer_private:bool -> strict_match:bool -> content_id:string option ->
-  string
-(** The canonical byte string covered by the signature. *)
-
 val create :
   ?producer_private:bool ->
   ?strict_match:bool ->
@@ -75,5 +70,3 @@ val import : t -> t
     ({!Name.import}) — applied to packets crossing shards in
     [Sim.Shard] mode.  Semantically the identity; the signature stays
     valid because no signed field changes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ let to_string = function
   | Lfu -> "lfu"
   | Random_replacement -> "random"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let of_string s =
   match String.lowercase_ascii s with
   | "lru" -> Some Lru

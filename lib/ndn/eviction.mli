@@ -10,8 +10,6 @@ type t =
   | Lfu  (** Evict the least frequently used entry (ties: oldest). *)
   | Random_replacement  (** Evict a uniformly random entry. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 val of_string : string -> t option

@@ -21,8 +21,4 @@ let next_hops t name =
 
 let next_hop t name = match next_hops t name with [] -> None | f :: _ -> Some f
 
-let routes t = List.map (fun (n, faces) -> (n, !faces)) (Name_trie.to_list t.trie)
-
 let size t = Name_trie.size t.trie
-
-let clear t = Name_trie.clear t.trie

@@ -22,10 +22,5 @@ val next_hops : t -> Name.t -> int list
 val next_hop : t -> Name.t -> int option
 (** First (preferred) element of {!next_hops}. *)
 
-val routes : t -> (Name.t * int list) list
-(** All announcements, name order. *)
-
 val size : t -> int
 (** Number of announced prefixes. *)
-
-val clear : t -> unit

@@ -11,18 +11,11 @@ let create ?scope ?(consumer_private = false) ~nonce name =
   | _ -> ());
   { name; nonce; scope; consumer_private }
 
-let with_scope t scope = { t with scope }
-
 let decrement_scope t =
   match t.scope with
   | None -> Some t
   | Some s when s <= 1 -> None
   | Some s -> Some { t with scope = Some (s - 1) }
-
-let pp ppf t =
-  Format.fprintf ppf "Interest(%a nonce=%Ld%s%s)" Name.pp t.name t.nonce
-    (match t.scope with Some s -> Printf.sprintf " scope=%d" s | None -> "")
-    (if t.consumer_private then " private" else "")
 
 let equal a b =
   Name.equal a.name b.name && Int64.equal a.nonce b.nonce && a.scope = b.scope

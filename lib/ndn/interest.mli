@@ -21,8 +21,6 @@ val create : ?scope:int -> ?consumer_private:bool -> nonce:int64 -> Name.t -> t
 (** @raise Invalid_argument if [scope < 1] (a scope of 1 would not even
     reach the local forwarder's peer). *)
 
-val with_scope : t -> int option -> t
-
 val decrement_scope : t -> t option
 (** Consume one hop of scope budget: [None] when the budget is
     exhausted and the interest must not be forwarded further;
@@ -33,7 +31,5 @@ val import : t -> t
     ({!Name.import}) — applied to packets crossing shards in
     [Sim.Shard] mode so equality fast paths keep firing on the
     receiving domain.  Semantically the identity. *)
-
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

@@ -4,20 +4,6 @@ type t = { name : Name.t; nonce : int64; reason : reason }
 
 let create ~nonce ~reason name = { name; nonce; reason }
 
-let reason_to_string = function
-  | Congested -> "congested"
-  | No_route -> "no_route"
-  | Pit_full -> "pit_full"
-  | Duplicate -> "duplicate"
-
-let reason_of_string s =
-  match String.lowercase_ascii s with
-  | "congested" -> Some Congested
-  | "no_route" -> Some No_route
-  | "pit_full" -> Some Pit_full
-  | "duplicate" -> Some Duplicate
-  | _ -> None
-
 (* One registered trace kind per reason — ndnlint rule T3 checks this
    mapping stays total against lib/sim/trace_kinds.txt. *)
 let trace_kind = function
@@ -25,10 +11,6 @@ let trace_kind = function
   | No_route -> Sim.Trace.Nack_no_route
   | Pit_full -> Sim.Trace.Nack_pit_full
   | Duplicate -> Sim.Trace.Nack_duplicate
-
-let pp ppf t =
-  Format.fprintf ppf "Nack(%a nonce=%Ld reason=%s)" Name.pp t.name t.nonce
-    (reason_to_string t.reason)
 
 let equal a b =
   Name.equal a.name b.name && Int64.equal a.nonce b.nonce && a.reason = b.reason

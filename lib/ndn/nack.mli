@@ -29,12 +29,6 @@ type t = private {
 
 val create : nonce:int64 -> reason:reason -> Name.t -> t
 
-val reason_to_string : reason -> string
-(** ["congested"], ["no_route"], ["pit_full"], ["duplicate"] — also
-    the suffixes of the registered [nack.*] trace kinds. *)
-
-val reason_of_string : string -> reason option
-
 val trace_kind : reason -> Sim.Trace.kind
 (** The registered [Sim.Trace] kind for this reason ([nack.congested],
     [nack.no_route], [nack.pit_full], [nack.duplicate]).  ndnlint rule
@@ -45,7 +39,5 @@ val import : t -> t
 (** Re-intern the name in the current domain's hash-cons table
     ({!Name.import}), for packets crossing shards.  Semantically the
     identity. *)
-
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

@@ -54,7 +54,6 @@ type t = {
   sh : Sim.Shard.t;
   mutable next_sid : int;
   rng : Sim.Rng.t;
-  tracer : Sim.Trace.t;
   mutable nodes_rev : (string * Node.t) list;  (* reverse creation order *)
   node_tbl : (string, Node.t) Hashtbl.t;
   mutable links_rev : link list;
@@ -70,7 +69,6 @@ let create ?(seed = 42) ?(tracer = Sim.Trace.disabled) ?(shards = 1) () =
     sh = Sim.Shard.create ~tracer ~shards ();
     next_sid = 0;
     rng = Sim.Rng.create seed;
-    tracer;
     nodes_rev = [];
     node_tbl = Hashtbl.create 64;
     links_rev = [];
@@ -79,11 +77,9 @@ let create ?(seed = 42) ?(tracer = Sim.Trace.disabled) ?(shards = 1) () =
 
 let engine t = Sim.Shard.engine t.sh 0
 let rng t = t.rng
-let tracer t = t.tracer
 let now t = Sim.Shard.now t.sh
 let nodes t = List.rev t.nodes_rev
 let node t label = Hashtbl.find_opt t.node_tbl label
-let shard_count t = Sim.Shard.shards t.sh
 
 let set_stall_watchdog t ?stall_ms ~clock_ms () =
   Sim.Shard.set_watchdog t.sh ?stall_ms ~clock_ms ()
@@ -326,10 +322,10 @@ let direction_label = function
   | Sim.Fault.Ba -> "ba"
   | Sim.Fault.Both -> "both"
 
-let set_link_state t ~a ~b ?(dir = Sim.Fault.Both) ~up () =
+let set_link_state t ~a ~b ~up () =
   Result.map
     (fun (link, flipped) ->
-      List.iter (fun d -> d.up <- up) (dirs_of link ~flipped dir))
+      List.iter (fun d -> d.up <- up) (dirs_of link ~flipped Sim.Fault.Both))
     (find_link t a b)
 
 let set_link_queue t ~a ~b ?(dir = Sim.Fault.Both) ~rate_mbps ~depth
@@ -511,9 +507,9 @@ let run ?until t = Sim.Shard.run ?until t.sh
 
 let events_processed t = Sim.Shard.events_processed t.sh
 
-let fetch_rtt t ~from ?scope ?consumer_private ?timeout_ms name =
+let fetch_rtt t ~from ?scope ?timeout_ms name =
   let result = ref None in
-  Node.express_interest from ?scope ?consumer_private ?timeout_ms
+  Node.express_interest from ?scope ?timeout_ms
     ~on_data:(fun ~rtt_ms _data -> result := Some rtt_ms)
     ~on_timeout:(fun () -> ())
     name;
@@ -702,8 +698,8 @@ type conversation_setup = {
   bob_key : string;
 }
 
-let conversation ?(seed = 42) ?tracer ?shards () =
-  let net = create ~seed ?tracer ?shards () in
+let conversation ?(seed = 42) ?shards () =
+  let net = create ~seed ?shards () in
   let alice = add_node net ~forwarding_delay:lan_ccnd_processing ~caching:false "alice" in
   let bob = add_node net ~forwarding_delay:lan_ccnd_processing ~caching:false "bob" in
   let eavesdropper =
@@ -750,9 +746,8 @@ type edge_core_setup = {
   ec_producer_key : string;
 }
 
-let edge_core ?(seed = 42) ?tracer ?shards ?(producer = default_producer_config)
-    () =
-  let net = create ~seed ?tracer ?shards () in
+let edge_core ?(seed = 42) ?(producer = default_producer_config) () =
+  let net = create ~seed () in
   let victim = add_node net ~forwarding_delay:ccnd_processing ~caching:false "victim" in
   let local_adversary =
     add_node net ~forwarding_delay:ccnd_processing ~caching:false "adv"

@@ -40,18 +40,12 @@ val set_stall_watchdog :
     [Failure] naming the stuck shard and the pending queue depths.
     Never fires at [shards = 1], which runs without barriers. *)
 
-val shard_count : t -> int
-(** Number of shard engines. *)
-
 val events_processed : t -> int
 (** Total events fired across all shard engines. *)
 
 val engine : t -> Sim.Engine.t
 
 val rng : t -> Sim.Rng.t
-
-val tracer : t -> Sim.Trace.t
-(** The tracer passed at creation ({!Sim.Trace.disabled} by default). *)
 
 val now : t -> float
 
@@ -102,12 +96,10 @@ val nodes : t -> (string * Node.t) list
     byte-identical to one with no fault machinery at all. *)
 
 val set_link_state :
-  t -> a:string -> b:string -> ?dir:Sim.Fault.direction -> up:bool -> unit ->
-  (unit, string) result
-(** Bring the [a]–[b] link (created by {!connect}, either orientation)
-    down or up; [dir] (default [Both]) selects which direction(s), with
-    [Ab] meaning [a]→[b] as named {e in this call}.  Packets offered to
-    a downed direction are dropped silently (traced as [link.drop] with
+  t -> a:string -> b:string -> up:bool -> unit -> (unit, string) result
+(** Bring both directions of the [a]–[b] link (created by {!connect},
+    either orientation) down or up.  Packets offered to a downed
+    direction are dropped silently (traced as [link.drop] with
     [reason=down]).  [Error _] if no such link exists. *)
 
 (** {1 Bounded link queues}
@@ -163,7 +155,6 @@ val fetch_rtt :
   t ->
   from:Node.t ->
   ?scope:int ->
-  ?consumer_private:bool ->
   ?timeout_ms:float ->
   Name.t ->
   float option
@@ -246,8 +237,7 @@ type conversation_setup = {
   bob_key : string;
 }
 
-val conversation :
-  ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> unit -> conversation_setup
+val conversation : ?seed:int -> ?shards:int -> unit -> conversation_setup
 (** Alice, Bob and the adversary all attached to one router over
     Fast Ethernet; routes installed for both parties' prefixes.  No
     producers are registered — callers attach session endpoints (see
@@ -274,8 +264,7 @@ type edge_core_setup = {
 }
 
 val edge_core :
-  ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> ?producer:producer_config ->
-  unit -> edge_core_setup
+  ?seed:int -> ?producer:producer_config -> unit -> edge_core_setup
 (** victim, adversary — edge1 — core — P; remote consumer — edge2 —
     core.  The core-to-producer link is slow (tens of ms), so core
     caching matters to remote consumers — which is exactly what an

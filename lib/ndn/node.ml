@@ -81,7 +81,7 @@ type t = {
   forwarding_delay : Sim.Latency.t;
   honor_scope : bool;
   mutable nacks : bool;
-  mutable caching : bool;
+  caching : bool;
   mutable alive : bool;
   mutable producers_enabled : bool;
   mutable production_factor : float;
@@ -207,7 +207,6 @@ let set_pit_limits t ?capacity ?admission () =
 
 let create engine ~rng ~label ?(tracer = Sim.Trace.disabled)
     ?(cs_capacity = 0) ?(cs_policy = Eviction.Lru) ?(pit_lifetime_ms = 4000.)
-    ?pit_capacity ?pit_admission ?(nacks = false)
     ?(forwarding_delay = Sim.Latency.Constant 0.02) ?(honor_scope = true)
     ?(caching = true) ?(sid = 0) ?(shard = 0) () =
   let cs_rng =
@@ -231,7 +230,7 @@ let create engine ~rng ~label ?(tracer = Sim.Trace.disabled)
     pit_lifetime_ms;
     forwarding_delay;
     honor_scope;
-    nacks;
+    nacks = false;
     caching;
     alive = true;
     producers_enabled = true;
@@ -264,9 +263,6 @@ let create engine ~rng ~label ?(tracer = Sim.Trace.disabled)
   }
   in
   t.sweep <- (fun () -> sweep_pit t);
-  (match pit_capacity with
-  | None -> ()
-  | Some _ -> set_pit_limits t ?capacity:pit_capacity ?admission:pit_admission ());
   t
 
 let label t = t.label
@@ -281,11 +277,8 @@ let content_store t = t.cs
 let pit t = t.pit
 let fib t = t.fib
 let set_strategy t s = t.strat <- s
-let strategy t = t.strat
-let set_caching t b = t.caching <- b
 let set_nacks_enabled t b = t.nacks <- b
 let nacks_enabled t = t.nacks
-let local_face _t = 0
 
 let add_face t kind =
   if t.n_faces = Array.length t.faces then begin
@@ -633,14 +626,10 @@ let restart t = t.alive <- true
 
 let set_producers_enabled t enabled = t.producers_enabled <- enabled
 
-let producers_enabled t = t.producers_enabled
-
 let set_production_factor t factor =
   if factor <= 0. || not (Float.is_finite factor) then
     invalid_arg "Node.set_production_factor: factor must be positive";
   t.production_factor <- factor
-
-let production_factor t = t.production_factor
 
 (* --- introspection --- *)
 
@@ -660,13 +649,3 @@ let counters t =
     nacks_sent = t.c.nacks_sent;
     nacks_received = t.c.nacks_received;
   }
-
-let pp_counters ppf (c : counters) =
-  Format.fprintf ppf
-    "in=%d fwd=%d collapsed=%d data_in=%d data_out=%d cache=%d delayed=%d \
-     scope_drop=%d no_route=%d unsolicited=%d down_drop=%d nack_out=%d \
-     nack_in=%d"
-    c.interests_received c.interests_forwarded c.interests_collapsed
-    c.data_received c.data_sent c.cache_responses c.delayed_responses
-    c.scope_drops c.no_route_drops c.unsolicited_data c.dropped_down
-    c.nacks_sent c.nacks_received

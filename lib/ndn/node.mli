@@ -39,9 +39,6 @@ type strategy = {
           pads misses here so that hit and miss latencies match. *)
 }
 
-val default_strategy : strategy
-(** Plain NDN: serve every hit immediately, cache everything. *)
-
 (** {1 Construction} *)
 
 val create :
@@ -52,9 +49,6 @@ val create :
   ?cs_capacity:int ->
   ?cs_policy:Eviction.t ->
   ?pit_lifetime_ms:float ->
-  ?pit_capacity:int ->
-  ?pit_admission:Pit.admission ->
-  ?nacks:bool ->
   ?forwarding_delay:Sim.Latency.t ->
   ?honor_scope:bool ->
   ?caching:bool ->
@@ -83,12 +77,8 @@ val create :
     consumer hosts in probing experiments, where the adversary bypasses
     its own local cache.
 
-    [pit_capacity]/[pit_admission] bound the PIT (default: unbounded —
-    see {!Pit}); [nacks] (default [false]) lets this forwarder
-    generate, relay and consume {!Nack.t} packets.  All three default
-    to the legacy byte-identical behavior. *)
-
-val set_caching : t -> bool -> unit
+    The PIT starts unbounded (see {!set_pit_limits}) and NACKs start
+    off (see {!set_nacks_enabled}). *)
 
 val set_pit_limits : t -> ?capacity:int -> ?admission:Pit.admission -> unit -> unit
 (** Replace the PIT with a fresh finite table ([admission] defaults to
@@ -140,14 +130,10 @@ val set_producers_enabled : t -> bool -> unit
     content: interests for its namespaces die at the app face and time
     out downstream — a producer outage with the forwarder still up. *)
 
-val producers_enabled : t -> bool
-
 val set_production_factor : t -> float -> unit
 (** Multiply every producer application's production delay (default
     [1.]) — an overloaded or throttled origin.
     @raise Invalid_argument unless the factor is positive and finite. *)
-
-val production_factor : t -> float
 
 val label : t -> string
 
@@ -187,8 +173,6 @@ val fib : t -> Fib.t
 
 val set_strategy : t -> strategy -> unit
 
-val strategy : t -> strategy
-
 (** {1 Faces and wiring}
 
     Faces are dense integer ids.  [Network] connects nodes by
@@ -198,11 +182,6 @@ val strategy : t -> strategy
 val add_wire_face : t -> (Packet.t -> unit) -> int
 (** Register a point-to-point face; the closure must deliver the packet
     to the peer (typically via {!receive} after a sampled latency). *)
-
-val local_face : t -> int
-(** The node's application face (face 0, always present): interests
-    expressed locally arrive on it and matching Data is dispatched to
-    local callbacks. *)
 
 val add_producer : t -> prefix:Name.t -> ?production_delay_ms:float ->
   (Interest.t -> Data.t option) -> unit
@@ -256,5 +235,3 @@ type counters = {
 }
 
 val counters : t -> counters
-
-val pp_counters : Format.formatter -> counters -> unit

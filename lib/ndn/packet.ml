@@ -12,8 +12,3 @@ let size_bytes = function
   | Interest i -> String.length (Name.to_string i.Interest.name) + 24
   | Data d -> Data.size_bytes d
   | Nack n -> String.length (Name.to_string n.Nack.name) + 16
-
-let pp ppf = function
-  | Interest i -> Interest.pp ppf i
-  | Data d -> Data.pp ppf d
-  | Nack n -> Nack.pp ppf n

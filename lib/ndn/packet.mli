@@ -15,5 +15,3 @@ val name : t -> Name.t
 val size_bytes : t -> int
 (** Wire-size estimate for bandwidth accounting (interests and NACKs
     are small and fixed-cost; Data defers to {!Data.size_bytes}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,7 +34,7 @@ let parse_segment (data : Data.t) =
     | Some _ | None -> None)
 
 let producer_handler ~base ~producer ~key ?(producer_private = false) ?content_id
-    ?freshness_ms ~payload ~segment_size () =
+    ~payload ~segment_size () =
   let chunks = Array.of_list (split ~payload ~segment_size) in
   let total = Array.length chunks in
   fun (interest : Interest.t) ->
@@ -46,16 +46,17 @@ let producer_handler ~base ~producer ~key ?(producer_private = false) ?content_i
         match int_of_string_opt seg with
         | Some i when i >= 0 && i < total ->
           Some
-            (Data.create ~producer_private ?content_id ?freshness_ms ~producer
+            (Data.create ~producer_private ?content_id ~producer
                ~key
                ~payload:(encode_segment ~total chunks.(i))
                name)
         | Some _ | None -> None)
       | Some _ | None -> None
 
-let fetch_all node ~base ?(pipeline = 4) ?timeout_ms ~on_complete () =
+let fetch_all node ~base ?timeout_ms ~on_complete () =
   (* State machine over the segment set: fetch segment 0, learn the
      total, keep [pipeline] interests in flight, reassemble. *)
+  let pipeline = 4 in
   let chunks : (int, string) Hashtbl.t = Hashtbl.create 16 in
   let total = ref None in
   let next_to_issue = ref 1 in

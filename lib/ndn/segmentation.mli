@@ -28,7 +28,6 @@ val producer_handler :
   key:string ->
   ?producer_private:bool ->
   ?content_id:string ->
-  ?freshness_ms:float ->
   payload:string ->
   segment_size:int ->
   unit ->
@@ -45,12 +44,11 @@ val parse_segment : Data.t -> (int * string) option
 val fetch_all :
   Node.t ->
   base:Name.t ->
-  ?pipeline:int ->
   ?timeout_ms:float ->
   on_complete:(string option -> unit) ->
   unit ->
   unit
 (** Consumer-side reassembly: fetch segment 0, learn the total, issue
-    up to [pipeline] (default 4) concurrent interests for the rest, and
+    up to 4 concurrent interests for the rest, and
     deliver the reassembled payload ([None] if any segment times out).
     Drive the engine to completion to observe the callback. *)

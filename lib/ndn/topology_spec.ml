@@ -1121,17 +1121,17 @@ let build ?(seed = 42) ?tracer ?shards spec =
   in
   go spec
 
-let parse ?seed ?tracer ?shards text =
+let parse ?seed ?tracer text =
   let* spec = parse_spec text in
-  build ?seed ?tracer ?shards spec
+  build ?seed ?tracer spec
 
-let parse_file ?seed ?tracer ?shards ~path () =
+let parse_file ?seed ?tracer ~path () =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let n = in_channel_length ic in
       let text = really_input_string ic n in
-      parse ?seed ?tracer ?shards text)
+      parse ?seed ?tracer text)
 
 let parse_latency s = parse_latency s

@@ -175,14 +175,11 @@ val build :
     undeclared endpoint, route without a link) carry the offending
     directive's line number. *)
 
-val parse :
-  ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> string ->
-  (t, string) result
+val parse : ?seed:int -> ?tracer:Sim.Trace.t -> string -> (t, string) result
 (** [parse_spec] followed by [build]. *)
 
 val parse_file :
-  ?seed:int -> ?tracer:Sim.Trace.t -> ?shards:int -> path:string -> unit ->
-  (t, string) result
+  ?seed:int -> ?tracer:Sim.Trace.t -> path:string -> unit -> (t, string) result
 
 val parse_latency : string -> (Sim.Latency.t, string) result
 (** The latency sub-grammar, exposed for reuse and tests. *)
@@ -236,8 +233,3 @@ module Gen : sig
       stack's 4000 ms default, scaled up with diameter and mean link
       latency so interests survive a full round trip in deep graphs. *)
 end
-
-val print_latency : Sim.Latency.t -> string
-(** Canonical latency rendering ([Sum]s flattened to [+]-joins);
-    [parse_latency (print_latency l)] re-parses to an equivalent
-    model. *)

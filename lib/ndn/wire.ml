@@ -339,29 +339,3 @@ let decode_packet s =
     else if typ = t_nack then Result.map (fun n -> Packet.Nack n) (decode_nack s)
     else fail 0 (Printf.sprintf "unknown packet type 0x%02x" typ)
   with Fail e -> Error e
-
-(* --- varint helpers (binary trace wire format, DESIGN §16) ---
-
-   The trace pipeline's LEB128/zigzag coding lives in [Sim.Varint];
-   these re-exports give packet-level code one door to the same
-   primitives, so any future binary packet framing shares the trace
-   format's integer coding (and its tests). *)
-
-let add_varint = Sim.Varint.add_uint
-
-let add_signed_varint = Sim.Varint.add_int
-
-let varint_size = Sim.Varint.uint_size
-
-let read_varint s pos =
-  match Sim.Varint.read_uint s pos with
-  | v -> Ok v
-  | exception Sim.Varint.Truncated off ->
-    Error { offset = off; reason = "truncated varint" }
-  | exception Sim.Varint.Overflow off ->
-    Error { offset = off; reason = "varint exceeds 9 bytes" }
-
-let read_signed_varint s pos =
-  match read_varint s pos with
-  | Ok (v, pos') -> Ok (Sim.Varint.unzigzag v, pos')
-  | Error _ as e -> e

@@ -18,15 +18,11 @@ val encode_interest : Interest.t -> string
 
 val encode_data : Data.t -> string
 
-val encode_nack : Nack.t -> string
-
 val encode_packet : Packet.t -> string
 
 val decode_interest : string -> (Interest.t, error) result
 
 val decode_data : string -> (Data.t, error) result
-
-val decode_nack : string -> (Nack.t, error) result
 
 val decode_packet : string -> (Packet.t, error) result
 (** Dispatches on the outer TLV type. *)
@@ -34,26 +30,3 @@ val decode_packet : string -> (Packet.t, error) result
 val encoded_size : Packet.t -> int
 (** [String.length (encode_packet p)] without building the string
     twice. *)
-
-(** {1 Varint helpers}
-
-    Re-exports of [Sim.Varint]'s LEB128/zigzag coding (the binary
-    trace format's integer coding, DESIGN §16), so packet-level code
-    shares one implementation.  Unlike [Sim.Varint], the readers
-    return positioned {!error}s instead of raising. *)
-
-val add_varint : Buffer.t -> int -> unit
-(** Append the unsigned LEB128 coding.
-    @raise Invalid_argument on a negative value. *)
-
-val add_signed_varint : Buffer.t -> int -> unit
-(** Append the zigzag-then-LEB128 coding of a signed value. *)
-
-val varint_size : int -> int
-(** Encoded byte length of a non-negative value. *)
-
-val read_varint : string -> int -> (int * int, error) result
-(** [(value, next_pos)], or a positioned error on a truncated or
-    over-long encoding. *)
-
-val read_signed_varint : string -> int -> (int * int, error) result

@@ -7,11 +7,6 @@
     the quantitative bridge between Definition IV.3 and "how many bits
     does the adversary get?" *)
 
-val likelihood :
-  k_dist:int Dist.t -> prior_requests:int -> probes:int -> int Dist.t
-(** [P(observed misses | state)] — re-exported from {!Outputs} for
-    reading convenience. *)
-
 val posterior :
   k_dist:int Dist.t ->
   count_prior:int Dist.t ->

@@ -16,12 +16,6 @@ let advanced ~eps ~delta ~n ~delta_slack =
   in
   (eps', (nf *. delta) +. delta_slack)
 
-let best ~eps ~delta ~n ~delta_slack =
-  let b_eps, _ = basic ~eps ~delta ~n in
-  let a_eps, a_delta = advanced ~eps ~delta ~n ~delta_slack in
-  if a_eps < b_eps then (a_eps, a_delta)
-  else ((b_eps, (float_of_int n *. delta) +. delta_slack) : float * float)
-
 let exact_joint_delta ~k_dist ~k ~probes ~eps ~n =
   if n <= 0 then invalid_arg "Composition.exact_joint_delta: n must be positive";
   let rec worst x acc =

@@ -27,11 +27,6 @@ val advanced :
   eps:float -> delta:float -> n:int -> delta_slack:float -> float * float
 (** The advanced composition bound; requires [delta_slack > 0]. *)
 
-val best : eps:float -> delta:float -> n:int -> delta_slack:float -> float * float
-(** Whichever of {!basic} / {!advanced} gives the smaller ε at total δ
-    [n·delta + delta_slack] (basic is reported with the same δ budget
-    so the comparison is fair). *)
-
 val exact_joint_delta :
   k_dist:int Dist.t -> k:int -> probes:int -> eps:float -> n:int -> float
 (** Exact joint leakage: the adversary probes [n] {e independent}

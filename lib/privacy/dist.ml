@@ -53,8 +53,6 @@ let mean t = expect t ~f:float_of_int
 
 let fold t ~init ~f = Hashtbl.fold (fun x p acc -> f acc x p) t init
 
-let to_list t = Hashtbl.fold (fun x p acc -> (x, p) :: acc) t []
-
 let product a b =
   of_list
     (Hashtbl.fold

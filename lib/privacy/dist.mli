@@ -15,10 +15,6 @@ val of_list : ('a * float) list -> 'a t
     @raise Invalid_argument if the total weight is not positive or any
     weight is negative. *)
 
-val of_fun : n:int -> (int -> float) -> int t
-(** [of_fun ~n pmf] over [\[0, n)].
-    @raise Invalid_argument as {!of_list}. *)
-
 val constant : 'a -> 'a t
 
 val uniform_int : int -> int t
@@ -47,8 +43,6 @@ val expect : 'a t -> f:('a -> float) -> float
 val mean : int t -> float
 
 val fold : 'a t -> init:'acc -> f:('acc -> 'a -> float -> 'acc) -> 'acc
-
-val to_list : 'a t -> ('a * float) list
 
 val product : 'a t -> 'b t -> ('a * 'b) t
 (** Joint law of two independent draws. *)

@@ -5,8 +5,6 @@ let exact_expected_misses ~k_dist ~c =
   Dist.expect k_dist ~f:(fun r -> float_of_int (min (r + 1) c))
 
 module Uniform = struct
-  let epsilon = 0.
-
   (* Definition IV.1's delta is Pr(D1 in Omega2) + Pr(D2 in Omega2),
      which ranges over [0, 2]; do not clamp at 1. *)
   let delta ~k ~domain =

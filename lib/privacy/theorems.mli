@@ -27,9 +27,6 @@ val exact_expected_misses : k_dist:int Dist.t -> c:int -> float
 module Uniform : sig
   (** Uniform-Random-Cache: K = U(0, K). *)
 
-  val epsilon : float
-  (** 0 — uniform thresholds shift outputs without changing ratios. *)
-
   val delta : k:int -> domain:int -> float
   (** Theorem VI.1: [2k/K] (a mass of "bad" outputs across both
       distributions; can exceed 1 when [K < 2k]).

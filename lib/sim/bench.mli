@@ -39,9 +39,6 @@ val measure :
     collections here.
     @raise Invalid_argument if [ops <= 0] or [runs <= 0]. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
 val result_to_json : result -> string
 (** One flat JSON object:
     [{"op": label, "ns_per_op": _, "allocs_per_op": _, "ops": _,

@@ -85,8 +85,6 @@ let cur_key t = t.cur_key
 
 let set_cur_key t key = t.cur_key <- key
 
-let tracer t = t.tracer
-
 (* Return a popped record to the free-list.  The closure is dropped
    immediately so it does not outlive its event; the state is left at
    its terminal value so [is_cancelled] keeps answering for the old

@@ -43,9 +43,6 @@ val create : ?tracer:Trace.t -> unit -> t
 val now : t -> float
 (** Current virtual time in milliseconds. *)
 
-val tracer : t -> Trace.t
-(** The tracer passed at creation ({!Trace.disabled} by default). *)
-
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  Negative delays
     are clamped to [0.] (the event runs "now", after currently pending

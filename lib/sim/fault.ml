@@ -79,15 +79,6 @@ let random_restarts ~rng ~nodes ~mean_uptime_ms ~downtime_ms ~horizon_ms
     nodes
   |> sort
 
-let random_link_flaps ~rng ~links ~mean_uptime_ms ~downtime_ms ~horizon_ms () =
-  List.concat_map
-    (fun (a, b) ->
-      renewal_process ~rng ~mean_uptime_ms ~downtime_ms ~horizon_ms
-        ~down:(Link_down { a; b; dir = Both })
-        ~up:(Link_up { a; b; dir = Both }))
-    links
-  |> sort
-
 let phase_boundaries schedule =
   let times =
     List.concat_map
@@ -306,5 +297,3 @@ let print_event e =
 
 let print schedule =
   String.concat "" (List.map (fun e -> print_event e ^ "\n") schedule)
-
-let pp_event ppf e = Format.pp_print_string ppf (print_event e)

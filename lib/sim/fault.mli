@@ -82,17 +82,6 @@ val random_restarts :
     the horizon, so every crash is bracketed).  Empty on non-positive
     [mean_uptime_ms] or [horizon_ms]. *)
 
-val random_link_flaps :
-  rng:Rng.t ->
-  links:(string * string) list ->
-  mean_uptime_ms:float ->
-  downtime_ms:float ->
-  horizon_ms:float ->
-  unit ->
-  schedule
-(** Same process over links: [Link_down]/[Link_up] pairs (both
-    directions). *)
-
 val phase_boundaries : schedule -> float list
 (** The strictly increasing virtual times at which the network changes:
     every [at], plus every windowed fault's [until].  Experiments use
@@ -133,5 +122,3 @@ val print_event : event -> string
 val print : schedule -> string
 (** Canonical rendering, one event per line, each newline-terminated.
     [parse (print s) = Ok s] for any valid schedule. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -73,16 +73,9 @@ let merge_into ~into b =
 
 let equal a b = same_layout a b && a.counts = b.counts && a.total = b.total
 
-let pp_ascii ?(width = 50) ppf t =
-  let maxc = Array.fold_left max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      let bar = c * width / maxc in
-      Format.fprintf ppf "%8.3f |%s %d@." (bin_center t i) (String.make bar '#') c)
-    t.counts
-
-let pp_two ?(width = 30) ~labels ppf (a, b) =
+let pp_two ~labels ppf (a, b) =
   if not (same_layout a b) then invalid_arg "Histogram.pp_two: layouts differ";
+  let width = 30 in
   let la, lb = labels in
   let maxa = Array.fold_left max 1 a.counts and maxb = Array.fold_left max 1 b.counts in
   Format.fprintf ppf "%10s  %-*s | %-*s@." "center" width la width lb;

@@ -25,16 +25,11 @@ val bins : t -> int
 val bin_edges : t -> (float * float) array
 (** Per-bin [(left, right)] edges. *)
 
-val bin_center : t -> int -> float
-
 val counts : t -> int array
 
 val pdf : t -> float array
 (** Empirical density: bin probability divided by bin width, so the
     curve integrates to 1 (matching the paper's PDF plots). *)
-
-val probability : t -> int -> float
-(** Mass of one bin. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh histogram whose bins are the element-wise
@@ -50,12 +45,9 @@ val merge_into : into:t -> t -> unit
 val equal : t -> t -> bool
 (** Same layout and identical per-bin counts. *)
 
-val pp_ascii : ?width:int -> Format.formatter -> t -> unit
-(** Terminal rendering: one row per bin with a proportional bar. *)
-
-val pp_two : ?width:int -> labels:string * string -> Format.formatter -> t * t -> unit
-(** Render two histograms (e.g. hit vs. miss) over a shared bin layout;
-    both must have the same [lo], [hi], [bins].
+val pp_two : labels:string * string -> Format.formatter -> t * t -> unit
+(** Render two histograms (e.g. hit vs. miss) over a shared bin layout,
+    30 columns per bar; both must have the same [lo], [hi], [bins].
     @raise Invalid_argument if layouts differ. *)
 
 val overlap : t -> t -> float

@@ -44,24 +44,8 @@ let rec mean = function
   | Shifted_exponential { shift; rate } -> shift +. (1. /. rate)
   | Sum parts -> List.fold_left (fun acc p -> acc +. mean p) 0. parts
 
-let rec pp ppf = function
-  | Constant d -> Format.fprintf ppf "const(%.3fms)" d
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform[%.3f,%.3f]ms" lo hi
-  | Normal { mean; stddev; min } ->
-    Format.fprintf ppf "normal(mu=%.3f,sigma=%.3f,min=%.3f)ms" mean stddev min
-  | Shifted_exponential { shift; rate } ->
-    Format.fprintf ppf "%.3fms+exp(rate=%.3f)" shift rate
-  | Sum parts ->
-    Format.fprintf ppf "sum(%a)" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "+") pp) parts
-
 (* The constants below are chosen so that the Figure 3 topologies built in
    [Ndn.Network] produce RTT histograms spanning the same ranges as the
    paper's measurements. *)
 
 let fast_ethernet = Normal { mean = 0.25; stddev = 0.06; min = 0.05 }
-
-let lan_hop = Normal { mean = 1.7; stddev = 0.3; min = 0.4 }
-
-let wan_hop = Shifted_exponential { shift = 0.9; rate = 1.6 }
-
-let local_ipc = Normal { mean = 0.11; stddev = 0.03; min = 0.02 }

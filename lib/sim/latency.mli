@@ -35,19 +35,7 @@ val mean : t -> float
     sensible parameters its effect is negligible, and the value is used
     only for reporting). *)
 
-val pp : Format.formatter -> t -> unit
-
 (* Convenience constructors for the scenarios in the paper's testbed. *)
 
 val fast_ethernet : t
 (** Sub-millisecond switched-LAN hop. *)
-
-val lan_hop : t
-(** Local-network NDN hop including forwarding cost (≈ 1.5–2 ms). *)
-
-val wan_hop : t
-(** One wide-area hop with moderate jitter (≈ 10–30 ms one way is split
-    across several of these). *)
-
-val local_ipc : t
-(** Same-host interprocess hop (application to local NDN daemon). *)

@@ -87,7 +87,5 @@ let run ?jobs ~seed ~trials f =
   let rngs = Array.init trials (fun _ -> Rng.split root) in
   map ?jobs trials (fun i -> f ~trial:i ~rng:rngs.(i))
 
-let map_reduce ?jobs ~merge ~init n f = Array.fold_left merge init (map ?jobs n f)
-
 let run_reduce ?jobs ~seed ~trials ~merge ~init f =
   Array.fold_left merge init (run ?jobs ~seed ~trials f)

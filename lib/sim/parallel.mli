@@ -49,15 +49,10 @@ val run :
     split off a root seeded with [seed].  The result array is in trial
     order and is identical for any [jobs]. *)
 
-val map_reduce :
-  ?jobs:int -> merge:('b -> 'a -> 'b) -> init:'b -> int -> (int -> 'a) -> 'b
-(** [map_reduce ~jobs ~merge ~init n f] is
-    [Array.fold_left merge init (map ~jobs n f)]: the fold runs in the
-    calling domain, left-to-right in index order, so non-commutative
-    merges (histograms, formatted rows, Chan-merged moments) are still
-    deterministic. *)
-
 val run_reduce :
   ?jobs:int -> seed:int -> trials:int -> merge:('b -> 'a -> 'b) -> init:'b ->
   (trial:int -> rng:Rng.t -> 'a) -> 'b
-(** {!run} followed by an in-order left fold, as in {!map_reduce}. *)
+(** {!run} followed by [Array.fold_left merge init]: the fold runs in
+    the calling domain, left-to-right in trial order, so
+    non-commutative merges (histograms, formatted rows, Chan-merged
+    moments) are still deterministic. *)

@@ -5,7 +5,7 @@
 
 type t = {
   mutable state : int64;
-  mutable gamma : int64; (* stream increment; odd *)
+  gamma : int64; (* stream increment; odd *)
   mutable spare_gaussian : float option;
 }
 
@@ -77,8 +77,6 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r /. 9007199254740992. *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p =
   if p <= 0. then false
   else if p >= 1. then true
@@ -119,10 +117,6 @@ let geometric t ~p =
       if u > 0. then u else nonzero ()
     in
     int_of_float (Float.floor (log (nonzero ()) /. log (1. -. p)))
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

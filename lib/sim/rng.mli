@@ -39,9 +39,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform on [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
@@ -57,10 +54,6 @@ val geometric : t -> p:float -> int
 (** [geometric t ~p] counts failures before the first success of a
     Bernoulli([p]) sequence: [Pr(X = k) = (1-p) ^ k * p], [k >= 0].
     @raise Invalid_argument unless [0. < p <= 1.]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element.
-    @raise Invalid_argument on an empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

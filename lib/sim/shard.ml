@@ -138,8 +138,6 @@ let set_watchdog t ?(stall_ms = 30_000.) ~clock_ms () =
 
 let clear_watchdog t = t.watchdog <- None
 
-let shards t = t.k
-
 let engine t i = t.engines.(i)
 
 let tracer t i = t.tracers.(i)
@@ -411,5 +409,3 @@ let now t = Engine.now t.engines.(0)
 
 let events_processed t =
   Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 t.engines
-
-let pending t = Array.fold_left (fun acc e -> acc + Engine.pending e) 0 t.engines

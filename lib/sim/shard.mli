@@ -40,8 +40,6 @@ val create : ?tracer:Trace.t -> shards:int -> unit -> t
     quantities and would differ across shard counts.
     @raise Invalid_argument when [shards < 1]. *)
 
-val shards : t -> int
-
 val engine : t -> int -> Engine.t
 (** The engine hosting shard [i]. *)
 
@@ -111,8 +109,3 @@ val now : t -> float
 
 val events_processed : t -> int
 (** Total events executed across all shard engines. *)
-
-val pending : t -> int
-(** Live queued events across all shard engines: scheduled, unfired
-    and uncancelled, as {!Engine.pending} counts them (cross-shard
-    messages still in flight between runs are not counted). *)

@@ -56,12 +56,6 @@ let merge a b =
     }
   end
 
-let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f" t.n (mean t)
-      (stddev t) t.min t.max
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty array";
@@ -82,8 +76,3 @@ let mean_of xs =
   let t = create () in
   Array.iter (add t) xs;
   mean t
-
-let stddev_of xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  stddev t

@@ -31,8 +31,6 @@ val total : t -> float
 val merge : t -> t -> t
 (** Combine two accumulators (parallel Welford merge). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Batch helpers over float arrays (these sort a copy; O(n log n)). *)
 
 val percentile : float array -> float -> float
@@ -43,5 +41,3 @@ val percentile : float array -> float -> float
 val median : float array -> float
 
 val mean_of : float array -> float
-
-val stddev_of : float array -> float

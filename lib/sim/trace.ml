@@ -124,11 +124,6 @@ let kind_of_id i =
 
 let kind_of_string s = List.find_opt (fun k -> kind_to_string k = s) all_kinds
 
-let pp_event ppf e =
-  Format.fprintf ppf "[%.6f] %s %s" e.time e.node (kind_to_string e.kind);
-  if e.name <> "" then Format.fprintf ppf " %s" e.name;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k v) e.attrs
-
 (* --- tracers --- *)
 
 type t = {

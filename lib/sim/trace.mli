@@ -99,8 +99,6 @@ val kind_id : kind -> int
 val kind_of_id : int -> kind option
 (** Inverse of {!kind_id}; [None] for ids outside the registry. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 (** {1 Tracers} *)
 
 type t
@@ -231,7 +229,3 @@ val encoder_length : encoder -> int
 (** Bytes currently buffered. *)
 
 val encoder_contents : encoder -> string
-
-val encoder_output : out_channel -> encoder -> unit
-(** Write the buffered bytes and clear the buffer (capacity and string
-    table are retained, so encoding can continue). *)

@@ -20,9 +20,6 @@ type position =
 
 type error = { position : position; reason : string }
 
-val pp_error : Format.formatter -> error -> unit
-(** ["byte 123: record truncated: …"] / ["line 17: unknown trace kind …"]. *)
-
 val error_to_string : error -> string
 
 (** {1 Byte sources} *)

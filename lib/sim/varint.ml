@@ -64,7 +64,3 @@ let rec read_loop s len pos shift acc start =
 let read_uint s pos =
   if pos < 0 || pos >= String.length s then raise (Truncated pos);
   read_loop s (String.length s) pos 0 0 pos
-
-let read_int s pos =
-  let v, pos' = read_uint s pos in
-  (unzigzag v, pos')

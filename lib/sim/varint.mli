@@ -32,17 +32,14 @@ val uint_size : int -> int
 val int_size : int -> int
 (** Encoded byte length of a signed value, without writing it. *)
 
-val zigzag : int -> int
 val unzigzag : int -> int
-(** The sign-folding bijection: 0, -1, 1, -2, ... maps to 0, 1, 2, 3, ... *)
+(** Inverse of the sign-folding bijection that maps 0, -1, 1, -2, ...
+    to 0, 1, 2, 3, ... *)
 
 val read_uint : string -> int -> int * int
 (** [read_uint s pos] decodes the varint at byte [pos] of [s],
     returning [(value, next_pos)].  The value is the raw 63-bit
-    pattern; encodings produced by {!add_int} must go through
-    {!read_int} instead.
+    pattern; decode encodings produced by {!add_int} with
+    {!unzigzag} on the value.
     @raise Truncated if [s] ends mid-varint (payload cut short).
     @raise Overflow on an encoding wider than 9 bytes. *)
-
-val read_int : string -> int -> int * int
-(** Signed variant of {!read_uint} (zigzag-decoded). *)

@@ -28,8 +28,6 @@ let default =
 let base_rate_per_ms c =
   float_of_int c.users *. c.req_per_user_per_hour /. 3_600_000.
 
-let expected_requests c ~duration_ms = base_rate_per_ms c *. duration_ms
-
 type t = {
   config : config;
   engine : Sim.Engine.t;
@@ -134,8 +132,6 @@ let attach config ~node ~prefix ~rng ?until () =
   in
   schedule_next t;
   t
-
-let stop t = t.active <- false
 
 let requests_issued t = t.requests_issued
 

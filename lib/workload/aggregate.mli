@@ -37,15 +37,6 @@ val default : config
     (the IRCache-like regime), amplitude 0.5 over a 24 h period, public
     interests, 2 retries, no rank recording. *)
 
-val base_rate_per_ms : config -> float
-(** The unmodulated arrival rate [users × req_per_user_per_hour /
-    3.6e6], requests per virtual millisecond. *)
-
-val expected_requests : config -> duration_ms:float -> float
-(** Mean number of arrivals in a window starting at phase 0 — the sine
-    integrates away over whole periods, so this is
-    [base_rate × duration] for sizing runs. *)
-
 type t
 
 val attach :
@@ -67,10 +58,7 @@ val attach :
     fetches [prefix/RANK] from [node] through {!Ndn.Consumer.fetch}
     with one shared RTT estimator.  [until] (virtual ms) stops the
     stream — without it the stream never drains, so bound the run via
-    [Sim.Engine.run ~until] or call {!stop}. *)
-
-val stop : t -> unit
-(** Stop issuing new requests (in-flight fetches still complete). *)
+    [Sim.Engine.run ~until]. *)
 
 val requests_issued : t -> int
 

@@ -78,8 +78,6 @@ let attach config ~node ~prefix ~rng ?until () =
   schedule_next t;
   t
 
-let stop t = t.active <- false
-
 let interests_issued t = t.interests_issued
 
 let nacks_received t = t.nacks_received

@@ -42,9 +42,7 @@ val attach :
   t
 (** Start flooding [prefix/0], [prefix/1], … from [node].  [until]
     (virtual ms) stops injection; without it the flood never drains, so
-    bound the run or call {!stop}. *)
-
-val stop : t -> unit
+    bound the run. *)
 
 val interests_issued : t -> int
 

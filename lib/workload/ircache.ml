@@ -19,8 +19,6 @@ let default =
     seed = 2007_09_01;
   }
 
-let paper_scale = { default with requests = 3_200_000; catalog = 120_000 }
-
 (* Diurnal intensity: a raised cosine with its trough at 4am and peak
    mid-afternoon, never below 15% of peak. *)
 let diurnal_weight time_of_day_s =

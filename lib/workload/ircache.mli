@@ -28,11 +28,9 @@ type config = {
 
 val default : config
 (** Scaled-down default for interactive runs: 400k requests, 185
-    users, 24 h.  Matches the paper's user count and duration; use
-    {!paper_scale} for the full 3.2M-request replay. *)
-
-val paper_scale : config
-(** The full 3.2M-request configuration. *)
+    users, 24 h.  Matches the paper's user count and duration; the
+    full replay is [{ default with requests = 3_200_000; catalog =
+    120_000 }]. *)
 
 val generate : config -> Trace.t
 (** @raise Invalid_argument on non-positive [requests], [users],

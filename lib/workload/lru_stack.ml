@@ -71,12 +71,3 @@ let generate cfg =
         })
   in
   Trace.create records
-
-let pp_config ppf cfg =
-  Format.fprintf ppf
-    "requests=%d users=%d fresh=%.0f%% depth-exp=%.2f max-depth=%d span=%.0fh seed=%d"
-    cfg.requests cfg.users
-    (100. *. cfg.fresh_fraction)
-    cfg.depth_exponent cfg.max_depth
-    (cfg.duration_s /. 3600.)
-    cfg.seed

@@ -32,5 +32,3 @@ val default : config
 val generate : config -> Trace.t
 (** @raise Invalid_argument on non-positive sizes or fractions outside
     [\[0, 1\]]. *)
-
-val pp_config : Format.formatter -> config -> unit

@@ -9,15 +9,15 @@ let label_of_kind kind =
   (* Build a throwaway policy purely to reuse its display name. *)
   Core.Policy.label (Core.Policy.create ~rng:(Sim.Rng.create 0) kind)
 
-let run_one trace ~kind ~capacity ~fraction ~grouping ~seed =
+let run_one trace ~kind ~capacity ~fraction =
   let config =
     {
       Replay.cache_capacity = capacity;
       eviction = Ndn.Eviction.Lru;
       policy = kind;
-      grouping;
+      grouping = Core.Grouping.By_content;
       private_mode = Replay.Per_content fraction;
-      seed;
+      seed = 99;
     }
   in
   {
@@ -39,15 +39,13 @@ let grid_map ?jobs outer inner f =
     (fun i -> f outer.(i / n_inner) inner.(i mod n_inner))
   |> Array.to_list
 
-let sweep trace ~cache_sizes ~policies ?(private_fraction = 0.2)
-    ?(grouping = Core.Grouping.By_content) ?(seed = 99) ?jobs () =
+let sweep trace ~cache_sizes ~policies ?(private_fraction = 0.2) ?jobs () =
   grid_map ?jobs policies cache_sizes (fun kind capacity ->
-      run_one trace ~kind ~capacity ~fraction:private_fraction ~grouping ~seed)
+      run_one trace ~kind ~capacity ~fraction:private_fraction)
 
-let sweep_private_fraction trace ~cache_sizes ~policy ~fractions
-    ?(grouping = Core.Grouping.By_content) ?(seed = 99) ?jobs () =
+let sweep_private_fraction trace ~cache_sizes ~policy ~fractions ?jobs () =
   grid_map ?jobs fractions cache_sizes (fun fraction capacity ->
-      run_one trace ~kind:policy ~capacity ~fraction ~grouping ~seed)
+      run_one trace ~kind:policy ~capacity ~fraction)
 
 (* --- mergeable multi-trial aggregate --- *)
 

@@ -12,24 +12,21 @@ val sweep :
   cache_sizes:int list ->
   policies:Core.Policy.kind list ->
   ?private_fraction:float ->
-  ?grouping:Core.Grouping.t ->
-  ?seed:int ->
   ?jobs:int ->
   unit ->
   row list
 (** Figure 5(a): one replay per (policy, cache size); per-content
-    private marking at [private_fraction] (default 0.2).  The grid is
-    evaluated on [jobs] domains via {!Sim.Parallel} (each cell is
-    deterministic in [seed]); the returned rows are in grid order, so
-    the output is identical for any [jobs]. *)
+    private marking at [private_fraction] (default 0.2), by-content
+    grouping, replay seed 99.  The grid is evaluated on [jobs] domains
+    via {!Sim.Parallel} (each cell is deterministic in its seed); the
+    returned rows are in grid order, so the output is identical for
+    any [jobs]. *)
 
 val sweep_private_fraction :
   Trace.t ->
   cache_sizes:int list ->
   policy:Core.Policy.kind ->
   fractions:float list ->
-  ?grouping:Core.Grouping.t ->
-  ?seed:int ->
   ?jobs:int ->
   unit ->
   row list
@@ -65,9 +62,6 @@ val agg_of_outcome : Replay.outcome -> agg
 
 val merge : agg -> agg -> agg
 (** Combine two disjoint trial ensembles; neither input is mutated. *)
-
-val agg_observable_hit_rate : agg -> float
-(** Request-weighted (pooled) observable hit rate of the ensemble. *)
 
 val replay_trials :
   Trace.t -> Replay.config -> trials:int -> ?jobs:int -> unit -> agg

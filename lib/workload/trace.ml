@@ -16,8 +16,6 @@ let get t i = t.(i)
 
 let iter t ~f = Array.iter f t
 
-let fold t ~init ~f = Array.fold_left f init t
-
 let duration_s t =
   if Array.length t < 2 then 0.
   else t.(Array.length t - 1).time_s -. t.(0).time_s

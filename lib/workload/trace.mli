@@ -18,8 +18,6 @@ val get : t -> int -> record
 
 val iter : t -> f:(record -> unit) -> unit
 
-val fold : t -> init:'acc -> f:('acc -> record -> 'acc) -> 'acc
-
 val duration_s : t -> float
 (** Last timestamp minus first ([0.] for traces shorter than 2). *)
 

@@ -1,4 +1,4 @@
-type t = { n : int; s : float; cdf : float array }
+type t = { n : int; cdf : float array }
 
 (* The CDF embeds the harmonic normalizer H(n, s) = sum r^-s; computing
    it is the O(n) part of [create].  At aggregate-consumer scale every
@@ -46,10 +46,7 @@ let create ~n ~s =
       Hashtbl.add tbl key cdf;
       cdf
   in
-  { n; s; cdf }
-
-let n t = t.n
-let s t = t.s
+  { n; cdf }
 
 let sample t rng =
   let u = Sim.Rng.float rng 1. in

@@ -15,10 +15,6 @@ val create : n:int -> s:float -> t
     once, not 10k times; the shared table is immutable.
     @raise Invalid_argument if [n <= 0] or [s < 0.]. *)
 
-val n : t -> int
-
-val s : t -> float
-
 val sample : t -> Sim.Rng.t -> int
 (** A rank in [1..n]. *)
 

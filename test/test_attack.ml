@@ -100,7 +100,7 @@ let test_timing_experiment_lan () =
 
 let test_timing_experiment_producer_overlap () =
   let r =
-    Attack.Timing_experiment.run_producer_privacy
+    Attack.Timing_experiment.run
       ~make_setup:(fun ~seed ~tracer:_ -> Ndn.Network.wan_producer ~seed ())
       ~contents:40 ~runs:2 ()
   in

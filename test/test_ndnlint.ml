@@ -84,7 +84,7 @@ let test_golden_jsonl () =
 (* Every shipped syntactic rule ID must be covered by at least one
    golden finding, so a new rule cannot land without a fixture.  S3 is
    covered by the stale-suppression tests below; the typed rules (R1,
-   A1, A2, G1) are produced by the Ndntype cmt pass and covered by
+   A1, A2, G1, U1) are produced by the Ndntype cmt pass and covered by
    test_ndntype's planted fixtures. *)
 let test_rule_coverage () =
   let seen = List.map (fun f -> f.Ndnlint.rule) (lint_exn (fixture_config ())) in
@@ -100,7 +100,7 @@ let test_rule_coverage () =
       Alcotest.(check bool)
         (Printf.sprintf "rule %s is in the table" id)
         true (List.mem id all_rule_ids))
-    [ "S3"; "R1"; "A1"; "A2"; "G1" ]
+    [ "S3"; "R1"; "A1"; "A2"; "G1"; "U1" ]
 
 (* The acceptance check in one test: introducing Random.self_init into
    lib/sim makes the lint exit non-zero. *)

@@ -146,6 +146,14 @@ let all_rules =
         "Sim.Rng handle drawn from / handed off after being split (typed; \
          ndntype pass)";
     };
+    {
+      id = "U1";
+      severity = Error;
+      typed = true;
+      synopsis =
+        "lib/ interface value no other unit references (typed; ndntype \
+         pass)";
+    };
   ]
 
 let severity_of_rule id =
@@ -418,7 +426,6 @@ let collect_files cfg =
 open Parsetree
 
 type file_ctx = {
-  rel : string;
   in_lib : bool;
   in_bin : bool;
   in_keyspace : bool;  (* lib/sim or lib/ndn: abstract keys live here *)
@@ -865,7 +872,6 @@ let lint_full cfg =
     let in_lib = String.starts_with ~prefix:"lib/" rel in
     let ctx =
       {
-        rel;
         in_lib;
         in_bin = String.starts_with ~prefix:"bin/" rel;
         in_keyspace =

@@ -5,7 +5,7 @@
    2 usage.
 
    S3 (stale suppressions) is computed here over the syntactic rules
-   only: a pragma or allowlist entry naming a typed rule (R1/A1/A2/G1)
+   only: a pragma or allowlist entry naming a typed rule (R1/A1/A2/G1/U1)
    is left for ndntype_main, which sees the merged finding set. *)
 
 let usage =

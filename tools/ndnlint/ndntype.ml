@@ -8,6 +8,7 @@
    A1  allocation site inside an [(* ndnlint: hot *)] function
    A2  polymorphism hazard inside a hot function
    G1  Sim.Rng handle used again after being split
+   U1  lib/ interface value that no other unit references
 
    The pass shares Ndnlint's finding type, pragma and allowlist
    machinery, so suppressions resolve identically in both stages.  It
@@ -16,7 +17,11 @@
    .objs directories are visible), and the test suite runs in
    _build/default/test with root "..".  See DESIGN.md §15 for the rule
    table, the R1 reachability approximation, and the documented
-   false-negative envelope. *)
+   false-negative envelope.
+
+   U1 reads the .cmti files as well: each lib/ interface declares the
+   values, and every .cmt under the root (lib, bin, bench, test, tools,
+   perfbench, examples) supplies the references. *)
 
 open Typedtree
 
@@ -117,8 +122,10 @@ let find_cmt_files root =
                if not (List.mem entry [ "_build"; ".git"; "node_modules" ])
                then walk rel'
              end
-             else if Filename.check_suffix entry ".cmt" then
-               out := rel' :: !out)
+             else if
+               Filename.check_suffix entry ".cmt"
+               || Filename.check_suffix entry ".cmti"
+             then out := rel' :: !out)
   in
   walk "";
   List.rev !out
@@ -471,6 +478,212 @@ let scan_g1 ~emit str =
         | None -> ())
     (List.rev !uses)
 
+(* --- U1: exported values no other unit references ---
+
+   A value path is unit-rooted: ["Ndn__Pit"; "size"], or
+   ["Privacy__Theorems"; "Uniform"; "epsilon"] for a value of a nested
+   [module Uniform : sig ... end].  Declarations come from the [.cmti]
+   of each checked interface; references are the [Texp_ident]s of
+   every other unit's [.cmt], resolved to that form. *)
+
+let rec declared_values prefix sg =
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd -> [ (prefix @ [ vd.val_name.txt ], vd.val_loc) ]
+      | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } ->
+        module_type_values (prefix @ [ m ]) md_type
+      | Tsig_recmodule mds ->
+        List.concat_map
+          (fun md ->
+            match md.md_name.txt with
+            | Some m -> module_type_values (prefix @ [ m ]) md.md_type
+            | None -> [])
+          mds
+      | _ -> [])
+    sg.sig_items
+
+(* Only literal [sig ... end]s are enumerated: a functor-generated
+   signature such as [Name.Tbl : Hashtbl.S] is not. *)
+and module_type_values prefix mty =
+  match mty.mty_desc with
+  | Tmty_signature sg -> declared_values prefix sg
+  | _ -> []
+
+let rec strip_constraints me =
+  match me.mod_desc with
+  | Tmod_constraint (me, _, _, _) -> strip_constraints me
+  | _ -> me
+
+(* Every value path one implementation references, plus the module
+   paths it uses whole ([include M], [(module M)], or [F (M)] where the
+   parameter's signature is not known), which count as a reference to
+   each value under them.  [F (M)] with a parameter typed by a literal
+   signature, or by a module type defined in the same unit, references
+   only the values that signature names.  Local aliases
+   ([module TS = Ndn.Topology_spec], [let module ... in]) are followed;
+   [open] needs nothing, because the typer already roots a name found
+   through an open at the opened module.  [Lib.Mod] becomes the dune
+   unit [Lib__Mod] whenever such a unit exists. *)
+let references ~units str =
+  let aliases = Hashtbl.create 8 in
+  let rec comps p =
+    match p with
+    | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some p -> comps p
+      | None -> if Ident.global id then Some [ Ident.name id ] else None)
+    | Path.Pdot (p, s) -> Option.map (fun c -> c @ [ s ]) (comps p)
+    | _ -> None
+  in
+  let rec unit_rooted = function
+    | u :: m :: rest when Hashtbl.mem units (u ^ "__" ^ m) ->
+      unit_rooted ((u ^ "__" ^ m) :: rest)
+    | c -> c
+  in
+  let values = ref [] and wholes = ref [] in
+  let record acc p =
+    Option.iter (fun c -> acc := unit_rooted c :: !acc) (comps p)
+  in
+  let module_types = Hashtbl.create 8 in
+  let rec sig_values = function
+    | Types.Mty_signature sg ->
+      Some
+        (List.filter_map
+           (function
+             | Types.Sig_value (id, _, _) -> Some (Ident.name id) | _ -> None)
+           sg)
+    | Types.Mty_ident (Path.Pident id) ->
+      Hashtbl.find_opt module_types (Ident.unique_name id)
+    | _ -> None
+  and param_values = function
+    | Types.Mty_functor (Types.Named (_, param), _) -> sig_values param
+    | _ -> None
+  in
+  let alias id me =
+    match (id, (strip_constraints me).mod_desc) with
+    | Some id, Tmod_ident (p, _) ->
+      Hashtbl.replace aliases (Ident.unique_name id) p;
+      true
+    | _ -> false
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun sub mb ->
+          if not (alias mb.mb_id mb.mb_expr) then
+            Tast_iterator.default_iterator.module_binding sub mb);
+      module_type_declaration =
+        (fun sub mtd ->
+          Option.iter
+            (fun mty ->
+              Option.iter
+                (Hashtbl.replace module_types (Ident.unique_name mtd.mtd_id))
+                (sig_values mty.mty_type))
+            mtd.mtd_type;
+          Tast_iterator.default_iterator.module_type_declaration sub mtd);
+      module_expr =
+        (fun sub me ->
+          match me.mod_desc with
+          | Tmod_apply (f, arg, _) -> (
+            sub.module_expr sub f;
+            match
+              ((strip_constraints arg).mod_desc, param_values f.mod_type)
+            with
+            | Tmod_ident (p, _), Some names ->
+              List.iter (fun v -> record values (Path.Pdot (p, v))) names
+            | _ -> sub.module_expr sub arg)
+          | Tmod_ident (p, _) -> record wholes p
+          | _ -> Tast_iterator.default_iterator.module_expr sub me);
+      expr =
+        (fun sub e ->
+          match e.exp_desc with
+          | Texp_ident (p, _, _) -> record values p
+          | Texp_letmodule (id, _, _, me, body) when alias id me ->
+            sub.expr sub body
+          | _ -> Tast_iterator.default_iterator.expr sub e);
+      (* [open M] is no use of M's values; what it brings into scope
+         reaches [expr] above already rooted at M. *)
+      open_declaration =
+        (fun sub od ->
+          match od.open_expr.mod_desc with
+          | Tmod_ident _ -> ()
+          | _ -> Tast_iterator.default_iterator.open_declaration sub od);
+    }
+  in
+  it.structure it str;
+  (!values, !wholes)
+
+(* ["Ndn__Pit"; "size"] reads as "Ndn.Pit.size". *)
+let display_path = function
+  | [] -> ""
+  | u :: rest ->
+    let n = String.length u in
+    let rec split start i acc =
+      if i + 1 >= n then List.rev (String.sub u start (n - start) :: acc)
+      else if u.[i] = '_' && u.[i + 1] = '_' then
+        split (i + 2) (i + 2) (String.sub u start (i - start) :: acc)
+      else split start (i + 1) acc
+    in
+    String.concat "." (split 0 0 [] @ rest)
+
+(* A unit never names itself, so every rooted reference comes from
+   another unit.  Units under [cfg.excludes] (the planted fixtures) do
+   not count as callers. *)
+let u1 cfg ~emitter units =
+  let unit_names = Hashtbl.create 256 in
+  List.iter (fun u -> Hashtbl.replace unit_names u.u_name ()) units;
+  let used = Hashtbl.create 4096 and whole = Hashtbl.create 256 in
+  List.iter
+    (fun u ->
+      let excluded =
+        match u.u_source with
+        | Some rel -> List.exists (fun e -> under e rel) cfg.excludes
+        | None -> false
+      in
+      match u.u_annots with
+      | Cmt_format.Implementation str when not excluded ->
+        let values, wholes = references ~units:unit_names str in
+        List.iter (fun c -> Hashtbl.replace used c ()) values;
+        List.iter (fun c -> Hashtbl.replace whole c ()) wholes
+      | _ -> ())
+    units;
+  let rec used_whole rev_prefix = function
+    | [] | [ _ ] -> false
+    | c :: rest ->
+      let prefix = List.rev (c :: rev_prefix) in
+      Hashtbl.mem whole prefix || used_whole (c :: rev_prefix) rest
+  in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      match (u.u_annots, u.u_source) with
+      | Cmt_format.Interface sg, Some rel
+        when Filename.check_suffix rel ".mli"
+             && List.exists (fun p -> under p rel) cfg.lib_prefixes
+             && List.exists (fun p -> under p rel) cfg.paths
+             && (not (List.exists (fun e -> under e rel) cfg.excludes))
+             && Sys.file_exists (Filename.concat cfg.root rel)
+             && not (Hashtbl.mem seen rel) ->
+        Hashtbl.add seen rel ();
+        let emit = emitter rel (read_file (Filename.concat cfg.root rel)) in
+        List.iter
+          (fun (path, loc) ->
+            let comps = u.u_name :: path in
+            if not (Hashtbl.mem used comps || used_whole [] comps) then
+              let line, col = pos_of_loc loc in
+              emit ~rule:"U1" ~line ~col
+                ~msg:
+                  (Printf.sprintf
+                     "`%s` is exported but no other unit references it; \
+                      delete it, or drop it from the interface if its own \
+                      unit still uses it"
+                     (display_path comps)))
+          (declared_values [] sg)
+      | _ -> ())
+    units
+
 (* --- the driver --- *)
 
 let run cfg =
@@ -493,7 +706,16 @@ let run cfg =
             --root at the build tree (the @typedlint alias does both)"
            cfg.root)
     else begin
-      let shared = shared_closure cfg units in
+      (* R1's closure follows implementation imports only. *)
+      let shared =
+        shared_closure cfg
+          (List.filter
+             (fun u ->
+               match u.u_annots with
+               | Cmt_format.Implementation _ -> true
+               | _ -> false)
+             units)
+      in
       let in_scope rel =
         Filename.check_suffix rel ".ml"
         && List.exists (fun p -> under p rel) cfg.paths
@@ -517,34 +739,36 @@ let run cfg =
       in
       let findings = ref [] in
       let hot_fns = ref [] in
+      let emitter rel src =
+        let pragmas = Ndnlint.pragmas_of_source src in
+        fun ~rule ~line ~col ~msg ->
+          let status =
+            if Ndnlint.pragma_suppresses pragmas ~line ~rule then
+              Ndnlint.Pragma_suppressed
+            else
+              match Ndnlint.allowlist_lookup allowlist ~rule ~file:rel with
+              | Some e -> Ndnlint.Allowlisted e.Ndnlint.a_just
+              | None -> Ndnlint.Active
+          in
+          findings :=
+            {
+              Ndnlint.rule;
+              severity = Ndnlint.severity_of_rule rule;
+              file = rel;
+              line;
+              col;
+              message = msg;
+              status;
+            }
+            :: !findings
+      in
       List.iter
         (fun u ->
           let rel = Option.get u.u_source in
           match u.u_annots with
           | Cmt_format.Implementation str ->
             let src = read_file (Filename.concat cfg.root rel) in
-            let pragmas = Ndnlint.pragmas_of_source src in
-            let emit ~rule ~line ~col ~msg =
-              let status =
-                if Ndnlint.pragma_suppresses pragmas ~line ~rule then
-                  Ndnlint.Pragma_suppressed
-                else
-                  match Ndnlint.allowlist_lookup allowlist ~rule ~file:rel with
-                  | Some e -> Ndnlint.Allowlisted e.Ndnlint.a_just
-                  | None -> Ndnlint.Active
-              in
-              findings :=
-                {
-                  Ndnlint.rule;
-                  severity = Ndnlint.severity_of_rule rule;
-                  file = rel;
-                  line;
-                  col;
-                  message = msg;
-                  status;
-                }
-                :: !findings
-            in
+            let emit = emitter rel src in
             if
               List.exists (fun p -> under p rel) cfg.lib_prefixes
               && Hashtbl.mem shared u.u_name
@@ -563,6 +787,7 @@ let run cfg =
             scan_g1 ~emit str
           | _ -> ())
         analyzable;
+      u1 cfg ~emitter units;
       let shared_units =
         Hashtbl.fold (fun k () acc -> k :: acc) shared []
         |> List.sort String.compare

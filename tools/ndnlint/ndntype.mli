@@ -16,7 +16,10 @@
       comparison at non-scalar types, [Stdlib.min]/[max],
       [Hashtbl.hash];
     - {b G1} a [Sim.Rng.t] handle drawn from (or stored) after being
-      passed to [Rng.split] in the same compilation unit —
+      passed to [Rng.split] in the same compilation unit;
+    - {b U1} a value a [lib/] [.mli] declares (nested
+      [module X : sig ... end] values included) that no other unit's
+      [.cmt] references, wherever under [root] that unit lives —
 
     resolving pragmas and the allowlist with [Ndnlint]'s own machinery
     so suppression semantics are identical across both stages.
@@ -54,8 +57,8 @@ type config = {
   excludes : string list;  (** Source prefixes never analyzed. *)
   allowlist_file : string option;  (** Relative to [root]. *)
   lib_prefixes : string list;
-      (** Prefixes where R1 applies (module-level mutable state is only
-          policed in library code). *)
+      (** Prefixes where R1 and U1 apply (module-level mutable state
+          and unreferenced exports are only policed in library code). *)
   spawn_units : string list;
       (** Compilation units that place work on domains; seeds of the R1
           reachability closure. *)
@@ -79,7 +82,9 @@ val config :
     no allowlist. *)
 
 val run : config -> (report, string) result
-(** Analyze every source file that has a cmt under [root].  [Error]
+(** Analyze every source file that has a cmt under [root], and every
+    interface under [lib_prefixes] that has a cmti (U1).  U1 counts a
+    reference from any unit under [root] outside [excludes].  [Error]
     covers configuration problems: an unreadable or malformed
     allowlist, or no cmt files at all (the build hasn't run).  A file
     whose cmt lacks a full implementation (packs, partial saves) is

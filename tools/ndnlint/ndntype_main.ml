@@ -47,7 +47,7 @@ let () =
         " ignore the default allowlist and registry lookup" );
       ( "--typed-only",
         Arg.Set typed_only,
-        " skip the syntactic pass and S3 (report R1/A1/A2/G1 only)" );
+        " skip the syntactic pass and S3 (report R1/A1/A2/G1/U1 only)" );
       ( "--exclude",
         Arg.String (fun s -> excludes := s :: !excludes),
         "DIR skip this directory (repeatable; lint fixture trees are \
