@@ -40,11 +40,11 @@ let cs_insert_lru_alloc_ceiling = 10.01
 
 (* Minor words per PIT insert of a new name followed by its satisfy,
    the forwarder's common round trip: the arrival list cell and its
-   (face, nonce) pair at insert (6 words); the matched-slot list cell,
-   the face list cell, the result pair and the [Some] boxed creation
-   time at satisfy (13).  Slots, the expiry ring and the name index
-   allocate nothing. *)
-let pit_insert_satisfy_alloc_ceiling = 19.01
+   (face, nonce) pair at insert (6 words), and the one-face list the
+   satisfy returns (3).  A single match builds no matched-slot list,
+   and the creation time goes to an unboxed slot, not a boxed result.
+   Slots, the expiry ring and the name index allocate nothing. *)
+let pit_insert_satisfy_alloc_ceiling = 9.01
 
 (* ------------------------------------------------------------------ *)
 (* Engine churn: steady-state schedule/cancel/fire traffic over a

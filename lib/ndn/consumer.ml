@@ -75,98 +75,126 @@ type outcome = {
   nacks : int;
 }
 
+(* One record per fetch.  The callbacks handed to every attempt's
+   expression are built once, with the record, and read the attempt
+   number from it: attempt [n + 1] is only expressed once attempt [n]'s
+   expression has left the node's pending set (timed out or NACKed),
+   so the callbacks only ever fire for the latest attempt. *)
+type fetch = {
+  node : Node.t;
+  name : Name.t;
+  max_retries : int;
+  estimator : Rtt_estimator.t;
+  policy : backoff option;
+  on_done : outcome -> unit;
+  started : float;
+  mutable attempt : int;
+  mutable finished : bool;
+  mutable nack_count : int;
+  (* Express the next attempt; set once the record exists. *)
+  mutable express : unit -> unit;
+}
+
+let report f data =
+  f.on_done
+    {
+      data;
+      attempts = f.attempt;
+      elapsed_ms = Sim.Engine.now (Node.engine f.node) -. f.started;
+      nacks = f.nack_count;
+    }
+
+let give_up f =
+  f.finished <- true;
+  (* The give-up record belongs to the robust plane: emitting it from
+     a plain (no-backoff) fetch would perturb golden legacy traces. *)
+  (match f.policy with
+  | Some _ ->
+    let tr = Node.tracer f.node in
+    if Sim.Trace.enabled tr then
+      Sim.Trace.emit tr
+        {
+          Sim.Trace.time = Sim.Engine.now (Node.engine f.node);
+          node = Node.label f.node;
+          kind = Sim.Trace.Consumer_give_up;
+          name = Name.to_string f.name;
+          attrs =
+            [
+              ("attempts", string_of_int f.attempt);
+              ("nacks", string_of_int f.nack_count);
+            ];
+        }
+  | None -> ());
+  report f None
+
+let retry_later f =
+  match f.policy with
+  | None -> f.express ()
+  | Some b -> Node.schedule_app f.node ~delay:(backoff_delay b ~attempt:f.attempt) f.express
+
+let attempt_answered f ~rtt_ms data =
+  if not f.finished then begin
+    f.finished <- true;
+    (* Karn's algorithm: a sample taken after a retransmission is
+       ambiguous — the data may answer the original interest (inflated
+       RTT) or the re-issued one — so it must not feed the estimator.
+       The backed-off RTO is kept. *)
+    if f.attempt = 1 then Rtt_estimator.observe f.estimator ~rtt_ms;
+    report f (Some data)
+  end
+
+let attempt_timed_out f =
+  if not f.finished then
+    if f.attempt <= f.max_retries then begin
+      Rtt_estimator.backoff f.estimator;
+      retry_later f
+    end
+    else give_up f
+
+(* A NACK is a fast negative: the refusal arrives one RTT after the
+   interest instead of a full RTO later, so retry (or give up)
+   immediately, after only the backoff delay.  The RTO estimator is
+   left alone — a refusal says nothing about the path's round-trip
+   time. *)
+let attempt_nacked f =
+  if not f.finished then begin
+    f.nack_count <- f.nack_count + 1;
+    if f.attempt <= f.max_retries then retry_later f else give_up f
+  end
+
 let fetch node ?(max_retries = 3) ?estimator ?backoff ?consumer_private
     ~on_done name =
   let estimator =
     match estimator with Some e -> e | None -> Rtt_estimator.create ()
   in
-  let engine = Node.engine node in
-  let started = Sim.Engine.now engine in
-  let finished = ref false in
-  let nacks = ref 0 in
-  let give_up n =
-    finished := true;
-    (* The give-up record belongs to the robust plane: emitting it from
-       a plain (no-backoff) fetch would perturb golden legacy traces. *)
-    (match backoff with
-    | Some _ ->
-      let tr = Node.tracer node in
-      if Sim.Trace.enabled tr then
-        Sim.Trace.emit tr
-          {
-            Sim.Trace.time = Sim.Engine.now engine;
-            node = Node.label node;
-            kind = Sim.Trace.Consumer_give_up;
-            name = Name.to_string name;
-            attrs =
-              [
-                ("attempts", string_of_int n);
-                ("nacks", string_of_int !nacks);
-              ];
-          }
-    | None -> ());
-    on_done
-      {
-        data = None;
-        attempts = n;
-        elapsed_ms = Sim.Engine.now engine -. started;
-        nacks = !nacks;
-      }
+  let f =
+    {
+      node;
+      name;
+      max_retries;
+      estimator;
+      policy = backoff;
+      on_done;
+      started = Sim.Engine.now (Node.engine node);
+      attempt = 0;
+      finished = false;
+      nack_count = 0;
+      express = ignore;
+    }
   in
-  let rec attempt n =
-    if not !finished then begin
-      let retry_later () =
-        match backoff with
-        | None -> attempt (n + 1)
-        | Some b ->
-          Node.schedule_app node ~delay:(backoff_delay b ~attempt:n) (fun () ->
-              attempt (n + 1))
-      in
-      let on_nack =
-        match backoff with
-        | None -> None
-        | Some _ ->
-          (* A NACK is a fast negative: the refusal arrives one RTT
-             after the interest instead of a full RTO later, so retry
-             (or give up) immediately, after only the backoff delay.
-             The RTO estimator is left alone — a refusal says nothing
-             about the path's round-trip time. *)
-          Some
-            (fun (_ : Nack.reason) ->
-              if not !finished then begin
-                incr nacks;
-                if n <= max_retries then retry_later () else give_up n
-              end)
-      in
-      Node.express_interest node ?consumer_private
-        ~timeout_ms:(Rtt_estimator.rto estimator)
-        ~on_data:(fun ~rtt_ms data ->
-          if not !finished then begin
-            finished := true;
-            (* Karn's algorithm: a sample taken after a retransmission
-               is ambiguous — the data may answer the original interest
-               (inflated RTT) or the re-issued one — so it must not
-               feed the estimator.  The backed-off RTO is kept. *)
-            if n = 1 then Rtt_estimator.observe estimator ~rtt_ms;
-            on_done
-              {
-                data = Some data;
-                attempts = n;
-                elapsed_ms = Sim.Engine.now engine -. started;
-                nacks = !nacks;
-              }
-          end)
-        ~on_timeout:(fun () ->
-          if not !finished then
-            if n <= max_retries then begin
-              Rtt_estimator.backoff estimator;
-              retry_later ()
-            end
-            else give_up n)
-        ?on_nack name
-    end
+  let on_data ~rtt_ms data = attempt_answered f ~rtt_ms data
+  and on_timeout () = attempt_timed_out f
+  and on_nack =
+    match backoff with None -> None | Some _ -> Some (fun (_ : Nack.reason) -> attempt_nacked f)
   in
-  attempt 1
+  f.express <-
+    (fun () ->
+      if not f.finished then begin
+        f.attempt <- f.attempt + 1;
+        Node.express_interest node ?consumer_private
+          ~timeout_ms:(Rtt_estimator.rto estimator) ~on_data ~on_timeout ?on_nack name
+      end);
+  f.express ()
 
 let fetch_sequence node ?max_retries ?backoff ~names ~on_done () =
   let estimator = Rtt_estimator.create () in

@@ -20,8 +20,13 @@ type face_kind =
   | Wire of (Packet.t -> unit)
   | Producer_app of { handler : Interest.t -> Data.t option; delay : float }
 
+(* One record per expression.  [key] is the event key the expression
+   claimed when it was issued, unique on its node: its timeout finds
+   the record by it, so the timeout closure needs no reference to the
+   record it is stored in. *)
 type pending_expression = {
   issued : float;
+  key : int;
   on_data : rtt_ms:float -> Data.t -> unit;
   on_timeout : unit -> unit;
   on_nack : (Nack.reason -> unit) option;
@@ -188,8 +193,8 @@ let sweep_pit t =
   done;
   if t.arm_len > 0 then schedule_front t
 
-let request_sweep t =
-  let at = Sim.Engine.now t.engine +. (t.pit_lifetime_ms +. 1.) in
+let request_sweep t ~now =
+  let at = now +. (t.pit_lifetime_ms +. 1.) in
   arms_push t at (fresh_event_key t);
   if t.arm_len = 1 then schedule_front t
 
@@ -354,6 +359,15 @@ let send_data t ~face data =
              dispatch_local t data))
     | Producer_app _ -> () (* producers do not consume data *)
 
+(* Send [data] on every face of [faces] but [except], the face it
+   arrived on. *)
+(* ndnlint: hot *)
+let rec send_data_except t ~except data = function
+  | [] -> ()
+  | f :: rest ->
+    if f <> except then send_data t ~face:f data;
+    send_data_except t ~except data rest
+
 (* Emit (or relay) a NACK downstream.  Each send — origin or relay hop
    — is traced under the reason's registered [nack.*] kind. *)
 let send_nack t ~face nack =
@@ -374,6 +388,13 @@ let send_nack t ~face nack =
         (sched t ~delay:(proc_delay t) (fun () -> dispatch_local_nack t nack))
     | Producer_app _ -> ()
 
+(* ndnlint: hot *)
+let rec relay_nack t ~except nack = function
+  | [] -> ()
+  | f :: rest ->
+    if f <> except then send_nack t ~face:f nack;
+    relay_nack t ~except nack rest
+
 (* A NACK consumes exactly the refused entry and travels the reverse
    path like Data — but satisfies nothing, so a later retransmission
    re-forwards.  Nodes with the feature off drop NACKs silently. *)
@@ -381,31 +402,30 @@ let handle_nack t ~face nack =
   if not t.alive then t.c.dropped_down <- t.c.dropped_down + 1
   else if t.nacks then begin
     t.c.nacks_received <- t.c.nacks_received + 1;
-    let faces = Pit.take t.pit nack.Nack.name in
-    List.iter (fun f -> if f <> face then send_nack t ~face:f nack) faces
+    relay_nack t ~except:face nack (Pit.take t.pit nack.Nack.name)
   end
+
+let forward_on_wire t ~face send interest =
+  t.c.interests_forwarded <- t.c.interests_forwarded + 1;
+  if Sim.Trace.enabled t.tracer then
+    trace t Sim.Trace.Interest_forwarded interest.Interest.name
+      [ ("face", string_of_int face) ];
+  ignore (sched t ~delay:(proc_delay t) (fun () -> send (Packet.Interest interest)));
+  true
 
 let rec send_interest_on_face t ~face interest =
   match t.faces.(face) with
-  | Wire send ->
-    (* One hop of scope budget is consumed per wire traversal. *)
-    let forwardable =
-      if t.honor_scope then Interest.decrement_scope interest
-      else Some interest
-    in
-    (match forwardable with
-    | None ->
-      t.c.scope_drops <- t.c.scope_drops + 1;
-      false
-    | Some interest ->
-      t.c.interests_forwarded <- t.c.interests_forwarded + 1;
-      if Sim.Trace.enabled t.tracer then
-        trace t Sim.Trace.Interest_forwarded interest.Interest.name
-          [ ("face", string_of_int face) ];
-      ignore
-        (sched t ~delay:(proc_delay t) (fun () ->
-             send (Packet.Interest interest)));
-      true)
+  | Wire send -> (
+    (* One hop of scope budget is consumed per wire traversal; an
+       unscoped interest has none to consume. *)
+    match interest.Interest.scope with
+    | Some _ when t.honor_scope -> (
+      match Interest.decrement_scope interest with
+      | None ->
+        t.c.scope_drops <- t.c.scope_drops + 1;
+        false
+      | Some interest -> forward_on_wire t ~face send interest)
+    | _ -> forward_on_wire t ~face send interest)
   | Producer_app { handler; delay } -> (
     (* An injected outage silences every producer application on this
        node: the interest dies here and the PIT entry times out
@@ -444,25 +464,26 @@ and handle_data_alive t ~face data =
   if Sim.Trace.enabled t.tracer then
     trace t Sim.Trace.Data_received data.Data.name
       [ ("face", string_of_int face) ];
-  let faces, created = Pit.satisfy_timed t.pit data.Data.name in
-  if faces = [] then t.c.unsolicited_data <- t.c.unsolicited_data + 1
-  else begin
-    let fetch_delay = match created with Some c -> now -. c | None -> 0. in
+  match Pit.satisfy_timed t.pit data.Data.name with
+  | [] -> t.c.unsolicited_data <- t.c.unsolicited_data + 1
+  | faces ->
+    let fetch_delay = now -. Pit.satisfied_created t.pit in
     if t.caching && t.strat.should_cache ~now data ~fetch_delay then
       Content_store.insert t.cs ~now data ();
     let pad = t.strat.forward_delay ~now data ~fetch_delay in
-    if pad <= 0. then
-      List.iter (fun f -> if f <> face then send_data t ~face:f data) faces
+    if pad <= 0. then send_data_except t ~except:face data faces
     else
-      ignore
-        (sched t ~delay:pad (fun () ->
-             List.iter (fun f -> if f <> face then send_data t ~face:f data) faces))
-  end
+      ignore (sched t ~delay:pad (fun () -> send_data_except t ~except:face data faces))
 
 (* --- interest path --- *)
 
-let forward_as_miss t ~face interest =
-  let now = Sim.Engine.now t.engine in
+(* The first of [hops] that is not [face], or -1. *)
+(* ndnlint: hot *)
+let rec first_hop_except face = function
+  | [] -> -1
+  | f :: rest -> if f <> face then f else first_hop_except face rest
+
+let forward_as_miss t ~now ~face interest =
   let name = interest.Interest.name in
   match Pit.insert t.pit ~now ~face ~nonce:interest.Interest.nonce name with
   | Pit.Duplicate ->
@@ -490,18 +511,17 @@ let forward_as_miss t ~face interest =
     (* Ask for a sweep so abandoned entries do not linger forever; the
        node keeps one pending and skips the ones that would find
        nothing (see [sweep_pit]). *)
-    request_sweep t;
-    let hops = Fib.next_hops t.fib name in
-    let usable = List.filter (fun f -> f <> face) hops in
-    match usable with
-    | [] ->
+    request_sweep t ~now;
+    let hop = first_hop_except face (Fib.next_hops t.fib name) in
+    if hop >= 0 then ignore (send_interest_on_face t ~face:hop interest)
+    else begin
       t.c.no_route_drops <- t.c.no_route_drops + 1;
       if t.nacks then begin
         ignore (Pit.take t.pit name);
         send_nack t ~face
           (Nack.create ~nonce:interest.Interest.nonce ~reason:Nack.No_route name)
       end
-    | hop :: _ -> ignore (send_interest_on_face t ~face:hop interest))
+    end)
 
 let handle_interest_alive t ~face interest =
   let now = Sim.Engine.now t.engine in
@@ -521,10 +541,10 @@ let handle_interest_alive t ~face interest =
       let data = entry.Content_store.data in
       ignore
         (sched t ~delay (fun () -> send_data t ~face data))
-    | Treat_as_miss -> forward_as_miss t ~face interest)
+    | Treat_as_miss -> forward_as_miss t ~now ~face interest)
   | None ->
     t.strat.note_miss ~now interest;
-    forward_as_miss t ~face interest
+    forward_as_miss t ~now ~face interest
 
 let handle_interest t ~face interest =
   if not t.alive then t.c.dropped_down <- t.c.dropped_down + 1
@@ -542,6 +562,18 @@ let add_producer t ~prefix ?(production_delay_ms = 0.1) handler =
   let face = add_face t (Producer_app { handler; delay = production_delay_ms }) in
   Fib.add_route t.fib ~prefix ~face
 
+(* Give up on the expression claimed under [key]: unregister it and
+   notify.  Every other way out of [pending_local] cancels the
+   timeout first, so the expression is still registered here. *)
+let expression_timed_out t name key =
+  match Name_trie.find t.pending_local name with
+  | None -> ()
+  | Some cell ->
+    let gone, keep = List.partition (fun p -> p.key = key) !cell in
+    cell := keep;
+    if keep = [] then Name_trie.remove t.pending_local name;
+    List.iter (fun p -> p.on_timeout ()) gone
+
 let express_interest t ?scope ?(consumer_private = false) ?timeout_ms ~on_data
     ?(on_timeout = fun () -> ()) ?on_nack name =
   (* Claim a fresh trace-stitch key for this expression.  When called
@@ -550,7 +582,8 @@ let express_interest t ?scope ?(consumer_private = false) ?timeout_ms ~on_data
      called from inside an event, overriding the event's key is equally
      shard-count-invariant because it happens at the same point of the
      node's deterministic history either way. *)
-  Sim.Engine.set_cur_key t.engine (fresh_event_key t);
+  let key = fresh_event_key t in
+  Sim.Engine.set_cur_key t.engine key;
   let now = Sim.Engine.now t.engine in
   let timeout_ms = Option.value timeout_ms ~default:t.pit_lifetime_ms in
   let cell =
@@ -561,27 +594,8 @@ let express_interest t ?scope ?(consumer_private = false) ?timeout_ms ~on_data
       Name_trie.add t.pending_local name cell;
       cell
   in
-  let rec pending =
-    lazy
-      {
-        issued = now;
-        on_data;
-        on_timeout;
-        on_nack;
-        timeout_handle =
-          sched t ~delay:timeout_ms (fun () ->
-              (* Give up: unregister this expression and notify. *)
-              let p = Lazy.force pending in
-              (match Name_trie.find t.pending_local name with
-              | Some cell ->
-                cell := List.filter (fun q -> q != p) !cell;
-                if !cell = [] then Name_trie.remove t.pending_local name
-              | None -> ());
-              on_timeout ());
-      }
-  in
-  let p = Lazy.force pending in
-  cell := p :: !cell;
+  let timeout_handle = sched t ~delay:timeout_ms (fun () -> expression_timed_out t name key) in
+  cell := { issued = now; key; on_data; on_timeout; on_nack; timeout_handle } :: !cell;
   let interest =
     Interest.create ?scope ~consumer_private ~nonce:(Sim.Rng.bits64 t.rng) name
   in

@@ -49,6 +49,11 @@ type t = {
   mutable next_stamp : int;
   mutable evictions : int;
   mutable rejections : int;
+  (* Creation time of the oldest entry the last [satisfy_timed]
+     removed, [infinity] if it removed none.  A one-slot float array,
+     not a mutable float field: in this mixed record a float field
+     would box on every store. *)
+  satisfied : float array;
 }
 
 let create ?(lifetime_ms = 4000.) ?capacity ?(admission = Drop_new)
@@ -79,6 +84,7 @@ let create ?(lifetime_ms = 4000.) ?capacity ?(admission = Drop_new)
     next_stamp = 0;
     evictions = 0;
     rejections = 0;
+    satisfied = [| Float.infinity |];
   }
 
 let capacity t = t.capacity
@@ -278,34 +284,54 @@ let rec arrival_faces acc = function
   | (f, _) :: older ->
     arrival_faces (if has_face f older then acc else f :: acc) older
 
-(* The slots of every pending name that is a prefix of [name], longest
-   name first: one probe per length the index's census holds, the query
-   itself at its own length, so the common probe builds no name. *)
-let rec prefix_slots t name len n acc =
-  if n > len then acc
+(* The slot of the shortest pending name that is a prefix of [name]
+   and at least [n] components long, or -1: one probe per length the
+   index's census holds, the query itself at its own length, so the
+   common probe builds no name. *)
+let rec prefix_slot t name len n =
+  if n > len then -1
+  else if not (Name_index.has_length t.index n) then prefix_slot t name len (n + 1)
   else
-    let acc =
-      if not (Name_index.has_length t.index n) then acc
-      else
-        let s = Name_index.find t.index (if n = len then name else Name.prefix name n) in
-        if s < 0 then acc else s :: acc
-    in
-    prefix_slots t name len (n + 1) acc
+    let s = Name_index.find t.index (if n = len then name else Name.prefix name n) in
+    if s < 0 then prefix_slot t name len (n + 1) else s
 
+(* [acc] with the slots of the longer prefixes from [s] on pushed on,
+   longest first. *)
+let rec prefix_slots t name len s acc =
+  if s < 0 then acc
+  else
+    prefix_slots t name len
+      (prefix_slot t name len (Name.length t.names.(s) + 1))
+      (s :: acc)
+
+(* A single match, the forwarder's common case, builds only the face
+   list; the next probe starts past the match's own length, which its
+   slot's name gives. *)
 let satisfy_timed t name =
-  match prefix_slots t name (Name.length name) 0 [] with
-  | [] -> ([], None)
-  | [ s ] ->
-    let faces = arrival_faces [] t.arrivals.(s) and created = t.created.(s) in
-    remove_slot t s;
-    (faces, Some created)
-  | matched ->
-    let faces = arrival_faces [] (List.concat_map (fun s -> t.arrivals.(s)) matched) in
-    let oldest =
-      List.fold_left (fun acc s -> Float.min acc t.created.(s)) Float.infinity matched
-    in
-    List.iter (remove_slot t) matched;
-    (faces, Some oldest)
+  let len = Name.length name in
+  let s = prefix_slot t name len 0 in
+  if s < 0 then begin
+    t.satisfied.(0) <- Float.infinity;
+    []
+  end
+  else
+    let next = prefix_slot t name len (Name.length t.names.(s) + 1) in
+    if next < 0 then begin
+      let faces = arrival_faces [] t.arrivals.(s) in
+      t.satisfied.(0) <- t.created.(s);
+      remove_slot t s;
+      faces
+    end
+    else begin
+      let matched = prefix_slots t name len next [ s ] in
+      let faces = arrival_faces [] (List.concat_map (fun s -> t.arrivals.(s)) matched) in
+      t.satisfied.(0) <-
+        List.fold_left (fun acc s -> Float.min acc t.created.(s)) Float.infinity matched;
+      List.iter (remove_slot t) matched;
+      faces
+    end
+
+let satisfied_created t = t.satisfied.(0)
 
 let take t name =
   let s = Name_index.find t.index name in

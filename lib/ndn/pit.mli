@@ -73,14 +73,19 @@ val insert : t -> now:float -> face:int -> nonce:int64 -> Name.t -> insert_resul
     engine clock) — the expiry index relies on insertion order being
     expiry order. *)
 
-val satisfy_timed : t -> Name.t -> int list * float option
+val satisfy_timed : t -> Name.t -> int list
 (** Faces awaiting an arriving Data packet with the given name — the
     union over every pending name that is a prefix of it — removing
-    those entries, with the creation time of the oldest satisfied
-    entry ([None] when nothing matched).  Face order: registration
-    order, duplicates removed.  The forwarder uses [now - created] as
-    the measured fetch delay feeding the content-specific-delay
-    countermeasure. *)
+    those entries.  Face order: registration order, duplicates
+    removed.  The creation time of the oldest entry removed is kept
+    for {!satisfied_created}; a single matching entry costs only the
+    returned list. *)
+
+val satisfied_created : t -> float
+(** Creation time of the oldest entry the last {!satisfy_timed}
+    removed, or [infinity] if it removed none.  The forwarder uses
+    [now - created] as the measured fetch delay feeding the
+    content-specific-delay countermeasure. *)
 
 val take : t -> Name.t -> int list
 (** Remove the exact-name entry, returning its faces (registration

@@ -164,10 +164,18 @@ let schedule_key t ~delay ~key f =
   let delay = if delay < 0. then 0. else delay in
   schedule_key_at t ~time:(Array.unsafe_get t.clock 0 +. delay) ~key f
 
+(* The action is released here, not when the dead entry pops: a
+   cancelled timer's closure graph (a whole fetch's callbacks, say)
+   would otherwise stay reachable until its deadline, which for a
+   retransmission timer is usually long after it stopped mattering.
+   The entry itself stays queued until its time, so pop order and the
+   clock advance of a drained [run] are unchanged. *)
+(* ndnlint: hot *)
 let cancel h =
   match h.state with
   | Pending ->
     h.state <- Cancelled;
+    h.action <- nop;
     h.owner.live <- h.owner.live - 1
   | Fired | Cancelled -> ()
 

@@ -91,10 +91,14 @@ val set_cur_key : t -> int -> unit
     whatever event happened to run last. *)
 
 val cancel : handle -> unit
-(** Disarm a scheduled event.  Cancelling an already-fired or
-    already-cancelled event is a no-op — but see the recycling caveat
-    in the module preamble: once the event has fired, the handle may
-    have been reused by a later [schedule]. *)
+(** Disarm a scheduled event.  The action is released at once, so
+    whatever only its closure holds can be collected before the
+    event's time.  The dead entry still stays queued and pops at its
+    time: a drained {!run} ends with the clock there, {!has_queued}
+    counts it, and pop order does not change.  Cancelling an
+    already-fired or already-cancelled event is a no-op — but see the
+    recycling caveat in the module preamble: once the event has fired,
+    the handle may have been reused by a later [schedule]. *)
 
 val is_cancelled : handle -> bool
 

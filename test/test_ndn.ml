@@ -603,14 +603,13 @@ let pit_model_property =
                 (List.concat_map (fun e -> e.m_arrivals) (List.rev shortest_first))
             in
             let want_created =
-              match matched with
-              | [] -> None
-              | _ ->
-                Some (List.fold_left (fun acc e -> Float.min acc e.m_created) infinity matched)
+              List.fold_left (fun acc e -> Float.min acc e.m_created) infinity matched
             in
-            let faces, created = Pit.satisfy_timed pit q in
-            if faces <> want_faces || created <> want_created then
-              fail "faces [%s], model [%s]" (ints faces) (ints want_faces)
+            let faces = Pit.satisfy_timed pit q in
+            let created = Pit.satisfied_created pit in
+            if faces <> want_faces || not (Float.equal created want_created) then
+              fail "faces [%s] created %g, model [%s] created %g" (ints faces) created
+                (ints want_faces) want_created
           | P_take i ->
             let q = pit_universe.(i) in
             let want =
@@ -895,10 +894,10 @@ let test_pit_satisfy () =
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a"));
   ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:2L (name "/a"));
   Alcotest.(check (list int)) "both faces" [ 1; 2 ]
-    (fst (Pit.satisfy_timed pit (name "/a")));
+    (Pit.satisfy_timed pit (name "/a"));
   Alcotest.(check bool) "entry flushed" false (Pit.pending pit (name "/a"));
   Alcotest.(check (list int)) "second satisfy empty" []
-    (fst (Pit.satisfy_timed pit (name "/a")))
+    (Pit.satisfy_timed pit (name "/a"))
 
 let test_pit_satisfy_by_extension () =
   (* Data named /a/b/c satisfies pending interests for /a/b and /a/b/c. *)
@@ -906,7 +905,7 @@ let test_pit_satisfy_by_extension () =
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a/b"));
   ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:2L (name "/a/b/c"));
   ignore (Pit.insert pit ~now:0. ~face:3 ~nonce:3L (name "/a/x"));
-  let faces = fst (Pit.satisfy_timed pit (name "/a/b/c")) in
+  let faces = Pit.satisfy_timed pit (name "/a/b/c") in
   Alcotest.(check (list int)) "prefix entries satisfied" [ 1; 2 ] faces;
   Alcotest.(check bool) "unrelated survives" true (Pit.pending pit (name "/a/x"))
 
@@ -915,7 +914,7 @@ let test_pit_satisfy_dedups_faces () =
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:1L (name "/a"));
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:2L (name "/a/b"));
   Alcotest.(check (list int)) "face listed once" [ 1 ]
-    (fst (Pit.satisfy_timed pit (name "/a/b")));
+    (Pit.satisfy_timed pit (name "/a/b"));
   (* Registration order across entries, shortest name first, each face
      at its first arrival; a retransmission does not move its face. *)
   ignore (Pit.insert pit ~now:0. ~face:2 ~nonce:3L (name "/a"));
@@ -924,17 +923,23 @@ let test_pit_satisfy_dedups_faces () =
   ignore (Pit.insert pit ~now:0. ~face:3 ~nonce:6L (name "/a/b"));
   ignore (Pit.insert pit ~now:0. ~face:1 ~nonce:7L (name "/a/b"));
   Alcotest.(check (list int)) "faces in registration order" [ 2; 1; 3 ]
-    (fst (Pit.satisfy_timed pit (name "/a/b")))
+    (Pit.satisfy_timed pit (name "/a/b"))
 
 let test_pit_satisfy_timed () =
   let pit = Pit.create () in
   ignore (Pit.insert pit ~now:3. ~face:1 ~nonce:1L (name "/a"));
-  let faces, created = Pit.satisfy_timed pit (name "/a") in
-  Alcotest.(check (list int)) "faces" [ 1 ] faces;
-  Alcotest.(check (option (float 1e-9))) "created" (Some 3.) created;
-  let faces2, created2 = Pit.satisfy_timed pit (name "/zzz") in
-  Alcotest.(check (list int)) "no faces" [] faces2;
-  Alcotest.(check (option (float 1e-9))) "no created" None created2
+  Alcotest.(check (list int)) "faces" [ 1 ] (Pit.satisfy_timed pit (name "/a"));
+  Alcotest.(check (float 1e-9)) "created" 3. (Pit.satisfied_created pit);
+  Alcotest.(check (list int)) "no faces" [] (Pit.satisfy_timed pit (name "/zzz"));
+  Alcotest.(check bool) "no created" true
+    (Float.equal Float.infinity (Pit.satisfied_created pit));
+  (* Several matches: the oldest entry's time, whichever is longest. *)
+  ignore (Pit.insert pit ~now:5. ~face:1 ~nonce:2L (name "/b/c"));
+  ignore (Pit.insert pit ~now:7. ~face:2 ~nonce:3L (name "/b"));
+  ignore (Pit.insert pit ~now:9. ~face:3 ~nonce:4L (name "/b/c/d"));
+  Alcotest.(check (list int)) "all three" [ 2; 1; 3 ]
+    (Pit.satisfy_timed pit (name "/b/c/d"));
+  Alcotest.(check (float 1e-9)) "oldest of several" 5. (Pit.satisfied_created pit)
 
 let test_pit_expire () =
   let pit = Pit.create ~lifetime_ms:100. () in

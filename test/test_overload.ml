@@ -172,7 +172,7 @@ let test_pit_per_face_fair () =
      post-split quota of capacity/2 — stays rejected while the honest
      face keeps its share. *)
   Alcotest.(check (list int)) "honest entry drains" [ 2 ]
-    (fst (Ndn.Pit.satisfy_timed pit (name "/h/1")));
+    (Ndn.Pit.satisfy_timed pit (name "/h/1"));
   Alcotest.check result "flooder over quota rejected" Ndn.Pit.Rejected
     (ins pit ~now:2. ~face:1 "/f/4");
   Alcotest.check result "honest face keeps its share" Ndn.Pit.Forward
@@ -188,7 +188,7 @@ let test_pit_expiry_index () =
   (* Early removal leaves a stale index slot behind: expire must skip
      it, not resurrect the entry. *)
   Alcotest.(check (list int)) "satisfied early" [ 1 ]
-    (fst (Ndn.Pit.satisfy_timed pit (name "/mid")));
+    (Ndn.Pit.satisfy_timed pit (name "/mid"));
   Alcotest.(check (list string))
     "only the old cohort expires, in canonical order" [ "/a"; "/b" ]
     (List.map Ndn.Name.to_string (Ndn.Pit.expire pit ~now:105.))

@@ -262,6 +262,40 @@ let test_engine_cancel () =
   Alcotest.(check bool) "cancelled event does not fire" false !fired;
   Alcotest.(check bool) "handle reports cancelled" true (Sim.Engine.is_cancelled h)
 
+(* Schedule, far ahead, an event whose closure alone holds a fresh
+   block, and return its handle with a weak pointer to the block.  Out
+   of line, so that nothing in the caller's frame holds the block. *)
+let[@inline never] schedule_holding_block e =
+  let block = Bytes.make 64 'x' in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some block);
+  let h =
+    Sim.Engine.schedule e ~delay:1000. (fun () ->
+        ignore (Sys.opaque_identity (Bytes.length block)))
+  in
+  (h, w)
+
+let test_engine_cancel_releases_action () =
+  let e = Sim.Engine.create () in
+  let h, w = schedule_holding_block e in
+  Gc.full_major ();
+  Alcotest.(check bool) "a queued action keeps its closure alive" true (Weak.check w 0);
+  Sim.Engine.cancel h;
+  Gc.full_major ();
+  Alcotest.(check bool) "cancel releases the action" false (Weak.check w 0);
+  Alcotest.(check bool) "the dead entry stays queued" true (Sim.Engine.has_queued e)
+
+(* A cancelled event still pops at its time, so a drained run ends
+   there, after the last event that executed. *)
+let test_engine_cancelled_clock () =
+  let e = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule e ~delay:2. (fun () -> ()));
+  Sim.Engine.cancel (Sim.Engine.schedule e ~delay:7. (fun () -> ()));
+  Sim.Engine.run e;
+  check_float "run ends at the cancelled event's time" 7. (Sim.Engine.now e);
+  check_float "last fire" 2. (Sim.Engine.last_fire_time e);
+  Alcotest.(check int) "one executed" 1 (Sim.Engine.events_processed e)
+
 let test_engine_until () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
@@ -1222,6 +1256,8 @@ let () =
           Alcotest.test_case "same instant fifo" `Quick test_engine_same_instant_fifo;
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "cancel frees action" `Quick test_engine_cancel_releases_action;
+          Alcotest.test_case "cancelled moves clock" `Quick test_engine_cancelled_clock;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
