@@ -77,6 +77,7 @@ module TS = Ndn.Topology_spec
 type warm_result = {
   wnet : Ndn.Network.t;
   wevents : int;
+  wwindows : int; (* lookahead window rounds; 0 on one engine *)
   wwall_s : float;
   wissued : int;
   wtimeouts : int;
@@ -134,6 +135,7 @@ let warm_phase ~p ~spec ~decl ~g ?shards () =
   {
     wnet = net;
     wevents = events;
+    wwindows = Ndn.Network.windows net;
     wwall_s = wall_s;
     wissued = issued;
     wtimeouts = timeouts;
@@ -392,9 +394,10 @@ let run ~quick ?shards () =
           (fun sk ->
             let r = if sk = 1 then w else warm_phase ~p ~spec ~decl ~g ~shards:sk () in
             Format.printf
-              "shards %d: %d events in %.2f s wall = %.0f events/s@." sk
+              "shards %d: %d events in %.2f s wall = %.0f events/s, %d windows@." sk
               r.wevents r.wwall_s
-              (float_of_int r.wevents /. Float.max 1e-9 r.wwall_s);
+              (float_of_int r.wevents /. Float.max 1e-9 r.wwall_s)
+              r.wwindows;
             (sk, r))
           ks
       in
@@ -418,9 +421,10 @@ let run ~quick ?shards () =
               (List.map
                  (fun (sk, r) ->
                    Printf.sprintf
-                     "{\"shards\": %d, \"events\": %d, \"wall_s\": %.3f, \
-                      \"events_per_sec\": %.0f, \"speedup_vs_1\": %.3f}"
-                     sk r.wevents r.wwall_s
+                     "{\"shards\": %d, \"events\": %d, \"windows\": %d, \
+                      \"wall_s\": %.3f, \"events_per_sec\": %.0f, \
+                      \"speedup_vs_1\": %.3f}"
+                     sk r.wevents r.wwindows r.wwall_s
                      (float_of_int r.wevents /. Float.max 1e-9 r.wwall_s)
                      (wall_s /. Float.max 1e-9 r.wwall_s))
                  rows)

@@ -212,7 +212,7 @@ let rec pop_lfu_victim t =
       let current = float_of_int (entry t s).access_count in
       if current > pushed_count then begin
         (* Count advanced since the push: re-queue at the new priority. *)
-        Sim.Heap.add t.lfu_heap ~time:current ~seq:t.lfu_seq name;
+        ignore (Sim.Heap.add t.lfu_heap ~time:current ~seq:t.lfu_seq name);
         t.lfu_seq <- t.lfu_seq + 1;
         pop_lfu_victim t
       end
@@ -263,7 +263,7 @@ let insert t ~now data meta =
   if t.indexed then Name_trie.add t.prefixes name ();
   push_front t s;
   if t.policy = Eviction.Lfu then begin
-    Sim.Heap.add t.lfu_heap ~time:0. ~seq:t.lfu_seq name;
+    ignore (Sim.Heap.add t.lfu_heap ~time:0. ~seq:t.lfu_seq name);
     t.lfu_seq <- t.lfu_seq + 1
   end;
   if t.policy = Eviction.Random_replacement then rand_add t s;

@@ -507,6 +507,8 @@ let run ?until t = Sim.Shard.run ?until t.sh
 
 let events_processed t = Sim.Shard.events_processed t.sh
 
+let windows t = Sim.Shard.windows t.sh
+
 let fetch_rtt t ~from ?scope ?timeout_ms name =
   let result = ref None in
   Node.express_interest from ?scope ?timeout_ms

@@ -43,6 +43,10 @@ val set_stall_watchdog :
 val events_processed : t -> int
 (** Total events fired across all shard engines. *)
 
+val windows : t -> int
+(** {!Sim.Shard.windows} of the underlying partition: the lookahead
+    window rounds of the last {!run}, [0] at [shards = 1]. *)
+
 val engine : t -> Sim.Engine.t
 
 val rng : t -> Sim.Rng.t

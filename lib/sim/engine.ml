@@ -8,9 +8,14 @@ type t = {
      barrier — once per event.  A float-array store is unboxed and
      barrier-free.  Slot 0 is the clock; slot 1 is the time of the last
      event that actually executed (used by [Sim.Shard] to compute a
-     shard-count-invariant finish time); slot 2 is the hold horizon
-     (see [hold_until]). *)
+     shard-count-invariant finish time). *)
   clock : float array;
+  (* The hold horizon (see [hold_until]), alone in its array so that a
+     hold is queued by [Heap.add_reading_time] straight from it. *)
+  horizon : float array;
+  (* A time on its way to [hold_from]: the removed event's time, which
+     [cancel] receives from the heap, or [hold_until]'s argument. *)
+  cancelled_at : float array;
   mutable next_seq : int;
   (* Heap key of the event currently being dispatched (or, between
      events, of whatever root context last claimed the key via
@@ -19,11 +24,6 @@ type t = {
      shard-count-invariant total order. *)
   mutable cur_key : int;
   mutable processed : int;
-  (* Live events: scheduled, not yet fired, not cancelled.  Maintained
-     at schedule/fire/cancel time, so the pop path drops lazily
-     cancelled events without any counter churn.  The hold event is
-     queued but never counted here. *)
-  mutable live : int;
   (* Intrusive free-list of recycled handle records ([free == nil] means
      empty); [nil] is a per-engine sentinel whose [next_free] is
      itself.  Handles threaded here keep their terminal state (Fired or
@@ -52,6 +52,8 @@ and handle = {
   mutable action : unit -> unit;
   owner : t;
   mutable next_free : handle;
+  (* The heap slot of the queued entry; meaningful while [Pending]. *)
+  mutable slot : int;
 }
 
 let nop () = ()
@@ -60,18 +62,19 @@ let create ?(tracer = Trace.disabled) () =
   let rec eng =
     {
       queue = Heap.create ();
-      clock = [| 0.; 0.; Float.neg_infinity |];
+      clock = [| 0.; 0. |];
+      horizon = [| Float.neg_infinity |];
+      cancelled_at = [| 0. |];
       next_seq = 0;
       cur_key = 0;
       processed = 0;
-      live = 0;
       free = nil;
       nil;
       tracer;
       hold = nil;
       firing = false;
     }
-  and nil = { state = Fired; action = nop; owner = eng; next_free = nil } in
+  and nil = { state = Fired; action = nop; owner = eng; next_free = nil; slot = -1 } in
   eng
 
 let now t = Array.unsafe_get t.clock 0
@@ -94,59 +97,70 @@ let recycle t h =
   h.next_free <- t.free;
   t.free <- h
 
+(* A pending handle record for [f], recycled when one is free. *)
+(* ndnlint: hot *)
+let claim_handle t f =
+  (* Physical identity against the per-engine sentinel is the
+     free-list emptiness test. *)
+  if t.free != t.nil then begin
+    let h = t.free in
+    t.free <- h.next_free;
+    h.state <- Pending;
+    h.action <- f;
+    h
+  end
+  else
+    (* Pool-growth path: a fresh handle is built only when the free
+       list is empty; steady-state scheduling recycles and never
+       reaches this allocation. *)
+    (* ndnlint: allow A1 -- pool growth only; steady state recycles *)
+    { state = Pending; action = f; owner = t; next_free = t.nil; slot = -1 }
+
 (* ndnlint: hot *)
 let add_event t ~time ~seq f =
   let clk = Array.unsafe_get t.clock 0 in
   let time = if time < clk then clk else time in
-  let h =
-    (* Physical identity against the per-engine sentinel is the
-       free-list emptiness test. *)
-    if t.free != t.nil then begin
-      let h = t.free in
-      t.free <- h.next_free;
-      h.state <- Pending;
-      h.action <- f;
-      h
-    end
-    else
-      (* Pool-growth path: a fresh handle is built only when the free
-         list is empty; steady-state scheduling recycles and never
-         reaches this allocation. *)
-      (* ndnlint: allow A1 -- pool growth only; steady state recycles *)
-      { state = Pending; action = f; owner = t; next_free = t.nil }
-  in
+  let h = claim_handle t f in
   if t.firing then begin
     t.firing <- false;
-    Heap.replace_min t.queue ~time ~seq h
+    h.slot <- Heap.replace_min t.queue ~time ~seq h
   end
-  else Heap.add t.queue ~time ~seq h;
+  else h.slot <- Heap.add t.queue ~time ~seq h;
   h
 
 let schedule_at t ~time f =
   let h = add_event t ~time ~seq:t.next_seq f in
   t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
   h
 
 let schedule t ~delay f =
   let delay = if delay < 0. then 0. else delay in
   schedule_at t ~time:(Array.unsafe_get t.clock 0 +. delay) f
 
-let schedule_key_at t ~time ~key f =
-  let h = add_event t ~time ~seq:key f in
-  t.live <- t.live + 1;
-  h
+let schedule_key_at t ~time ~key f = add_event t ~time ~seq:key f
 
 (* The hold event's heap key: below every counter value and every
    shard key, and unique, since at most one hold event is queued. *)
 let hold_seq = -1
 
-(* With no hold queued the horizon is already behind the clock, so a
-   new hold is queued at its own [time]. *)
+(* Queue the hold event at [time_from.(0)], a time ahead of the clock:
+   while an action runs it sorts after the dead root, so a plain add
+   leaves the root in place. *)
+let arm_hold t time_from =
+  let h = claim_handle t nop in
+  h.slot <- Heap.add_reading_time t.queue ~time_from ~seq:hold_seq h;
+  t.hold <- h
+
+(* [hold_until] for a time kept in [time_from.(0)]: raise the horizon,
+   and with no hold queued, queue one at that time. *)
+let hold_from t time_from =
+  let time = Array.unsafe_get time_from 0 in
+  if time > Array.unsafe_get t.horizon 0 then Array.unsafe_set t.horizon 0 time;
+  if t.hold == t.nil && time > Array.unsafe_get t.clock 0 then arm_hold t time_from
+
 let hold_until t time =
-  if time > Array.unsafe_get t.clock 2 then Array.unsafe_set t.clock 2 time;
-  if t.hold == t.nil && time > Array.unsafe_get t.clock 0 then
-    t.hold <- add_event t ~time ~seq:hold_seq nop
+  Array.unsafe_set t.cancelled_at 0 time;
+  hold_from t t.cancelled_at
 
 (* The hold event is the engine's bookkeeping, not a simulation event:
    reaching it moves the clock like any event, but it is not counted,
@@ -157,26 +171,29 @@ let hold_reached t h =
   h.state <- Fired;
   recycle t h;
   t.hold <- t.nil;
-  if Array.unsafe_get t.clock 2 > Array.unsafe_get t.clock 0 then
-    t.hold <- add_event t ~time:(Array.unsafe_get t.clock 2) ~seq:hold_seq nop
+  if Array.unsafe_get t.horizon 0 > Array.unsafe_get t.clock 0 then arm_hold t t.horizon
 
 let schedule_key t ~delay ~key f =
   let delay = if delay < 0. then 0. else delay in
   schedule_key_at t ~time:(Array.unsafe_get t.clock 0 +. delay) ~key f
 
-(* The action is released here, not when the dead entry pops: a
-   cancelled timer's closure graph (a whole fetch's callbacks, say)
-   would otherwise stay reachable until its deadline, which for a
+(* The entry leaves the queue here, with its action: a cancelled
+   timer's closure graph (a whole fetch's callbacks, say) and its heap
+   slot would otherwise stay taken until its deadline, which for a
    retransmission timer is usually long after it stopped mattering.
-   The entry itself stays queued until its time, so pop order and the
-   clock advance of a drained [run] are unchanged. *)
+   The engine is held at the event's time instead, so a drained [run]
+   still ends there.  The hold is queued before the record is recycled:
+   queued after, it would reuse the record and turn [is_cancelled]
+   false at once. *)
 (* ndnlint: hot *)
 let cancel h =
   match h.state with
   | Pending ->
+    let t = h.owner in
     h.state <- Cancelled;
-    h.action <- nop;
-    h.owner.live <- h.owner.live - 1
+    Heap.remove_writing_time t.queue h.slot ~time_into:t.cancelled_at;
+    hold_from t t.cancelled_at;
+    recycle t h
   | Fired | Cancelled -> ()
 
 let is_cancelled h = h.state = Cancelled
@@ -198,7 +215,6 @@ let settle t =
 let fire t h =
   h.state <- Fired;
   t.processed <- t.processed + 1;
-  t.live <- t.live - 1;
   Array.unsafe_set t.clock 1 (Array.unsafe_get t.clock 0);
   let action = h.action in
   recycle t h;
@@ -220,8 +236,8 @@ let fire t h =
   settle t
 
 (* Dispatch the event at the root of a queue with no dead root: move
-   the clock to it, then fire it, or pop it if it is the hold event or
-   was cancelled.  Returns whether an event was executed. *)
+   the clock to it, then fire it, or pop it if it is the hold event.
+   Returns whether an event was executed. *)
 (* ndnlint: hot *)
 let dispatch_min t =
   let h = Heap.min_elt_writing_time t.queue ~time_into:t.clock in
@@ -232,15 +248,8 @@ let dispatch_min t =
   end
   else begin
     t.cur_key <- Heap.min_seq t.queue;
-    match h.state with
-    | Pending ->
-      fire t h;
-      true
-    | Cancelled ->
-      ignore (Heap.pop_min_elt t.queue);
-      recycle t h;
-      false
-    | Fired -> assert false
+    fire t h;
+    true
   end
 
 (* ndnlint: hot *)
@@ -260,9 +269,8 @@ let run ?until ?max_events t =
   settle t;
   while !continue && !budget > 0 do
     if Heap.min_before t.queue limit then begin
-      (* Lazily dropped cancelled events and the hold event consume no
-         [max_events] budget — the budget counts executed events,
-         matching [events_processed]. *)
+      (* The hold event consumes no [max_events] budget — the budget
+         counts executed events, matching [events_processed]. *)
       if dispatch_min t then decr budget
     end
     else begin
@@ -276,7 +284,10 @@ let run ?until ?max_events t =
     end
   done
 
-let pending t = t.live
+(* Every queued entry but the hold and a dead root is a live event:
+   cancelled ones have left the queue. *)
+let pending t =
+  Heap.length t.queue - (if t.hold == t.nil then 0 else 1) - (if t.firing then 1 else 0)
 
 let has_queued t = Heap.length t.queue > (if t.firing then 1 else 0)
 

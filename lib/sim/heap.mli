@@ -1,5 +1,5 @@
 (** 4-ary min-heap keyed by [(float, int)] pairs, stored
-    struct-of-arrays with slot indirection.
+    struct-of-arrays with slot indirection, removable by slot.
 
     The event queue of the simulator: the float key is virtual time, the
     integer key is an insertion sequence number used to break ties so
@@ -9,20 +9,26 @@
     same event sequence.
 
     Layout: parallel arrays — a flat (unboxed) [float array] of times,
-    an [int array] of sequence numbers, and an [int array] mapping heap
-    positions to stable element slots — grown by amortized doubling.
-    Elements live in a slot-indexed array and are never moved by a
-    sift, so the sift loops permute only unboxed floats and ints (no
-    write barriers, no polymorphic-array dispatch).  [add],
-    [pop_min_elt], [min_elt_writing_time], [replace_min] and
-    [min_time]/[min_before] allocate nothing; only the
-    tuple-returning {!pop_min} boxes its result.  A popped element may
-    remain reachable from its retired slot until the slot is reused by
-    a later [add] or [clear].
+    an [int array] of sequence numbers, an [int array] mapping heap
+    positions to stable element slots and its inverse, from each live
+    slot to its heap position — grown by amortized doubling.  Elements
+    live in a slot-indexed array and are never moved by a sift, so the
+    sift loops permute only unboxed floats and ints (no write barriers,
+    no polymorphic-array dispatch).  A slot is stable while its element
+    is queued: {!add} and {!replace_min} return it, and
+    {!remove_writing_time} takes the element out by it in O(log n).
+    Retired slots form a free stack threaded through the inverse index
+    (a free slot's entry holds the next free slot).  [add],
+    [add_reading_time], [pop_min_elt], [remove_writing_time],
+    [min_elt_writing_time], [replace_min] and [min_time]/[min_before]
+    allocate nothing; only the tuple-returning {!pop_min} boxes its
+    result.  A popped or removed element may remain reachable from its
+    retired slot until the slot is reused by a later [add] or [clear].
 
     The engine dispatches by peeking ({!min_elt_writing_time}) and then
     either dropping the root ({!pop_min_elt}) or handing its slot to
-    the next event ({!replace_min}), so most events cost one sift. *)
+    the next event ({!replace_min}), so most events cost one sift; a
+    cancelled event leaves through {!remove_writing_time}. *)
 
 type 'a t
 
@@ -34,9 +40,23 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val add : 'a t -> time:float -> seq:int -> 'a -> unit
-(** Insert an element with the given priority key.  Allocation-free
-    except when the backing arrays double. *)
+val add : 'a t -> time:float -> seq:int -> 'a -> int
+(** Insert an element with the given priority key and return its slot,
+    stable until the element leaves the heap.  Allocation-free except
+    when the backing arrays double. *)
+
+val add_reading_time : 'a t -> time_from:float array -> seq:int -> 'a -> int
+(** {!add} with the time key read from [time_from.(0)]: a caller that
+    keeps a time in a float array hands it over without the boxed float
+    a [~time] argument costs across modules.  [time_from] must have
+    length [>= 1]. *)
+
+val remove_writing_time : 'a t -> int -> time_into:float array -> unit
+(** [remove_writing_time t slot ~time_into] takes the element in [slot]
+    out of the heap, in one sift, and writes its time key into
+    [time_into.(0)].  The slot is retired as by a pop.  Allocation-free.
+    @raise Invalid_argument when [slot] holds no queued element.
+    [time_into] must have length [>= 1]. *)
 
 val min_time : 'a t -> float
 (** Time key of the minimum element.
@@ -65,11 +85,12 @@ val min_elt_writing_time : 'a t -> time_into:float array -> 'a
     @raise Invalid_argument when empty.  [time_into] must have length
     [>= 1]. *)
 
-val replace_min : 'a t -> time:float -> seq:int -> 'a -> unit
+val replace_min : 'a t -> time:float -> seq:int -> 'a -> int
 (** [replace_min t ~time ~seq x] removes the minimum element and inserts
     [x] under the given key, in one sift-down from the root — a
-    {!pop_min_elt} followed by an {!add} sifts twice.  The new key may
-    be smaller or larger than the old one.  Allocation-free.
+    {!pop_min_elt} followed by an {!add} sifts twice — and returns
+    [x]'s slot, the one the old minimum held.  The new key may be
+    smaller or larger than the old one.  Allocation-free.
     @raise Invalid_argument when empty. *)
 
 val pop_min : 'a t -> (float * int * 'a) option

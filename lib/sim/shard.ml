@@ -57,6 +57,7 @@ type t = {
   mutable latency_factor : float; (* min fault degradation factor seen *)
   mutable watchdog : (float * (unit -> float)) option;
       (* (stall bound ms, wall-clock) — None = no watchdog (default) *)
+  mutable windows : int; (* window rounds of the last [run] *)
 }
 
 (* One lookahead window can hold at most [queue_bound] messages per
@@ -129,6 +130,7 @@ let create ?(tracer = Trace.disabled) ~shards () =
     min_link_delay = Float.infinity;
     latency_factor = 1.;
     watchdog = None;
+    windows = 0;
   }
 
 let set_watchdog t ?(stall_ms = 30_000.) ~clock_ms () =
@@ -323,6 +325,9 @@ let run_windows_connected t ~until ~la =
          (inbound messages were already drained into the heaps above,
          so none are stranded). *)
       if Float.is_finite !gnext && !gnext <= limit then begin
+        (* Every worker takes the same decision, so worker 0, on the
+           calling domain, counts for all. *)
+        if i = 0 then t.windows <- t.windows + 1;
         let window_end = !gnext +. la in
         (try
            if window_end > limit then
@@ -401,11 +406,14 @@ let flush_trace t =
 
 let run ?until t =
   let pre = Engine.now t.engines.(0) in
+  t.windows <- 0;
   if t.k = 1 then Engine.run ?until t.engines.(0) else run_windows t ~until;
   align_finish t ~until ~pre;
   flush_trace t
 
 let now t = Engine.now t.engines.(0)
+
+let windows t = t.windows
 
 let events_processed t =
   Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 t.engines

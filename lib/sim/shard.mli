@@ -107,5 +107,11 @@ val run : ?until:float -> t -> unit
 val now : t -> float
 (** The aligned clock (all shards agree between runs). *)
 
+val windows : t -> int
+(** Lookahead window rounds the last {!run} executed: one per agreed
+    [gnext] at or before the horizon.  [0] when no window protocol ran
+    ([shards = 1], or no cross-shard link).  The count depends on the
+    partition; what the run computes does not. *)
+
 val events_processed : t -> int
 (** Total events executed across all shard engines. *)

@@ -163,7 +163,8 @@ let test_hot_inventory () =
       "find_exact"; "pop_min_elt"; "replace_min"; "min_elt_writing_time"; "run";
       "expire"; "touch"; "process_block"; "find"; "sweep_pit";
       "longest_prefix_value"; "has_longer"; "probe"; "cancel"; "send_data_except";
-      "relay_nack"; "first_hop_except";
+      "relay_nack"; "first_hop_except"; "remove_writing_time"; "sift_up"; "sift_down";
+      "add_reading_time"; "claim_handle";
     ]
 
 (* Merged-universe staleness: with both passes' findings in hand, every

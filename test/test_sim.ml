@@ -174,7 +174,7 @@ let test_heap_ordering () =
   let h = Sim.Heap.create () in
   let rng = Sim.Rng.create 20 in
   for i = 0 to 999 do
-    Sim.Heap.add h ~time:(Sim.Rng.float rng 100.) ~seq:i i
+    ignore (Sim.Heap.add h ~time:(Sim.Rng.float rng 100.) ~seq:i i)
   done;
   let rec drain last n =
     match Sim.Heap.pop_min h with
@@ -188,7 +188,7 @@ let test_heap_ordering () =
 let test_heap_fifo_ties () =
   let h = Sim.Heap.create () in
   for i = 0 to 9 do
-    Sim.Heap.add h ~time:1. ~seq:i i
+    ignore (Sim.Heap.add h ~time:1. ~seq:i i)
   done;
   for i = 0 to 9 do
     match Sim.Heap.pop_min h with
@@ -201,8 +201,8 @@ let test_heap_fifo_ties () =
 let test_heap_peek () =
   let h = Sim.Heap.create () in
   Alcotest.(check bool) "empty min_before" false (Sim.Heap.min_before h infinity);
-  Sim.Heap.add h ~time:2. ~seq:0 "b";
-  Sim.Heap.add h ~time:1. ~seq:1 "a";
+  ignore (Sim.Heap.add h ~time:2. ~seq:0 "b");
+  ignore (Sim.Heap.add h ~time:1. ~seq:1 "a");
   let clock = [| 0. |] in
   Alcotest.(check string) "peek value" "a" (Sim.Heap.min_elt_writing_time h ~time_into:clock);
   check_float "peek time" 1. clock.(0);
@@ -215,7 +215,7 @@ let test_heap_peek () =
 let test_heap_clear () =
   let h = Sim.Heap.create () in
   for i = 0 to 5 do
-    Sim.Heap.add h ~time:(float_of_int i) ~seq:i i
+    ignore (Sim.Heap.add h ~time:(float_of_int i) ~seq:i i)
   done;
   Sim.Heap.clear h;
   Alcotest.(check bool) "cleared" true (Sim.Heap.is_empty h)
@@ -283,18 +283,46 @@ let test_engine_cancel_releases_action () =
   Sim.Engine.cancel h;
   Gc.full_major ();
   Alcotest.(check bool) "cancel releases the action" false (Weak.check w 0);
-  Alcotest.(check bool) "the dead entry stays queued" true (Sim.Engine.has_queued e)
+  Alcotest.(check bool) "the hold at its time stays queued" true (Sim.Engine.has_queued e)
 
-(* A cancelled event still pops at its time, so a drained run ends
-   there, after the last event that executed. *)
+(* A cancelled event leaves the queue but holds the engine at its time,
+   so a drained run ends there, and the hold reached there is the last
+   fire. *)
 let test_engine_cancelled_clock () =
   let e = Sim.Engine.create () in
   ignore (Sim.Engine.schedule e ~delay:2. (fun () -> ()));
   Sim.Engine.cancel (Sim.Engine.schedule e ~delay:7. (fun () -> ()));
   Sim.Engine.run e;
   check_float "run ends at the cancelled event's time" 7. (Sim.Engine.now e);
-  check_float "last fire" 2. (Sim.Engine.last_fire_time e);
+  check_float "last fire" 7. (Sim.Engine.last_fire_time e);
   Alcotest.(check int) "one executed" 1 (Sim.Engine.events_processed e)
+
+(* A cancelled event is out of the queue at once: the [engine.step]
+   depth leaves it out and counts the one hold that stands for every
+   cancel.  With dead entries kept queued, the first depth would read
+   four. *)
+let test_engine_cancel_leaves_depth () =
+  let tracer = Sim.Trace.create () in
+  let e = Sim.Engine.create ~tracer () in
+  ignore (Sim.Engine.schedule e ~delay:1. (fun () -> ()));
+  let h2 = Sim.Engine.schedule e ~delay:2. (fun () -> ()) in
+  ignore (Sim.Engine.schedule e ~delay:3. (fun () -> ()));
+  let h4 = Sim.Engine.schedule e ~delay:4. (fun () -> ()) in
+  ignore (Sim.Engine.schedule e ~delay:5. (fun () -> ()));
+  Sim.Engine.cancel h2;
+  Sim.Engine.cancel h4;
+  Alcotest.(check int) "two cancelled, three live" 3 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  let depths =
+    Sim.Trace.events tracer |> Array.to_list
+    |> List.map (fun (ev : Sim.Trace.event) -> List.assoc "depth" ev.Sim.Trace.attrs)
+  in
+  (* Depths after each of the three fires: the two other live events
+     and the hold at 2; then, the hold re-armed at 4 when reached, the
+     live event at 5 and the hold; then nothing. *)
+  Alcotest.(check (list string)) "depth counts live events and the hold" [ "3"; "2"; "0" ]
+    depths;
+  check_float "the run ends at the last event" 5. (Sim.Engine.now e)
 
 let test_engine_until () =
   let e = Sim.Engine.create () in
@@ -344,8 +372,8 @@ let test_engine_pending_live_only () =
   Alcotest.(check int) "cancelled event not counted" 2 (Sim.Engine.pending e);
   Sim.Engine.cancel h1;
   Alcotest.(check int) "double cancel counted once" 2 (Sim.Engine.pending e);
-  (* The first pop is the cancelled event: no action runs, and the live
-     count is unchanged. *)
+  (* The first pop is the hold left at the cancelled event's time: no
+     action runs, and the live count is unchanged. *)
   ignore (Sim.Engine.step e);
   Alcotest.(check int) "nothing executed yet" 0 (Sim.Engine.events_processed e);
   Alcotest.(check int) "still two live" 2 (Sim.Engine.pending e);
@@ -611,8 +639,9 @@ end
 (* Reference engine: events in a list kept sorted by (time, key) and
    popped from the front before their action runs, so it has no heap,
    no dead root and no replace-top dispatch.  The hold event (key -1,
-   re-armed at the horizon when reached) and lazily dropped cancelled
-   events follow [Sim.Engine]'s documented rules; [pending] counts the
+   re-armed at the horizon when reached) and cancellation follow
+   [Sim.Engine]'s documented rules: a cancelled event leaves the list
+   at once and holds the engine at its time.  [pending] counts the
    live scheduled events only, never the hold.  [steps] records
    (depth, processed) per executed event, newest first: what the
    engine's [engine.step] records carry. *)
@@ -622,9 +651,10 @@ module Engine_model = struct
     key : int;
     mutable live : bool;
     action : unit -> unit;
+    owner : t;
   }
 
-  type t = {
+  and t = {
     mutable queue : handle list;
     mutable clock : float;
     mutable last_fire : float;
@@ -659,26 +689,34 @@ module Engine_model = struct
   let last_fire_time t = t.last_fire
 
   let schedule t ~delay f =
-    let ev = { time = t.clock +. Float.max 0. delay; key = t.next_key; live = true; action = f } in
+    let ev =
+      { time = t.clock +. Float.max 0. delay; key = t.next_key; live = true; action = f; owner = t }
+    in
     t.next_key <- t.next_key + 1;
     enqueue t ev;
     ev
 
   let schedule_key_at t ~time ~key f =
-    let ev = { time = Float.max t.clock time; key; live = true; action = f } in
+    let ev = { time = Float.max t.clock time; key; live = true; action = f; owner = t } in
     enqueue t ev;
     ev
 
-  let cancel ev = ev.live <- false
-
   let arm_hold t time =
-    let h = { time; key = -1; live = false; action = ignore } in
+    let h = { time; key = -1; live = false; action = ignore; owner = t } in
     t.hold <- Some h;
     enqueue t h
 
   let hold_until t time =
     if time > t.horizon then t.horizon <- time;
     if Option.is_none t.hold && time > t.clock then arm_hold t time
+
+  let cancel ev =
+    if ev.live then begin
+      ev.live <- false;
+      let t = ev.owner in
+      t.queue <- List.filter (fun x -> x != ev) t.queue;
+      hold_until t ev.time
+    end
 
   (* Pop the head and run it; whether an event was executed. *)
   let pop t =
@@ -694,15 +732,12 @@ module Engine_model = struct
         if t.horizon > t.clock then arm_hold t t.horizon;
         false
       | _ ->
-        ev.live
-        && begin
-             ev.live <- false;
-             t.processed <- t.processed + 1;
-             t.last_fire <- t.clock;
-             t.steps <- (List.length t.queue, t.processed) :: t.steps;
-             ev.action ();
-             true
-           end)
+        ev.live <- false;
+        t.processed <- t.processed + 1;
+        t.last_fire <- t.clock;
+        t.steps <- (List.length t.queue, t.processed) :: t.steps;
+        ev.action ();
+        true)
 
   let step t =
     match t.queue with
@@ -1014,7 +1049,7 @@ let qcheck_tests =
       QCheck.(list (float_range 0. 1000.))
       (fun times ->
         let h = Sim.Heap.create () in
-        List.iteri (fun i t -> Sim.Heap.add h ~time:t ~seq:i i) times;
+        List.iteri (fun i t -> ignore (Sim.Heap.add h ~time:t ~seq:i i)) times;
         let rec drain last =
           match Sim.Heap.pop_min h with
           | None -> true
@@ -1024,27 +1059,38 @@ let qcheck_tests =
     (* Model check: the slot-indirection heap against a sorted-list
        reference, over an arbitrary interleaving of adds, pops, root
        replacements ([replace_min]: drop the head, then insert, with a
-       new key that may sort before or after the old root) and clears.
-       Times are drawn from a coarse grid so ties are common, which
-       pins the FIFO seq tie-break; element identity (not just key
-       order) is compared so a slot-recycling bug that served the wrong
-       payload would be caught. *)
+       new key that may sort before or after the old root), removals of
+       a live element by the slot [add] or [replace_min] returned, and
+       clears.  After every op the length and the minimum (time, seq
+       and payload) must agree; a pop must return the model's head, and
+       the heap left at the end must drain in the model's order.  Times
+       are drawn from a coarse grid so ties are common, which pins the
+       FIFO seq tie-break; adds outweigh pops and removals, so the heap
+       grows deep enough that an entry moved into a removed one's place
+       can belong above it; element identity (not just key order) is
+       compared so a slot-recycling bug that served the wrong payload
+       would be caught.  A retired slot not reused since must be
+       refused by [remove_writing_time]. *)
     QCheck.Test.make ~name:"heap agrees with sorted-list model" ~count:300
       QCheck.(
-        list
-          (oneof
-             [
-               Gen.map (fun t -> `Add (float_of_int t)) (Gen.int_range 0 20)
-               |> make ~print:(fun _ -> "op");
-               always `Pop;
-               Gen.map (fun t -> `Replace (float_of_int t)) (Gen.int_range 0 20)
-               |> make ~print:(fun _ -> "op");
-               always `Clear;
-             ]))
+        make
+          ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+          Gen.(
+            list_size (int_range 0 300)
+              (frequency
+                 [
+                   (40, map (fun t -> `Add (float_of_int t)) (int_range 0 20));
+                   (10, return `Pop);
+                   (10, map (fun t -> `Replace (float_of_int t)) (int_range 0 20));
+                   (16, map (fun k -> `Remove k) nat);
+                   (1, return `Clear);
+                 ])))
       (fun ops ->
         let h = Sim.Heap.create () in
-        (* Model: list of (time, seq, payload) kept sorted by (time, seq). *)
-        let model = ref [] in
+        (* Model: list of (time, seq, payload) kept sorted by (time,
+           seq), and each queued payload's slot. *)
+        let model = ref [] and slots = Hashtbl.create 16 in
+        let retired = ref (-1) in
         let key_le (t1, s1, _) (t2, s2, _) =
           t1 < t2 || (t1 = t2 && s1 <= s2)
         in
@@ -1055,48 +1101,92 @@ let qcheck_tests =
           in
           model := go !model
         in
+        let retire payload =
+          retired := Hashtbl.find slots payload;
+          Hashtbl.remove slots payload
+        in
+        let agrees () =
+          Sim.Heap.length h = List.length !model
+          &&
+          match !model with
+          | [] -> Sim.Heap.is_empty h
+          | (time, seq, payload) :: _ ->
+            let clock = [| nan |] in
+            Sim.Heap.min_elt_writing_time h ~time_into:clock = payload
+            && clock.(0) = time
+            && Sim.Heap.min_seq h = seq
+        in
         let seq = ref 0 in
-        List.for_all
-          (fun op ->
-            match op with
-            | `Add t ->
-              let payload = !seq * 17 in
-              Sim.Heap.add h ~time:t ~seq:!seq payload;
-              insert (t, !seq, payload);
-              incr seq;
-              Sim.Heap.length h = List.length !model
-            | `Pop -> (
-              match (Sim.Heap.pop_min h, !model) with
-              | None, [] -> true
-              | Some got, m :: rest ->
-                model := rest;
-                got = m
-              | _ -> false)
-            | `Replace t -> (
-              let payload = !seq * 17 in
-              let s = !seq in
-              incr seq;
-              match !model with
-              | [] -> (
-                match Sim.Heap.replace_min h ~time:t ~seq:s payload with
-                | () -> false
-                | exception Invalid_argument _ -> Sim.Heap.is_empty h)
-              | _ :: rest ->
-                Sim.Heap.replace_min h ~time:t ~seq:s payload;
-                model := rest;
-                insert (t, s, payload);
-                Sim.Heap.length h = List.length !model
-                &&
-                let time, seq, payload = List.hd !model in
-                let clock = [| nan |] in
-                Sim.Heap.min_elt_writing_time h ~time_into:clock = payload
-                && clock.(0) = time
-                && Sim.Heap.min_seq h = seq)
-            | `Clear ->
-              Sim.Heap.clear h;
-              model := [];
-              Sim.Heap.is_empty h)
-          ops);
+        let step op =
+          match op with
+          | `Add t ->
+            let payload = !seq * 17 in
+            Hashtbl.replace slots payload (Sim.Heap.add h ~time:t ~seq:!seq payload);
+            insert (t, !seq, payload);
+            incr seq;
+            true
+          | `Pop -> (
+            match (Sim.Heap.pop_min h, !model) with
+            | None, [] -> true
+            | Some got, ((_, _, payload) as m) :: rest ->
+              model := rest;
+              retire payload;
+              got = m
+            | _ -> false)
+          | `Replace t -> (
+            let payload = !seq * 17 in
+            let s = !seq in
+            incr seq;
+            match !model with
+            | [] -> (
+              match Sim.Heap.replace_min h ~time:t ~seq:s payload with
+              | _ -> false
+              | exception Invalid_argument _ -> Sim.Heap.is_empty h)
+            | (_, _, old) :: rest ->
+              let slot = Sim.Heap.replace_min h ~time:t ~seq:s payload in
+              let took_root_slot = slot = Hashtbl.find slots old in
+              Hashtbl.remove slots old;
+              Hashtbl.replace slots payload slot;
+              model := rest;
+              insert (t, s, payload);
+              took_root_slot)
+          | `Remove k -> (
+            match !model with
+            | [] -> (
+              (* Nothing is live, so any retired slot is refused. *)
+              match Sim.Heap.remove_writing_time h !retired ~time_into:[| nan |] with
+              | () -> false
+              | exception Invalid_argument _ -> true)
+            | m ->
+              let ((time, _, payload) as e) = List.nth m (k mod List.length m) in
+              let got = [| nan |] in
+              Sim.Heap.remove_writing_time h (Hashtbl.find slots payload) ~time_into:got;
+              model := List.filter (fun x -> x != e) m;
+              retire payload;
+              got.(0) = time
+              && (Hashtbl.fold (fun _ s acc -> acc || s = !retired) slots false
+                 ||
+                 match Sim.Heap.remove_writing_time h !retired ~time_into:got with
+                 | () -> false
+                 | exception Invalid_argument _ -> true))
+          | `Clear ->
+            Sim.Heap.clear h;
+            model := [];
+            Hashtbl.reset slots;
+            retired := -1;
+            Sim.Heap.is_empty h
+        in
+        List.for_all (fun op -> step op && agrees ()) ops
+        &&
+        let rec drain () =
+          match (Sim.Heap.pop_min h, !model) with
+          | None, [] -> true
+          | Some got, m :: rest ->
+            model := rest;
+            got = m && drain ()
+          | _ -> false
+        in
+        drain ());
     QCheck.Test.make ~name:"welford matches direct mean" ~count:200
       QCheck.(array_of_size Gen.(int_range 1 100) (float_range (-1e3) 1e3))
       (fun xs ->
@@ -1257,6 +1347,7 @@ let () =
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "cancel frees action" `Quick test_engine_cancel_releases_action;
+          Alcotest.test_case "cancel leaves depth" `Quick test_engine_cancel_leaves_depth;
           Alcotest.test_case "cancelled moves clock" `Quick test_engine_cancelled_clock;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
