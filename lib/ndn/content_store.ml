@@ -1,11 +1,3 @@
-type 'meta entry = {
-  data : Data.t;
-  inserted_at : float;
-  mutable last_access : float;
-  mutable access_count : int;
-  mutable meta : 'meta;
-}
-
 type counters = {
   lookups : int;
   hits : int;
@@ -16,21 +8,26 @@ type counters = {
 }
 
 (* Entries live in slot arrays, and [index] maps each cached name to its
-   slot.  A slot holds the entry's own [Some] cell, built once at
-   insert, so a lookup hit returns it without allocating; the entry's
-   object carries the name.  The recency list runs through the
-   [prev]/[next] int arrays: the head is the most recently
-   used/inserted end, and eviction for LRU/FIFO takes the tail.  Free
-   slots form a stack threaded through [next] from [free]; the slot
-   arrays grow by doubling, never past a bounded store's capacity. *)
-type 'meta t = {
+   slot.  A slot holds the object's own [Some] cell, built once at
+   insert, so a lookup hit returns it without allocating; the object
+   carries the name.  The insertion time and the hit count sit in a
+   float array and an int array beside it, so an entry has no record
+   and no boxed float of its own: the [Some] cell is its only block.
+   The recency list runs through the [prev]/[next] int arrays: the
+   head is the most recently used/inserted end, and eviction for
+   LRU/FIFO takes the tail.  Free slots form a stack threaded through
+   [next] from [free]; the slot arrays grow by doubling, never past a
+   bounded store's capacity. *)
+type t = {
   policy : Eviction.t;
   capacity : int; (* 0 = unbounded *)
   rng : Sim.Rng.t option;
   tracer : Sim.Trace.t;
   owner : string; (* label of the node this store belongs to *)
   index : Name_index.t;
-  mutable entries : 'meta entry option array; (* [None] when free *)
+  mutable cells : Data.t option array; (* [None] when free *)
+  mutable inserted_at : float array;
+  mutable hit_counts : int array; (* lookup hits on the entry *)
   mutable prev : int array; (* -1: none *)
   mutable next : int array;
   mutable head : int;
@@ -75,7 +72,9 @@ let create ?(policy = Eviction.Lru) ?rng ?(tracer = Sim.Trace.disabled)
     tracer;
     owner;
     index = Name_index.create ();
-    entries = [||];
+    cells = [||];
+    inserted_at = [||];
+    hit_counts = [||];
     prev = [||];
     next = [||];
     head = -1;
@@ -120,7 +119,7 @@ let policy t = t.policy
 (* --- slots --- *)
 
 let release_slot t s =
-  t.entries.(s) <- None;
+  t.cells.(s) <- None;
   t.next.(s) <- t.free;
   t.free <- s
 
@@ -128,11 +127,13 @@ let release_slot t s =
    bounded store unless it is already full) and stack the new slots,
    lowest on top. *)
 let grow t =
-  let old = Array.length t.entries in
+  let old = Array.length t.cells in
   let n = Int.max 8 (2 * old) in
   let n = if t.capacity > 0 then Int.max (old + 1) (Int.min t.capacity n) else n in
   let more fill = Array.make (n - old) fill in
-  t.entries <- Array.append t.entries (more None);
+  t.cells <- Array.append t.cells (more None);
+  t.inserted_at <- Array.append t.inserted_at (more 0.);
+  t.hit_counts <- Array.append t.hit_counts (more 0);
   t.prev <- Array.append t.prev (more (-1));
   t.next <- Array.append t.next (more (-1));
   if t.policy = Eviction.Random_replacement then
@@ -147,10 +148,10 @@ let alloc_slot t =
   t.free <- t.next.(s);
   s
 
-(* The entry in a live slot, and its name. *)
-let entry t s = match Array.unsafe_get t.entries s with Some e -> e | None -> assert false
+(* The object in a live slot, and its name. *)
+let data_of t s = match Array.unsafe_get t.cells s with Some d -> d | None -> assert false
 
-let name_of t s = (entry t s).data.Data.name
+let name_of t s = (data_of t s).Data.name
 
 (* --- recency list (int arrays: no allocation, no write barrier) --- *)
 
@@ -209,7 +210,7 @@ let rec pop_lfu_victim t =
     let s = Name_index.find t.index name in
     if s < 0 then pop_lfu_victim t (* entry already gone: stale heap item *)
     else
-      let current = float_of_int (entry t s).access_count in
+      let current = float_of_int t.hit_counts.(s) in
       if current > pushed_count then begin
         (* Count advanced since the push: re-queue at the new priority. *)
         ignore (Sim.Heap.add t.lfu_heap ~time:current ~seq:t.lfu_seq name);
@@ -246,7 +247,7 @@ let evict_one t ~now =
 
 (* --- public operations --- *)
 
-let insert t ~now data meta =
+let insert t ~now data () =
   let name = data.Data.name in
   (* Refresh rather than duplicate. *)
   remove t name;
@@ -257,8 +258,9 @@ let insert t ~now data meta =
     done
   end;
   let s = alloc_slot t in
-  t.entries.(s) <-
-    Some { data; inserted_at = now; last_access = now; access_count = 0; meta };
+  t.cells.(s) <- Some data;
+  t.inserted_at.(s) <- now;
+  t.hit_counts.(s) <- 0;
   Name_index.replace t.index name s;
   if t.indexed then Name_trie.add t.prefixes name ();
   push_front t s;
@@ -274,14 +276,13 @@ let insert t ~now data meta =
 (* Inline freshness test ([Data.is_fresh] unfolded) so the age stays in
    float registers on the lookup path. *)
 (* ndnlint: hot *)
-let is_stale e ~now =
-  match e.data.Data.freshness_ms with
+let is_stale t s d ~now =
+  match d.Data.freshness_ms with
   | None -> false
-  | Some f -> now -. e.inserted_at > f
+  | Some f -> now -. Array.unsafe_get t.inserted_at s > f
 
 let expire_slot t ~now s =
-  let e = entry t s in
-  let name = e.data.Data.name and inserted_at = e.inserted_at in
+  let name = name_of t s and inserted_at = t.inserted_at.(s) in
   remove_slot t s;
   t.expirations <- t.expirations + 1;
   if Sim.Trace.enabled t.tracer then
@@ -289,9 +290,8 @@ let expire_slot t ~now s =
       [ ("age_ms", Printf.sprintf "%.6f" (now -. inserted_at)) ]
 
 (* ndnlint: hot *)
-let touch t ~now s e =
-  e.last_access <- now;
-  e.access_count <- e.access_count + 1;
+let touch t s =
+  Array.unsafe_set t.hit_counts s (Array.unsafe_get t.hit_counts s + 1);
   (* Matching instead of [t.policy = Eviction.Lru]: a generic
      structural compare on the policy variant would call caml_equal on
      every hit. *)
@@ -314,12 +314,12 @@ let miss t ~now name =
 
 (* The counted hit exit: refresh recency, count, trace. *)
 (* ndnlint: hot *)
-let hit t ~now s e =
-  touch t ~now s e;
+let hit t ~now s d =
+  touch t s;
   t.hits <- t.hits + 1;
   if Sim.Trace.enabled t.tracer then
-    trace t ~now Sim.Trace.Cs_hit e.data.Data.name
-      [ ("count", string_of_int e.access_count) ]
+    trace t ~now Sim.Trace.Cs_hit d.Data.name
+      [ ("count", string_of_int t.hit_counts.(s)) ]
 
 (* ndnlint: hot *)
 let find_exact t ~now name =
@@ -327,14 +327,14 @@ let find_exact t ~now name =
   let s = Name_index.find t.index name in
   if s < 0 then miss t ~now name
   else
-    let e = entry t s in
-    if is_stale e ~now then begin
+    let d = data_of t s in
+    if is_stale t s d ~now then begin
       expire_slot t ~now s;
       miss t ~now name
     end
     else begin
-      hit t ~now s e;
-      e
+      hit t ~now s d;
+      d
     end
 
 (* Index every cached name, walking the recency list so the build
@@ -360,7 +360,7 @@ let find_extension t name =
       if acc >= 0 then acc
       else
         let s = Name_index.find t.index n in
-        if s >= 0 && not (entry t s).data.Data.strict_match then s else -1)
+        if s >= 0 && not (data_of t s).Data.strict_match then s else -1)
 
 (* A non-exact lookup: the exact name, else an extension.  A stale
    answer is expired and the search repeated.  With no longer name
@@ -375,20 +375,20 @@ let rec lookup_matching t ~now name =
     None
   end
   else
-    let e = entry t s in
-    if is_stale e ~now then begin
+    let d = data_of t s in
+    if is_stale t s d ~now then begin
       expire_slot t ~now s;
       lookup_matching t ~now name
     end
     else begin
-      hit t ~now s e;
-      Array.unsafe_get t.entries s
+      hit t ~now s d;
+      Array.unsafe_get t.cells s
     end
 
 let lookup t ~now ?(exact = false) name =
   if exact then
     match find_exact t ~now name with
-    | entry -> Some entry
+    | d -> Some d
     | exception Not_found -> None
   else begin
     t.lookups <- t.lookups + 1;
@@ -397,21 +397,23 @@ let lookup t ~now ?(exact = false) name =
 
 let peek t name =
   let s = Name_index.find t.index name in
-  if s < 0 then None else t.entries.(s)
+  if s < 0 then None else t.cells.(s)
 
 let mem t name = Name_index.mem t.index name
 
-let set_meta t name meta =
+let inserted_at t name =
   let s = Name_index.find t.index name in
-  if s < 0 then false
-  else begin
-    (entry t s).meta <- meta;
-    true
-  end
+  if s < 0 then None else Some t.inserted_at.(s)
+
+let hit_count t name =
+  let s = Name_index.find t.index name in
+  if s < 0 then None else Some t.hit_counts.(s)
 
 let clear t =
   Name_index.clear t.index;
-  t.entries <- [||];
+  t.cells <- [||];
+  t.inserted_at <- [||];
+  t.hit_counts <- [||];
   t.prev <- [||];
   t.next <- [||];
   t.head <- -1;
@@ -431,7 +433,7 @@ let flush t ~now =
       [ ("dropped", string_of_int dropped) ]
 
 let fold t ~init ~f =
-  let rec go acc s = if s < 0 then acc else go (f acc (entry t s)) t.next.(s) in
+  let rec go acc s = if s < 0 then acc else go (f acc (data_of t s)) t.next.(s) in
   go init t.head
 
 let counters t =

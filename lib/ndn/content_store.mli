@@ -1,21 +1,10 @@
 (** The router Content Store (CS): the shared cache whose observability
-    is the subject of the paper.
+    is the subject of the paper. *)
 
-    The store is parameterized by a metadata type ['meta] so that the
-    privacy layer ([Core]) can attach per-entry state — Random-Cache
-    counters, privacy markings, measured fetch delays — without this
-    substrate knowing about it. *)
-
-type 'meta entry = private {
-  data : Data.t;
-  inserted_at : float;  (** Virtual time the object entered the cache. *)
-  mutable last_access : float;
-  mutable access_count : int;  (** Lookup hits on this entry. *)
-  mutable meta : 'meta;
-}
-
-type 'meta t
-(** Entries live in slot arrays behind a {!Name_index}; the recency
+type t
+(** Entries live in slot arrays behind a {!Name_index}: each cached
+    object in the [Some] cell built at its insert, its insertion time
+    in a float array and its hit count in an int array.  The recency
     list is a pair of int arrays. *)
 
 val create :
@@ -25,7 +14,7 @@ val create :
   ?owner:string ->
   capacity:int ->
   unit ->
-  'meta t
+  t
 (** [capacity <= 0] means unbounded (the paper's "Inf" baseline).
     [policy] defaults to {!Eviction.Lru}.  [rng] is required only for
     {!Eviction.Random_replacement}.  When [tracer] (default
@@ -35,16 +24,19 @@ val create :
     @raise Invalid_argument if random replacement is requested without
     an [rng]. *)
 
-val insert : 'meta t -> now:float -> Data.t -> 'meta -> unit
+val insert : t -> now:float -> Data.t -> unit -> unit
 (** Cache a content object, evicting per policy when full.  Re-inserting
-    an already-cached name refreshes the object, its timestamps and its
-    metadata. *)
+    an already-cached name refreshes the object and its insertion time
+    and restarts its hit count.  The trailing [unit] is the slot where
+    an entry's metadata once went; it stays so that callers written
+    against that arity, the perfbench layer harness among them, keep
+    compiling. *)
 
-val lookup : 'meta t -> now:float -> ?exact:bool -> Name.t -> 'meta entry option
+val lookup : t -> now:float -> ?exact:bool -> Name.t -> Data.t option
 (** NDN cache matching for an interest name: an exact-name entry, or —
     unless [exact] — the smallest cached name extending the query whose
     object does not carry {!Data.t.strict_match}.  A successful lookup
-    refreshes recency and increments [access_count].  Stale entries
+    refreshes recency and increments the entry's {!hit_count}.  Stale entries
     (per {!Data.t.freshness_ms}) are expired, not returned.
 
     A per-length count of the cached names answers a non-exact lookup
@@ -57,45 +49,52 @@ val lookup : 'meta t -> now:float -> ?exact:bool -> Name.t -> 'meta entry option
     shorter than any it caches, never pays for it.  The answers do not
     depend on when it was built. *)
 
-val find_exact : 'meta t -> now:float -> Name.t -> 'meta entry
+val find_exact : t -> now:float -> Name.t -> Data.t
 (** Exact-name lookup with the same side effects as
     [lookup ~exact:true] — counters, recency refresh, expiry of a stale
-    entry, tracing — but returning the entry directly.
+    entry, tracing — but returning the object directly.
     @raise Not_found on a miss (counted and traced as such).
 
     This is the hot-path variant: with tracing disabled it performs no
     minor-heap allocation at all (one {!Name_index} probe, and the LRU
     move-to-front relinks int arrays).  The [bench core] CS-hit
-    benchmark asserts this.  {!lookup} returns a hit's entry in the
+    benchmark asserts this.  {!lookup} returns a hit's object in the
     [Some] cell built at insert, so it allocates no option either. *)
 
-val peek : 'meta t -> Name.t -> 'meta entry option
+val peek : t -> Name.t -> Data.t option
 (** Exact lookup with no side effects: no recency update, no hit count,
     no expiry. *)
 
-val mem : 'meta t -> Name.t -> bool
+val mem : t -> Name.t -> bool
 
-val remove : 'meta t -> Name.t -> unit
+val inserted_at : t -> Name.t -> float option
+(** The virtual time the cached object of this exact name entered the
+    store; [None] if not cached.  No side effects. *)
 
-val set_meta : 'meta t -> Name.t -> 'meta -> bool
-(** Update an entry's metadata in place; [false] if not cached. *)
+val hit_count : t -> Name.t -> int option
+(** Lookup hits on the cached entry of this exact name since its
+    insert; [None] if not cached.  No side effects. *)
 
-val size : 'meta t -> int
+val remove : t -> Name.t -> unit
 
-val capacity : 'meta t -> int
+val size : t -> int
+
+val capacity : t -> int
 (** [0] when unbounded. *)
 
-val policy : 'meta t -> Eviction.t
+val policy : t -> Eviction.t
 
-val clear : 'meta t -> unit
+val clear : t -> unit
 
-val flush : 'meta t -> now:float -> unit
+val flush : t -> now:float -> unit
 (** {!clear}, traced: emits one [cs.flush] record carrying the number
     of entries dropped.  The crash path of fault injection — a router
     reboot loses its whole Content Store at once, and the trace should
     say so rather than show [size] silent evictions. *)
 
-val fold : 'meta t -> init:'acc -> f:('acc -> 'meta entry -> 'acc) -> 'acc
+val fold : t -> init:'acc -> f:('acc -> Data.t -> 'acc) -> 'acc
+(** Folds over the cached objects in recency-list order: the most
+    recently inserted (under LRU, inserted or hit) first. *)
 
 type counters = {
   lookups : int;
@@ -106,4 +105,4 @@ type counters = {
   expirations : int;
 }
 
-val counters : 'meta t -> counters
+val counters : t -> counters

@@ -79,7 +79,7 @@ type t = {
   sid : int;
   shard : int;
   mutable kseq : int;
-  cs : unit Content_store.t;
+  cs : Content_store.t;
   mutable pit : Pit.t;
   fib : Fib.t;
   pit_lifetime_ms : float;
@@ -530,15 +530,14 @@ let handle_interest_alive t ~face interest =
     trace t Sim.Trace.Interest_received interest.Interest.name
       [ ("face", string_of_int face) ];
   match Content_store.lookup t.cs ~now interest.Interest.name with
-  | Some entry -> (
-    match t.strat.on_cache_hit ~now interest entry.Content_store.data with
+  | Some data -> (
+    match t.strat.on_cache_hit ~now interest data with
     | Respond ->
       t.c.cache_responses <- t.c.cache_responses + 1;
-      send_data t ~face entry.Content_store.data
+      send_data t ~face data
     | Respond_after delay ->
       t.c.cache_responses <- t.c.cache_responses + 1;
       t.c.delayed_responses <- t.c.delayed_responses + 1;
-      let data = entry.Content_store.data in
       ignore
         (sched t ~delay (fun () -> send_data t ~face data))
     | Treat_as_miss -> forward_as_miss t ~now ~face interest)

@@ -165,7 +165,7 @@ val schedule_app : t -> delay:float -> (unit -> unit) -> unit
 val schedule_app_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant of {!schedule_app}. *)
 
-val content_store : t -> unit Content_store.t
+val content_store : t -> Content_store.t
 
 val pit : t -> Pit.t
 

@@ -13,9 +13,13 @@ type t = {
   (* The hold horizon (see [hold_until]), alone in its array so that a
      hold is queued by [Heap.add_reading_time] straight from it. *)
   horizon : float array;
-  (* A time on its way to [hold_from]: the removed event's time, which
-     [cancel] receives from the heap, or [hold_until]'s argument. *)
-  cancelled_at : float array;
+  (* A time on its way into or out of the heap: a new event's time,
+     which [schedule] computes and [add_event] clamps here and the heap
+     reads from here; a removed event's time, which [cancel] receives
+     from the heap for [hold_from]; or [hold_until]'s argument.  A float
+     handed across a function boundary is boxed; a float-array store is
+     not. *)
+  transit : float array;
   mutable next_seq : int;
   (* Heap key of the event currently being dispatched (or, between
      events, of whatever root context last claimed the key via
@@ -64,7 +68,7 @@ let create ?(tracer = Trace.disabled) () =
       queue = Heap.create ();
       clock = [| 0.; 0. |];
       horizon = [| Float.neg_infinity |];
-      cancelled_at = [| 0. |];
+      transit = [| 0. |];
       next_seq = 0;
       cur_key = 0;
       processed = 0;
@@ -116,28 +120,37 @@ let claim_handle t f =
     (* ndnlint: allow A1 -- pool growth only; steady state recycles *)
     { state = Pending; action = f; owner = t; next_free = t.nil; slot = -1 }
 
+(* Queue [f] at the time in [transit.(0)], clamped to the clock. *)
 (* ndnlint: hot *)
-let add_event t ~time ~seq f =
+let add_event t ~seq f =
+  let at = t.transit in
   let clk = Array.unsafe_get t.clock 0 in
-  let time = if time < clk then clk else time in
+  if Array.unsafe_get at 0 < clk then Array.unsafe_set at 0 clk;
   let h = claim_handle t f in
   if t.firing then begin
     t.firing <- false;
-    h.slot <- Heap.replace_min t.queue ~time ~seq h
+    h.slot <- Heap.replace_min t.queue ~time_from:at ~seq h
   end
-  else h.slot <- Heap.add t.queue ~time ~seq h;
+  else h.slot <- Heap.add_reading_time t.queue ~time_from:at ~seq h;
   h
 
-let schedule_at t ~time f =
-  let h = add_event t ~time ~seq:t.next_seq f in
+let add_counted t f =
+  let h = add_event t ~seq:t.next_seq f in
   t.next_seq <- t.next_seq + 1;
   h
 
+let schedule_at t ~time f =
+  Array.unsafe_set t.transit 0 time;
+  add_counted t f
+
 let schedule t ~delay f =
   let delay = if delay < 0. then 0. else delay in
-  schedule_at t ~time:(Array.unsafe_get t.clock 0 +. delay) f
+  Array.unsafe_set t.transit 0 (Array.unsafe_get t.clock 0 +. delay);
+  add_counted t f
 
-let schedule_key_at t ~time ~key f = add_event t ~time ~seq:key f
+let schedule_key_at t ~time ~key f =
+  Array.unsafe_set t.transit 0 time;
+  add_event t ~seq:key f
 
 (* The hold event's heap key: below every counter value and every
    shard key, and unique, since at most one hold event is queued. *)
@@ -159,8 +172,8 @@ let hold_from t time_from =
   if t.hold == t.nil && time > Array.unsafe_get t.clock 0 then arm_hold t time_from
 
 let hold_until t time =
-  Array.unsafe_set t.cancelled_at 0 time;
-  hold_from t t.cancelled_at
+  Array.unsafe_set t.transit 0 time;
+  hold_from t t.transit
 
 (* The hold event is the engine's bookkeeping, not a simulation event:
    reaching it moves the clock like any event, but it is not counted,
@@ -175,7 +188,8 @@ let hold_reached t h =
 
 let schedule_key t ~delay ~key f =
   let delay = if delay < 0. then 0. else delay in
-  schedule_key_at t ~time:(Array.unsafe_get t.clock 0 +. delay) ~key f
+  Array.unsafe_set t.transit 0 (Array.unsafe_get t.clock 0 +. delay);
+  add_event t ~seq:key f
 
 (* The entry leaves the queue here, with its action: a cancelled
    timer's closure graph (a whole fetch's callbacks, say) and its heap
@@ -191,8 +205,8 @@ let cancel h =
   | Pending ->
     let t = h.owner in
     h.state <- Cancelled;
-    Heap.remove_writing_time t.queue h.slot ~time_into:t.cancelled_at;
-    hold_from t t.cancelled_at;
+    Heap.remove_writing_time t.queue h.slot ~time_into:t.transit;
+    hold_from t t.transit;
     recycle t h
   | Fired | Cancelled -> ()
 
@@ -277,9 +291,12 @@ let run ?until ?max_events t =
       (* Queue empty, or the next event is beyond [until].  In the
          latter case leave future events queued and advance the clock
          to the limit so that a subsequent [run ~until] picks up where
-         we stopped. *)
+         we stopped.  Advance only: an action that ran a nested [run]
+         past the limit has already moved the clock beyond it, and
+         setting it back would date later events before executed
+         ones. *)
       if (not (Heap.is_empty t.queue)) && limit < Float.infinity then
-        Array.unsafe_set t.clock 0 limit;
+        advance_clock_to t limit;
       continue := false
     end
   done

@@ -120,7 +120,9 @@ val step : t -> bool
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the event queue.  [until] stops the clock at the given time
-    (events scheduled later stay queued); [max_events] bounds the number
+    (events scheduled later stay queued), or leaves it where it is if a
+    nested [run] inside an action has already moved it past that time:
+    the clock never moves backwards.  [max_events] bounds the number
     of events {e executed} — a reached {!hold_until} event does not
     consume the budget, so the bound matches what {!events_processed}
     reports — a guard against non-terminating protocols. *)

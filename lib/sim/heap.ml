@@ -278,11 +278,11 @@ let min_elt_writing_time t ~time_into =
   Array.unsafe_get t.elts (Array.unsafe_get t.slot_of 0)
 
 (* ndnlint: hot *)
-let replace_min t ~time ~seq x =
+let replace_min t ~time_from ~seq x =
   if t.size = 0 then invalid_arg "Heap.replace_min: empty heap";
   let slot = Array.unsafe_get t.slot_of 0 in
   Array.unsafe_set t.elts slot x;
-  Array.unsafe_set t.times 0 time;
+  Array.unsafe_set t.times 0 time_from.(0);
   Array.unsafe_set t.seqs 0 seq;
   sift_down t 0;
   slot

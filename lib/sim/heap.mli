@@ -85,13 +85,15 @@ val min_elt_writing_time : 'a t -> time_into:float array -> 'a
     @raise Invalid_argument when empty.  [time_into] must have length
     [>= 1]. *)
 
-val replace_min : 'a t -> time:float -> seq:int -> 'a -> int
-(** [replace_min t ~time ~seq x] removes the minimum element and inserts
-    [x] under the given key, in one sift-down from the root — a
-    {!pop_min_elt} followed by an {!add} sifts twice — and returns
-    [x]'s slot, the one the old minimum held.  The new key may be
-    smaller or larger than the old one.  Allocation-free.
-    @raise Invalid_argument when empty. *)
+val replace_min : 'a t -> time_from:float array -> seq:int -> 'a -> int
+(** [replace_min t ~time_from ~seq x] removes the minimum element and
+    inserts [x] under the key [(time_from.(0), seq)], in one sift-down
+    from the root — a {!pop_min_elt} followed by an {!add} sifts twice —
+    and returns [x]'s slot, the one the old minimum held.  The new key
+    may be smaller or larger than the old one.  The time is read from a
+    float array, as with {!add_reading_time}.  Allocation-free.
+    @raise Invalid_argument when empty.  [time_from] must have length
+    [>= 1]. *)
 
 val pop_min : 'a t -> (float * int * 'a) option
 (** Remove and return the element with the smallest key, or [None] when

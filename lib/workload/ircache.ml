@@ -79,7 +79,7 @@ let generate cfg =
     (float_of_int b *. bucket_width) +. Sim.Rng.float rng bucket_width
   in
   let times = Array.init cfg.requests (fun _ -> sample_time ()) in
-  Array.sort compare times;
+  Array.stable_sort Float.compare times;
   (* One-timer ids live above the catalog range. *)
   let next_one_timer = ref cfg.catalog in
   let records =

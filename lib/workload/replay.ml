@@ -43,6 +43,37 @@ let content_private ~seed ~fraction content =
   let rng = Sim.Rng.create ((content * 0x9E3779B1) lxor (seed * 0x85EBCA77)) in
   Sim.Rng.bernoulli rng fraction
 
+(* [Bytes.get later i = '\001'] when request [i]'s content is requested
+   again after it: one backward pass marks each content's requests but
+   its last.  The seen-set is a byte per id over the ids' range when
+   that is no wider than a few times the trace (generated traces use
+   dense ids), and a hash table otherwise. *)
+let later_requests trace =
+  let n = Trace.length trace in
+  let lo = ref max_int and hi = ref min_int in
+  Trace.iter trace ~f:(fun r ->
+      lo := Int.min !lo r.Trace.content;
+      hi := Int.max !hi r.Trace.content);
+  let span = !hi - !lo in
+  (* Whether [c] was seen already; marks it seen. *)
+  let seen =
+    if span >= 0 && span < (4 * n) + 1024 then begin
+      let ids = Bytes.make (span + 1) '\000' in
+      fun c ->
+        let k = c - !lo in
+        Bytes.get ids k = '\001' || (Bytes.set ids k '\001'; false)
+    end
+    else begin
+      let ids = Hashtbl.create 1024 in
+      fun c -> Hashtbl.mem ids c || (Hashtbl.add ids c (); false)
+    end
+  in
+  let later = Bytes.make n '\000' in
+  for i = n - 1 downto 0 do
+    if seen (Trace.get trace i).Trace.content then Bytes.set later i '\001'
+  done;
+  later
+
 let replay trace config =
   let rng = Sim.Rng.create config.seed in
   let cs_rng = Sim.Rng.split rng in
@@ -58,10 +89,14 @@ let replay trace config =
     | Per_content fraction -> content_private ~seed:config.seed ~fraction content
     | Per_request fraction -> Sim.Rng.bernoulli request_privacy_rng fraction
   in
-  (* Data objects for catalog contents are interned: replaying 3.2M
-     requests must not re-sign a popular object on every re-insertion. *)
+  (* A content's object is interned from its first request until its
+     last: replaying 3.2M requests must not re-sign a popular object on
+     every re-insertion, and an object nothing will ask for again (most
+     contents are one-timers) is left to the cache alone.  Each content
+     is signed exactly once. *)
+  let later = later_requests trace in
   let interned = Hashtbl.create 4096 in
-  let data_of content name known =
+  let data_of content name known ~again =
     match known with
     | Some d -> d
     | None ->
@@ -69,44 +104,46 @@ let replay trace config =
         Ndn.Data.create ~producer:"trace-origin" ~key:"trace-origin-key"
           ~payload:"" name
       in
-      (* Intern unconditionally, one-timers included, until the table
-         holds 300,000 objects; past that, misses are signed afresh. *)
-      if Hashtbl.length interned < 300_000 then Hashtbl.add interned content d;
+      if again then Hashtbl.add interned content d;
       d
   in
   let observable_hits = ref 0
   and real_hits = ref 0
   and hidden_hits = ref 0
   and private_requests = ref 0 in
-  Trace.iter trace ~f:(fun r ->
-      (* An interned object carries its content's name already, so
-         only a content seen for the first time (or not interned)
-         builds, hashes and interns [/trace/c<id>]. *)
-      let known = Hashtbl.find_opt interned r.Trace.content in
-      let name =
-        match known with
-        | Some d -> d.Ndn.Data.name
-        | None -> Trace.name_of r.Trace.content
-      in
-      let now = r.Trace.time_s *. 1000. in
-      let cached =
-        match Ndn.Content_store.lookup cs ~now ~exact:true name with
-        | Some _ -> true
-        | None -> false
-      in
-      let priv = is_private r.Trace.content in
-      if priv then incr private_requests;
-      if cached then incr real_hits;
-      let out =
-        Core.Policy.on_request policy ~name ~is_private:priv ~cached
-      in
-      (match out with
-      | Core.Random_cache.Hit -> incr observable_hits
-      | Core.Random_cache.Miss -> if cached then incr hidden_hits);
-      if not cached then
-        (* Fetched from upstream and cached (the router caches all
-           content, per Section VII). *)
-        Ndn.Content_store.insert cs ~now (data_of r.Trace.content name known) ());
+  for i = 0 to Trace.length trace - 1 do
+    let r = Trace.get trace i in
+    let again = Bytes.get later i = '\001' in
+    (* An interned object carries its content's name already, so
+       only a content seen for the first time builds, hashes and
+       interns [/trace/c<id>]. *)
+    let known = Hashtbl.find_opt interned r.Trace.content in
+    let name =
+      match known with
+      | Some d -> d.Ndn.Data.name
+      | None -> Trace.name_of r.Trace.content
+    in
+    let now = r.Trace.time_s *. 1000. in
+    let cached =
+      match Ndn.Content_store.lookup cs ~now ~exact:true name with
+      | Some _ -> true
+      | None -> false
+    in
+    let priv = is_private r.Trace.content in
+    if priv then incr private_requests;
+    if cached then incr real_hits;
+    let out =
+      Core.Policy.on_request policy ~name ~is_private:priv ~cached
+    in
+    (match out with
+    | Core.Random_cache.Hit -> incr observable_hits
+    | Core.Random_cache.Miss -> if cached then incr hidden_hits);
+    if not cached then
+      (* Fetched from upstream and cached (the router caches all
+         content, per Section VII). *)
+      Ndn.Content_store.insert cs ~now (data_of r.Trace.content name known ~again) ();
+    if (not again) && Option.is_some known then Hashtbl.remove interned r.Trace.content
+  done;
   let counters = Ndn.Content_store.counters cs in
   {
     requests = Trace.length trace;

@@ -251,7 +251,7 @@ let index_of_name =
 
 let store_prefix_lookup cs ~now q =
   Ndn.Content_store.lookup cs ~now queries.(q)
-  |> Option.map (fun e -> index_of_name e.Ndn.Content_store.data.Ndn.Data.name)
+  |> Option.map (fun d -> index_of_name d.Ndn.Data.name)
 
 let check_prefix_answer label q ~store ~model =
   let show = function None -> "miss" | Some i -> Ndn.Name.to_string names.(i) in
@@ -260,8 +260,8 @@ let check_prefix_answer label q ~store ~model =
       (Ndn.Name.to_string queries.(q)) (show store) (show model)
 
 let store_contents cs =
-  Ndn.Content_store.fold cs ~init:[] ~f:(fun acc e ->
-      Ndn.Name.to_string e.Ndn.Content_store.data.Ndn.Data.name :: acc)
+  Ndn.Content_store.fold cs ~init:[] ~f:(fun acc d ->
+      Ndn.Name.to_string d.Ndn.Data.name :: acc)
   |> List.sort compare
 
 let model_contents model =
@@ -346,11 +346,11 @@ let random_invariants_hold seed ops =
           now
         | Lookup_prefix q ->
           let snapshot =
-            Ndn.Content_store.fold cs ~init:[] ~f:(fun acc e ->
-                let d = e.Ndn.Content_store.data in
+            Ndn.Content_store.fold cs ~init:[] ~f:(fun acc d ->
+                let name = d.Ndn.Data.name in
                 {
-                  idx = index_of_name d.Ndn.Data.name;
-                  inserted_at = e.Ndn.Content_store.inserted_at;
+                  idx = index_of_name name;
+                  inserted_at = Option.get (Ndn.Content_store.inserted_at cs name);
                   freshness = d.Ndn.Data.freshness_ms;
                   strict = d.Ndn.Data.strict_match;
                 }
@@ -421,7 +421,7 @@ let census_store ?(capacity = 8) policy =
 
 let answer cs ~now q =
   Ndn.Content_store.lookup cs ~now (Ndn.Name.of_string q)
-  |> Option.map (fun e -> Ndn.Name.to_string e.Ndn.Content_store.data.Ndn.Data.name)
+  |> Option.map (fun d -> Ndn.Name.to_string d.Ndn.Data.name)
 
 let check_answer msg want got = Alcotest.(check (option string)) msg want got
 

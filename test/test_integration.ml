@@ -314,9 +314,9 @@ let test_wire_through_cache_story () =
     let cs = Ndn.Content_store.create ~capacity:4 () in
     Ndn.Content_store.insert cs ~now:0. d' ();
     (match Ndn.Content_store.lookup cs ~now:1. (name "/prod/photo/1") with
-    | Some e ->
+    | Some d ->
       Alcotest.(check (option string)) "content id survived the wire"
-        (Some "album") e.Ndn.Content_store.data.Ndn.Data.content_id
+        (Some "album") d.Ndn.Data.content_id
     | None -> Alcotest.fail "cache miss after insert")
 
 (* Story 8: popularity estimation across the naive/random divide using

@@ -729,7 +729,7 @@ let test_cs_insert_lookup () =
   let cs = Content_store.create ~capacity:10 () in
   Content_store.insert cs ~now:0. (mk_data "/a/1") ();
   (match Content_store.lookup cs ~now:1. (name "/a/1") with
-  | Some e -> Alcotest.check name_testable "hit" (name "/a/1") e.Content_store.data.Data.name
+  | Some d -> Alcotest.check name_testable "hit" (name "/a/1") d.Data.name
   | None -> Alcotest.fail "expected hit");
   Alcotest.(check bool) "miss" true (Content_store.lookup cs ~now:1. (name "/a/2") = None);
   let c = Content_store.counters cs in
@@ -802,18 +802,16 @@ let test_cs_reinsert_refreshes () =
   Content_store.insert cs ~now:0. (mk_data "/a") ();
   Content_store.insert cs ~now:5. (mk_data "/a") ();
   Alcotest.(check int) "no duplicate" 1 (Content_store.size cs);
-  match Content_store.peek cs (name "/a") with
-  | Some e -> Alcotest.(check (float 1e-9)) "inserted_at refreshed" 5. e.Content_store.inserted_at
-  | None -> Alcotest.fail "expected entry"
+  Alcotest.(check (option (float 1e-9))) "inserted_at refreshed" (Some 5.)
+    (Content_store.inserted_at cs (name "/a"))
 
 let test_cs_prefix_matching () =
   let cs = Content_store.create ~capacity:10 () in
   Content_store.insert cs ~now:0. (mk_data "/a/b/2") ();
   Content_store.insert cs ~now:0. (mk_data "/a/b/1") ();
   (match Content_store.lookup cs ~now:1. (name "/a/b") with
-  | Some e ->
-    Alcotest.check name_testable "smallest extension wins" (name "/a/b/1")
-      e.Content_store.data.Data.name
+  | Some d ->
+    Alcotest.check name_testable "smallest extension wins" (name "/a/b/1") d.Data.name
   | None -> Alcotest.fail "prefix should match");
   Alcotest.(check bool) "exact-only mode misses" true
     (Content_store.lookup cs ~now:1. ~exact:true (name "/a/b") = None)
@@ -841,21 +839,11 @@ let test_cs_freshness_expiry () =
 let test_cs_peek_no_side_effects () =
   let cs = Content_store.create ~capacity:10 () in
   Content_store.insert cs ~now:0. (mk_data "/a") ();
-  (match Content_store.peek cs (name "/a") with
-  | Some e -> Alcotest.(check int) "no hit recorded" 0 e.Content_store.access_count
-  | None -> Alcotest.fail "expected entry");
+  Alcotest.(check bool) "peek finds the entry" true (Content_store.peek cs (name "/a") <> None);
+  Alcotest.(check (option int)) "no hit recorded" (Some 0)
+    (Content_store.hit_count cs (name "/a"));
   let c = Content_store.counters cs in
   Alcotest.(check int) "no lookup counted" 0 c.Content_store.lookups
-
-let test_cs_meta () =
-  let cs = Content_store.create ~capacity:10 () in
-  Content_store.insert cs ~now:0. (mk_data "/a") 41;
-  Alcotest.(check bool) "set_meta" true (Content_store.set_meta cs (name "/a") 42);
-  (match Content_store.peek cs (name "/a") with
-  | Some e -> Alcotest.(check int) "meta updated" 42 e.Content_store.meta
-  | None -> Alcotest.fail "expected entry");
-  Alcotest.(check bool) "set_meta on absent" false
-    (Content_store.set_meta cs (name "/zz") 0)
 
 let test_cs_remove_and_clear () =
   let cs = Content_store.create ~capacity:10 () in
@@ -871,11 +859,31 @@ let test_cs_access_count_and_recency () =
   Content_store.insert cs ~now:0. (mk_data "/a") ();
   ignore (Content_store.lookup cs ~now:1. (name "/a"));
   ignore (Content_store.lookup cs ~now:2. (name "/a"));
-  match Content_store.peek cs (name "/a") with
-  | Some e ->
-    Alcotest.(check int) "access_count" 2 e.Content_store.access_count;
-    Alcotest.(check (float 1e-9)) "last_access" 2. e.Content_store.last_access
-  | None -> Alcotest.fail "expected entry"
+  Alcotest.(check (option int)) "hit count" (Some 2) (Content_store.hit_count cs (name "/a"));
+  Alcotest.(check (option int)) "absent name" None (Content_store.hit_count cs (name "/b"));
+  Alcotest.(check (option (float 1e-9))) "absent name has no time" None
+    (Content_store.inserted_at cs (name "/b"))
+
+(* A full store's own words per entry, the cached objects left out: 11
+   at 4,096 entries.  That is the object's [Some] cell (2), its cell in
+   the object, time, hit-count and two recency arrays (5), and two
+   cells of each of the name index's two arrays (4).  The bound leaves
+   one word: a per-entry record (6 words with the old five fields), or
+   a boxed time kept per entry, lifts it past.  Every entry is hit once
+   first, so a hit that stores per-entry state in a new block shows
+   too. *)
+let test_cs_resident_words_per_entry () =
+  let n = 4096 in
+  let data = Array.init n (fun i -> mk_data (Printf.sprintf "/r/%d" i)) in
+  let cs = Content_store.create ~capacity:n () in
+  Array.iteri (fun i d -> Content_store.insert cs ~now:(float_of_int i) d ()) data;
+  Array.iter (fun d -> ignore (Content_store.lookup cs ~now:(float_of_int n) d.Data.name)) data;
+  Alcotest.(check int) "full" n (Content_store.size cs);
+  let objects = Obj.reachable_words (Obj.repr data) - (n + 1) in
+  let own = Obj.reachable_words (Obj.repr cs) - objects in
+  let per_entry = float_of_int own /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per entry <= 12" per_entry) true
+    (per_entry <= 12.)
 
 (* --- PIT --- *)
 
@@ -1668,9 +1676,10 @@ let () =
             test_cs_strict_match_blocks_prefix_probing;
           Alcotest.test_case "freshness expiry" `Quick test_cs_freshness_expiry;
           Alcotest.test_case "peek side-effect free" `Quick test_cs_peek_no_side_effects;
-          Alcotest.test_case "meta" `Quick test_cs_meta;
           Alcotest.test_case "remove & clear" `Quick test_cs_remove_and_clear;
           Alcotest.test_case "access counts" `Quick test_cs_access_count_and_recency;
+          Alcotest.test_case "resident words per entry" `Quick
+            test_cs_resident_words_per_entry;
         ] );
       ( "pit",
         [

@@ -336,6 +336,23 @@ let test_engine_until () =
   Sim.Engine.run e;
   Alcotest.(check int) "remaining events fire on resume" 10 !count
 
+(* A [run ~until] whose action runs a nested [run] past the outer limit
+   must not set the clock back to that limit when it stops: later
+   schedules would be dated before events already executed. *)
+let test_engine_nested_run_keeps_clock () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let note () = fired := Sim.Engine.now e :: !fired in
+  ignore (Sim.Engine.schedule_at e ~time:4. (fun () -> Sim.Engine.run ~until:10. e));
+  ignore (Sim.Engine.schedule_at e ~time:8. note);
+  ignore (Sim.Engine.schedule_at e ~time:12. note);
+  Sim.Engine.run ~until:4. e;
+  check_float "the clock stays at the nested run's limit" 10. (Sim.Engine.now e);
+  ignore (Sim.Engine.schedule e ~delay:1. note);
+  Sim.Engine.run e;
+  Alcotest.(check (list (float 1e-9))) "events fire in time order" [ 8.; 11.; 12. ]
+    (List.rev !fired)
+
 let test_engine_max_events () =
   let e = Sim.Engine.create () in
   (* Self-perpetuating event chain. *)
@@ -752,7 +769,7 @@ module Engine_model = struct
         match t.queue with
         | ev :: _ when ev.time <= until -> go (if pop t then budget - 1 else budget)
         | [] -> ()
-        | _ :: _ -> if until < infinity then t.clock <- until
+        | _ :: _ -> if until < infinity && until > t.clock then t.clock <- until
     in
     go max_events
 
@@ -1139,11 +1156,11 @@ let qcheck_tests =
             incr seq;
             match !model with
             | [] -> (
-              match Sim.Heap.replace_min h ~time:t ~seq:s payload with
+              match Sim.Heap.replace_min h ~time_from:[| t |] ~seq:s payload with
               | _ -> false
               | exception Invalid_argument _ -> Sim.Heap.is_empty h)
             | (_, _, old) :: rest ->
-              let slot = Sim.Heap.replace_min h ~time:t ~seq:s payload in
+              let slot = Sim.Heap.replace_min h ~time_from:[| t |] ~seq:s payload in
               let took_root_slot = slot = Hashtbl.find slots old in
               Hashtbl.remove slots old;
               Hashtbl.replace slots payload slot;
@@ -1350,6 +1367,8 @@ let () =
           Alcotest.test_case "cancel leaves depth" `Quick test_engine_cancel_leaves_depth;
           Alcotest.test_case "cancelled moves clock" `Quick test_engine_cancelled_clock;
           Alcotest.test_case "until" `Quick test_engine_until;
+          Alcotest.test_case "nested run keeps clock" `Quick
+            test_engine_nested_run_keeps_clock;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
           Alcotest.test_case "schedule_at past" `Quick test_engine_schedule_at_past;

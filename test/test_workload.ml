@@ -283,6 +283,35 @@ let test_replay_private_fraction_effect () =
     (Printf.sprintf "more private content, fewer observable hits (%.3f > %.3f)" r5 r40)
     true (r5 > r40)
 
+(* The replay keeps a content's object only while the content has a
+   later request, found with a seen-set over the content ids: a byte
+   per id for dense ids, a hash table for sparse ones.  Spreading the
+   ids of a trace far apart takes the second path and must not change
+   what the cache does. *)
+let test_replay_sparse_ids_like_dense () =
+  let t = Workload.Ircache.generate { small_cfg with Workload.Ircache.requests = 5_000 } in
+  let sparse =
+    Workload.Trace.create
+      (Array.init (Workload.Trace.length t) (fun i ->
+           let r = Workload.Trace.get t i in
+           { r with Workload.Trace.content = (r.Workload.Trace.content * 1_000_003) + 7 }))
+  in
+  let run t =
+    Workload.Replay.replay t
+      {
+        Workload.Replay.default_config with
+        Workload.Replay.policy = Core.Policy.No_privacy;
+        private_mode = Workload.Replay.Per_content 0.;
+        cache_capacity = 300;
+      }
+  in
+  let a = run t and b = run sparse in
+  Alcotest.(check bool) "the bounded cache evicts" true (a.Workload.Replay.evictions > 0);
+  Alcotest.(check int) "real hits" a.Workload.Replay.real_hits b.Workload.Replay.real_hits;
+  Alcotest.(check int) "evictions" a.Workload.Replay.evictions b.Workload.Replay.evictions;
+  Alcotest.(check int) "observable hits" a.Workload.Replay.observable_hits
+    b.Workload.Replay.observable_hits
+
 (* --- Metrics sweeps --- *)
 
 let test_sweep_structure () =
@@ -700,6 +729,8 @@ let () =
           Alcotest.test_case "per-content deterministic" `Quick
             test_replay_per_content_privacy_deterministic;
           Alcotest.test_case "private fraction effect" `Slow test_replay_private_fraction_effect;
+          Alcotest.test_case "sparse ids replay like dense" `Quick
+            test_replay_sparse_ids_like_dense;
         ] );
       ( "metrics",
         [
