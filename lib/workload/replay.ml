@@ -47,7 +47,11 @@ let content_private ~seed ~fraction content =
    again after it: one backward pass marks each content's requests but
    its last.  The seen-set is a byte per id over the ids' range when
    that is no wider than a few times the trace (generated traces use
-   dense ids), and a hash table otherwise. *)
+   dense ids), and a hash table otherwise (a loaded trace may carry any
+   int; [span] wraps negative when the ids span more than [max_int]).
+   On fig5-replay the byte set reads a 1.3 MB (4.5 %) lower peak heap
+   and 4.5 % more requests/s than the table alone (EXPERIMENTS,
+   "Content Store entries without a record"). *)
 let later_requests trace =
   let n = Trace.length trace in
   let lo = ref max_int and hi = ref min_int in
