@@ -436,7 +436,7 @@ let analyze_workload ~n bin =
     for _ = 1 to ops / n do
       match Sim.Analyze.of_source (Sim.Trace_reader.of_string bin) with
       | Ok _ -> ()
-      | Error e -> failwith (Sim.Trace_reader.error_to_string e)
+      | Error e -> failwith (Sim.Scan.error_to_string e)
     done
 
 (* ------------------------------------------------------------------ *)

@@ -82,7 +82,7 @@ let trace_format_arg =
     & info [ "trace-format" ] ~docv:"FMT"
         ~doc:
           "Trace file format: $(b,jsonl) (default), $(b,csv), or $(b,binary) \
-           (the compact length-prefixed wire format of DESIGN \\u{00a7}16, \
+           (the compact length-prefixed wire format of DESIGN \u{00a7}16, \
            readable by $(b,ndnsim analyze)).")
 
 (* The summary line is a diagnostic, so it goes to stderr: with
@@ -109,16 +109,19 @@ let result_formatter trace_file =
 
 (* --- fault schedules (--faults) --- *)
 
-let faults_arg =
+(* A file option loaded while the command line is read, so a file that
+   does not parse is reported as a bad option value, naming the file. *)
+let file_conv ~load ~print =
   let parse path =
-    match Sim.Fault.load ~path with
-    | Ok schedule -> Ok schedule
-    | Error msg -> Error (`Msg (Printf.sprintf "%s: %s" path msg))
+    Result.map_error (fun msg -> `Msg (Printf.sprintf "%s: %s" path msg)) (load ~path)
   in
+  Arg.conv (parse, print)
+
+let faults_arg =
   let print ppf s = Format.fprintf ppf "<%d faults>" (List.length s) in
   Arg.(
     value
-    & opt (some (conv (parse, print))) None
+    & opt (some (file_conv ~load:Sim.Fault.load ~print)) None
     & info [ "faults" ] ~docv:"FILE"
         ~doc:
           "Inject the deterministic fault schedule in $(docv) (one fault \
@@ -425,9 +428,8 @@ let replay_cmd =
       seed =
     let trace =
       match (trace_file, squid_file) with
-      | Some path, _ -> Workload.Trace.load ~path
-      | None, Some path ->
-        let trace, stats = Workload.Squid_log.load ~path in
+      | Some trace, _ -> trace
+      | None, Some (trace, stats) ->
         Format.eprintf "squid log: %d lines parsed, %d skipped@."
           stats.Workload.Squid_log.parsed stats.Workload.Squid_log.skipped;
         trace
@@ -459,13 +461,21 @@ let replay_cmd =
     in
     Format.printf "%a@." Workload.Replay.pp_outcome outcome
   in
+  let print_trace ppf t = Format.fprintf ppf "<%d requests>" (Workload.Trace.length t) in
   let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Load a saved trace.")
+    Arg.(
+      value
+      & opt (some (file_conv ~load:Workload.Trace.load ~print:print_trace)) None
+      & info [ "trace" ] ~docv:"FILE" ~doc:"Load a saved trace.")
   in
   let squid_file =
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (some
+             (file_conv ~load:Workload.Squid_log.load ~print:(fun ppf (t, _) ->
+                  print_trace ppf t)))
+          None
       & info [ "squid" ] ~docv:"FILE"
           ~doc:"Load a Squid access.log (the IRCache trace format).")
   in
@@ -1012,7 +1022,7 @@ let analyze_cmd =
     | Error e ->
       Format.eprintf "ndnsim analyze: %s: %s@."
         (if file = "-" then "<stdin>" else file)
-        (Sim.Trace_reader.error_to_string e);
+        (Sim.Scan.error_to_string e);
       exit 1
     | Ok acc ->
       print_string

@@ -97,23 +97,7 @@ let directives spec = List.map snd spec
 
 (* --- small parsing helpers --- *)
 
-let ( let* ) = Result.bind
-
-let float_field name s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: expected a number, got %S" name s)
-
-let int_field name s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "%s: expected an integer, got %S" name s)
-
-let bool_field name s =
-  match String.lowercase_ascii s with
-  | "true" | "yes" | "1" -> Ok true
-  | "false" | "no" | "0" -> Ok false
-  | _ -> Error (Printf.sprintf "%s: expected a boolean, got %S" name s)
+open Sim.Scan
 
 (* Range checks run at parse time so a bad parameter is reported with
    its line number, not discovered as a NaN latency mid-run. *)
@@ -128,6 +112,16 @@ let positive name v =
 let probability name v =
   if Float.is_finite v && v >= 0. && v <= 1. then Ok v
   else Error (Printf.sprintf "%s: expected a probability in [0, 1], got %g" name v)
+
+(* [f] over [parts], in order, up to the first error. *)
+let map_all f parts =
+  let step acc part =
+    let* acc = acc in
+    let* v = f part in
+    Ok (v :: acc)
+  in
+  let* rev = List.fold_left step (Ok []) parts in
+  Ok (List.rev rev)
 
 let rec parse_latency_term s =
   match String.split_on_char ':' s with
@@ -168,40 +162,20 @@ and parse_latency s =
   match String.split_on_char '+' s with
   | [ single ] -> parse_latency_term single
   | parts ->
-    let* terms =
-      List.fold_left
-        (fun acc part ->
-          let* acc = acc in
-          let* term = parse_latency_term part in
-          Ok (term :: acc))
-        (Ok []) parts
-    in
-    Ok (Sim.Latency.Sum (List.rev terms))
+    let* terms = map_all parse_latency_term parts in
+    Ok (Sim.Latency.Sum terms)
 
-(* key=value attribute lists, validated against the directive's schema
-   so a typo'd key is reported rather than silently ignored *)
-let parse_attrs ~directive ~allowed tokens =
-  List.fold_left
-    (fun acc token ->
-      let* acc = acc in
-      match String.index_opt token '=' with
-      | Some i ->
-        let key = String.sub token 0 i in
-        let value = String.sub token (i + 1) (String.length token - i - 1) in
-        if List.mem key allowed then Ok ((key, value) :: acc)
-        else
-          Error
-            (Printf.sprintf "%s: unknown attribute %S (allowed: %s)" directive
-               key
-               (String.concat ", " allowed))
-      | None ->
-        Error
-          (Printf.sprintf "%s: expected key=value, got %S" directive token))
-    (Ok []) tokens
+(* Attribute fields, called with the attribute's name. *)
+let policy_field _ v =
+  match Eviction.of_string v with
+  | Some p -> Ok p
+  | None -> Error (Printf.sprintf "unknown eviction policy %S" v)
 
-let attr attrs key = List.assoc_opt key attrs
+let latency_field _ v = parse_latency v
 
-let is_attr token = String.contains token '='
+let probability_field name v =
+  let* p = float_field name v in
+  probability name p
 
 (* --- directive parsers --- *)
 
@@ -219,32 +193,13 @@ let parse_node_decl tokens =
         ~allowed:[ "cs"; "policy"; "proc"; "honor_scope"; "caching" ]
         attrs
     in
-    let* cs_capacity =
-      match attr attrs "cs" with Some v -> int_field "cs" v | None -> Ok 0
-    in
-    let* cs_policy =
-      match attr attrs "policy" with
-      | Some v -> (
-        match Eviction.of_string v with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "unknown eviction policy %S" v))
-      | None -> Ok Eviction.Lru
-    in
+    let* cs_capacity = attr_field attrs "cs" ~default:0 int_field in
+    let* cs_policy = attr_field attrs "policy" ~default:Eviction.Lru policy_field in
     let* forwarding_delay =
-      match attr attrs "proc" with
-      | Some v -> parse_latency v
-      | None -> Ok (Sim.Latency.Constant 0.02)
+      attr_field attrs "proc" ~default:(Sim.Latency.Constant 0.02) latency_field
     in
-    let* honor_scope =
-      match attr attrs "honor_scope" with
-      | Some v -> bool_field "honor_scope" v
-      | None -> Ok true
-    in
-    let* caching =
-      match attr attrs "caching" with
-      | Some v -> bool_field "caching" v
-      | None -> Ok true
-    in
+    let* honor_scope = attr_field attrs "honor_scope" ~default:true bool_field in
+    let* caching = attr_field attrs "caching" ~default:true bool_field in
     Ok
       (Node_decl
          { node_name = name; cs_capacity; cs_policy; forwarding_delay;
@@ -264,29 +219,19 @@ let parse_link_decl tokens =
         attrs
     in
     let* latency =
-      match attr attrs "latency" with
-      | Some v -> parse_latency v
-      | None -> Ok (Sim.Latency.Constant 1.)
+      attr_field attrs "latency" ~default:(Sim.Latency.Constant 1.) latency_field
     in
     let* latency_back =
-      match attr attrs "latency_back" with
-      | Some v ->
-        let* l = parse_latency v in
-        Ok (Some l)
-      | None -> Ok None
+      attr_field attrs "latency_back" ~default:None (fun _ v ->
+          Result.map Option.some (parse_latency v))
     in
-    let* loss =
-      match attr attrs "loss" with
-      | Some v ->
-        let* l = float_field "loss" v in
-        probability "loss" l
-      | None -> Ok 0.
-    in
+    let* loss = attr_field attrs "loss" ~default:0. probability_field in
     Ok (Link_decl { link_a = a; link_b = b; latency; latency_back; loss })
 
 let parse_route_decl tokens =
   match tokens with
   | [ node; prefix; "via"; via ] ->
+    let* _ = checked_field "route" Name.of_string prefix in
     Ok (Route_decl { route_node = node; route_prefix = prefix; route_via = via })
   | _ ->
     Error
@@ -302,6 +247,7 @@ let parse_producer_decl tokens =
   | node :: prefix :: _ when is_attr node || is_attr prefix ->
     Error "producer: expected a node name and a prefix before attributes"
   | node :: prefix :: attrs ->
+    let* _ = checked_field "producer" Name.of_string prefix in
     let* attrs =
       parse_attrs ~directive:"producer"
         ~allowed:[ "key"; "payload"; "private"; "delay" ]
@@ -310,22 +256,12 @@ let parse_producer_decl tokens =
     let producer_key =
       match attr attrs "key" with Some k -> k | None -> node ^ "-key"
     in
-    let* payload_size =
-      match attr attrs "payload" with
-      | Some v -> int_field "payload" v
-      | None -> Ok 1024
-    in
-    let* producer_private =
-      match attr attrs "private" with
-      | Some v -> bool_field "private" v
-      | None -> Ok false
-    in
+    let* payload_size = attr_field attrs "payload" ~default:1024 int_field in
+    let* producer_private = attr_field attrs "private" ~default:false bool_field in
     let* production_delay_ms =
-      match attr attrs "delay" with
-      | Some v ->
-        let* d = float_field "delay" v in
-        non_negative "delay" d
-      | None -> Ok 0.4
+      attr_field attrs "delay" ~default:0.4 (fun name v ->
+          let* d = float_field name v in
+          non_negative name d)
     in
     Ok
       (Producer_decl
@@ -339,16 +275,7 @@ let parse_producer_decl tokens =
 let list_field name parse_one s =
   match String.split_on_char ',' s with
   | [] | [ "" ] -> Error (Printf.sprintf "%s: empty list" name)
-  | parts ->
-    let* rev =
-      List.fold_left
-        (fun acc part ->
-          let* acc = acc in
-          let* v = parse_one part in
-          Ok (v :: acc))
-        (Ok []) parts
-    in
-    Ok (List.rev rev)
+  | parts -> map_all parse_one parts
 
 let stretch_list name k l =
   match l with
@@ -358,11 +285,6 @@ let stretch_list name k l =
     Error
       (Printf.sprintf "%s: expected 1 or %d (= tiers) values, got %d" name k
          (List.length l))
-
-let parse_policy v =
-  match Eviction.of_string v with
-  | Some p -> Ok p
-  | None -> Error (Printf.sprintf "unknown eviction policy %S" v)
 
 (* Refuse parameter combinations whose expansion would not fit in
    memory; the bound is far above the paper-scale runs (an 11k-router
@@ -398,6 +320,7 @@ let parse_generate_decl tokens =
         when n <> ""
              && not (String.contains n '/')
              && not (String.contains n ' ') ->
+        let* _ = checked_field "generate" Name.of_string ("/" ^ n) in
         Ok n
       | Some n -> Error (Printf.sprintf "generate: invalid name %S" n)
       | None ->
@@ -405,28 +328,14 @@ let parse_generate_decl tokens =
           "generate: missing name=PREFIX (node-label prefix; the producer \
            serves /PREFIX)"
     in
-    let* gen_seed =
-      match attr attrs "seed" with
-      | Some v -> int_field "seed" v
-      | None -> Ok 42
-    in
-    let* gen_policy =
-      match attr attrs "policy" with
-      | Some v -> parse_policy v
-      | None -> Ok Eviction.Lru
-    in
+    let* gen_seed = attr_field attrs "seed" ~default:42 int_field in
+    let* gen_policy = attr_field attrs "policy" ~default:Eviction.Lru policy_field in
     let* gen_payload =
-      match attr attrs "payload" with
-      | Some v ->
-        let* p = int_field "payload" v in
-        if p > 0 then Ok p else Error "payload: expected a positive size"
-      | None -> Ok 1024
+      attr_field attrs "payload" ~default:1024 (fun name v ->
+          let* p = int_field name v in
+          if p > 0 then Ok p else Error "payload: expected a positive size")
     in
-    let int_attr key default =
-      match attr attrs key with
-      | Some v -> int_field key v
-      | None -> Ok default
-    in
+    let int_attr key default = attr_field attrs key ~default int_field in
     let* gen_model =
       match model with
       | "tree" ->
@@ -436,18 +345,16 @@ let parse_generate_decl tokens =
           else Error "arity: expected at least 2"
         in
         let* cs_list =
-          match attr attrs "cs" with
-          | Some v -> list_field "cs" (int_field "cs") v
-          | None -> Ok [ 1024 ]
+          attr_field attrs "cs" ~default:[ 1024 ] (fun name ->
+              list_field name (int_field name))
         in
         let* () =
           if List.for_all (fun c -> c >= 0) cs_list then Ok ()
           else Error "cs: expected non-negative capacities"
         in
         let* lat_list =
-          match attr attrs "latency" with
-          | Some v -> list_field "latency" parse_latency v
-          | None -> Ok [ Sim.Latency.Constant 1. ]
+          attr_field attrs "latency" ~default:[ Sim.Latency.Constant 1. ] (fun name ->
+              list_field name parse_latency)
         in
         let* ntiers =
           match attr attrs "tiers" with
@@ -486,18 +393,10 @@ let parse_generate_decl tokens =
       | "ws" ->
         let* ws_n = int_attr "n" 64 in
         let* ws_k = int_attr "k" 4 in
-        let* ws_beta =
-          match attr attrs "beta" with
-          | Some v ->
-            let* b = float_field "beta" v in
-            probability "beta" b
-          | None -> Ok 0.1
-        in
+        let* ws_beta = attr_field attrs "beta" ~default:0.1 probability_field in
         let* ws_cs = int_attr "cs" 1024 in
         let* ws_latency =
-          match attr attrs "latency" with
-          | Some v -> parse_latency v
-          | None -> Ok (Sim.Latency.Constant 1.)
+          attr_field attrs "latency" ~default:(Sim.Latency.Constant 1.) latency_field
         in
         let* () =
           if ws_n < 4 then Error "ws: expected n >= 4"
@@ -515,9 +414,7 @@ let parse_generate_decl tokens =
         let* ba_m = int_attr "m" 2 in
         let* ba_cs = int_attr "cs" 1024 in
         let* ba_latency =
-          match attr attrs "latency" with
-          | Some v -> parse_latency v
-          | None -> Ok (Sim.Latency.Constant 1.)
+          attr_field attrs "latency" ~default:(Sim.Latency.Constant 1.) latency_field
         in
         let* () =
           if ba_m < 1 then Error "ba: expected m >= 1"
@@ -533,7 +430,6 @@ let parse_generate_decl tokens =
 
 let parse_fault_decl tokens =
   let* event = Sim.Fault.parse_event_tokens tokens in
-  let* () = Sim.Fault.validate event in
   Ok (Fault_decl event)
 
 let parse_directive tokens =
@@ -553,25 +449,12 @@ let parse_directive tokens =
   | [] -> assert false
 
 let parse_spec text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      let tokens =
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun tok -> tok <> "")
-      in
-      match tokens with
-      | [] -> go (lineno + 1) acc rest
-      | comment :: _ when String.length comment > 0 && comment.[0] = '#' ->
-        go (lineno + 1) acc rest
-      | tokens -> (
-        match parse_directive tokens with
-        | Ok d -> go (lineno + 1) ((lineno, d) :: acc) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)))
+  let* rev =
+    fold_lines text ~init:[] ~f:(fun acc ~line tokens ->
+        let* d = parse_directive tokens in
+        Ok ((line, d) :: acc))
   in
-  go 1 [] lines
+  Ok (List.rev rev)
 
 (* --- printing ---
 
@@ -579,10 +462,6 @@ let parse_spec text =
    out explicitly (defaults resolved), floats rendered with just enough
    digits to parse back to the identical value.  [parse_spec] of the
    output yields the same directives, so print/parse is a fixpoint. *)
-
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec latency_terms = function
   | Sim.Latency.Sum ts -> List.concat_map latency_terms ts
@@ -1117,7 +996,7 @@ let build ?(seed = 42) ?tracer ?shards spec =
       in
       match result with
       | Ok () -> go rest
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+      | Error reason -> Error (error_to_string { position = Line lineno; reason }))
   in
   go spec
 
@@ -1126,12 +1005,7 @@ let parse ?seed ?tracer text =
   build ?seed ?tracer spec
 
 let parse_file ?seed ?tracer ~path () =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      parse ?seed ?tracer text)
+  let* text = read_file path in
+  parse ?seed ?tracer text
 
 let parse_latency s = parse_latency s

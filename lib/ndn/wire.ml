@@ -22,10 +22,6 @@
    (re-signing would need the producer key, which the wire does not
    carry). *)
 
-type error = { offset : int; reason : string }
-
-let pp_error ppf e = Format.fprintf ppf "wire error at byte %d: %s" e.offset e.reason
-
 let t_interest = 0x05
 let t_data = 0x06
 let t_nack = 0x03
@@ -126,9 +122,7 @@ let encoded_size p = String.length (encode_packet p)
 
 (* --- decoding --- *)
 
-exception Fail of error
-
-let fail offset reason = raise (Fail { offset; reason })
+let fail offset reason = Sim.Scan.fail (Sim.Scan.Byte offset) reason
 
 (* Read one TLV header at [pos]; returns (type, value_offset, value_len). *)
 let read_header s pos =
@@ -143,26 +137,25 @@ let read_header s pos =
   if pos + 5 + len > String.length s then fail pos "TLV length exceeds input";
   (typ, pos + 5, len)
 
-(* Fold over the TLVs of a region. *)
-let fold_tlvs s ~off ~len ~init ~f =
+(* [f] on each TLV of a region, in order. *)
+let iter_tlvs s ~off ~len f =
   let stop = off + len in
-  let rec go pos acc =
-    if pos = stop then acc
-    else if pos > stop then fail pos "TLV overruns its container"
-    else begin
+  let rec go pos =
+    if pos > stop then fail pos "TLV overruns its container"
+    else if pos < stop then begin
       let typ, voff, vlen = read_header s pos in
-      go (voff + vlen) (f acc ~typ ~voff ~vlen)
+      f ~typ ~voff ~vlen;
+      go (voff + vlen)
     end
   in
-  go off init
+  go off
 
 let decode_name s ~off ~len =
-  let comps =
-    fold_tlvs s ~off ~len ~init:[] ~f:(fun acc ~typ ~voff ~vlen ->
-        if typ <> t_component then fail voff "expected name component";
-        String.sub s voff vlen :: acc)
-  in
-  try Name.of_components (List.rev comps)
+  let comps = ref [] in
+  iter_tlvs s ~off ~len (fun ~typ ~voff ~vlen ->
+      if typ <> t_component then fail voff "expected name component";
+      comps := String.sub s voff vlen :: !comps);
+  try Name.of_components (List.rev !comps)
   with Invalid_argument m -> fail off ("invalid name: " ^ m)
 
 let decode_be64 s ~off ~len =
@@ -173,169 +166,101 @@ let decode_be64 s ~off ~len =
   done;
   !v
 
-type interest_acc = {
-  mutable i_name : Name.t option;
-  mutable i_nonce : int64 option;
-  mutable i_scope : int option;
-  mutable i_private : bool;
-}
+let decode_byte s ~voff ~vlen what =
+  if vlen <> 1 then fail voff (what ^ " must be one byte");
+  Char.code s.[voff]
+
+(* A field every packet of the kind carries. *)
+let required ~off packet field = function
+  | Some v -> v
+  | None -> fail off (Printf.sprintf "%s missing %s" packet field)
 
 let decode_interest_body s ~off ~len =
-  let acc = { i_name = None; i_nonce = None; i_scope = None; i_private = false } in
-  ignore
-    (fold_tlvs s ~off ~len ~init:() ~f:(fun () ~typ ~voff ~vlen ->
-         if typ = t_name then acc.i_name <- Some (decode_name s ~off:voff ~len:vlen)
-         else if typ = t_nonce then acc.i_nonce <- Some (decode_be64 s ~off:voff ~len:vlen)
-         else if typ = t_scope then begin
-           if vlen <> 1 then fail voff "scope must be one byte";
-           acc.i_scope <- Some (Char.code s.[voff])
-         end
-         else if typ = t_flags then begin
-           if vlen <> 1 then fail voff "flags must be one byte";
-           acc.i_private <- Char.code s.[voff] land 1 <> 0
-         end
-         else fail voff (Printf.sprintf "unknown interest field 0x%02x" typ)));
-  match (acc.i_name, acc.i_nonce) with
-  | Some name, Some nonce -> (
-    try
-      Interest.create ?scope:acc.i_scope ~consumer_private:acc.i_private ~nonce name
-    with Invalid_argument m -> fail off m)
-  | None, _ -> fail off "interest missing name"
-  | _, None -> fail off "interest missing nonce"
-
-type data_acc = {
-  mutable d_name : Name.t option;
-  mutable d_producer : string option;
-  mutable d_payload : string option;
-  mutable d_signature : string option;
-  mutable d_flags : int;
-  mutable d_content_id : string option;
-  mutable d_freshness : float option;
-}
+  let name = ref None and nonce = ref None and scope = ref None in
+  let consumer_private = ref false in
+  iter_tlvs s ~off ~len (fun ~typ ~voff ~vlen ->
+      if typ = t_name then name := Some (decode_name s ~off:voff ~len:vlen)
+      else if typ = t_nonce then nonce := Some (decode_be64 s ~off:voff ~len:vlen)
+      else if typ = t_scope then scope := Some (decode_byte s ~voff ~vlen "scope")
+      else if typ = t_flags then
+        consumer_private := decode_byte s ~voff ~vlen "flags" land 1 <> 0
+      else fail voff (Printf.sprintf "unknown interest field 0x%02x" typ));
+  let name = required ~off "interest" "name" !name in
+  let nonce = required ~off "interest" "nonce" !nonce in
+  try Interest.create ?scope:!scope ~consumer_private:!consumer_private ~nonce name
+  with Invalid_argument m -> fail off m
 
 let decode_data_body s ~off ~len =
-  let acc =
-    {
-      d_name = None;
-      d_producer = None;
-      d_payload = None;
-      d_signature = None;
-      d_flags = 0;
-      d_content_id = None;
-      d_freshness = None;
-    }
-  in
-  ignore
-    (fold_tlvs s ~off ~len ~init:() ~f:(fun () ~typ ~voff ~vlen ->
-         let value () = String.sub s voff vlen in
-         if typ = t_name then acc.d_name <- Some (decode_name s ~off:voff ~len:vlen)
-         else if typ = t_producer then acc.d_producer <- Some (value ())
-         else if typ = t_payload then acc.d_payload <- Some (value ())
-         else if typ = t_signature then acc.d_signature <- Some (value ())
-         else if typ = t_flags then begin
-           if vlen <> 1 then fail voff "flags must be one byte";
-           acc.d_flags <- Char.code s.[voff]
-         end
-         else if typ = t_content_id then acc.d_content_id <- Some (value ())
-         else if typ = t_freshness then
-           acc.d_freshness <-
-             Some (Int64.float_of_bits (decode_be64 s ~off:voff ~len:vlen))
-         else fail voff (Printf.sprintf "unknown data field 0x%02x" typ)));
-  match (acc.d_name, acc.d_producer, acc.d_payload, acc.d_signature) with
-  | Some name, Some producer, Some payload, Some signature ->
-    (* Rebuild the record carrying the original signature: [Data.create]
-       would re-sign (and we have no key), so construct through the
-       same signing path with a scratch key and then splice the carried
-       signature via the record-of-truth below. *)
-    let producer_private = acc.d_flags land 1 <> 0 in
-    let strict_match = acc.d_flags land 2 <> 0 in
-    ( name,
-      payload,
-      producer,
-      signature,
-      producer_private,
-      strict_match,
-      acc.d_content_id,
-      acc.d_freshness )
-  | None, _, _, _ -> fail off "data missing name"
-  | _, None, _, _ -> fail off "data missing producer"
-  | _, _, None, _ -> fail off "data missing payload"
-  | _, _, _, None -> fail off "data missing signature"
-
-(* Data.t is private; rebuilding with the carried signature goes
-   through [Data.of_wire]. *)
-
-type nack_acc = {
-  mutable n_name : Name.t option;
-  mutable n_nonce : int64 option;
-  mutable n_reason : Nack.reason option;
-}
+  let name = ref None and producer = ref None and payload = ref None in
+  let signature = ref None and flags = ref 0 and content_id = ref None in
+  let freshness_ms = ref None in
+  iter_tlvs s ~off ~len (fun ~typ ~voff ~vlen ->
+      let value () = Some (String.sub s voff vlen) in
+      if typ = t_name then name := Some (decode_name s ~off:voff ~len:vlen)
+      else if typ = t_producer then producer := value ()
+      else if typ = t_payload then payload := value ()
+      else if typ = t_signature then signature := value ()
+      else if typ = t_flags then flags := decode_byte s ~voff ~vlen "flags"
+      else if typ = t_content_id then content_id := value ()
+      else if typ = t_freshness then
+        freshness_ms := Some (Int64.float_of_bits (decode_be64 s ~off:voff ~len:vlen))
+      else fail voff (Printf.sprintf "unknown data field 0x%02x" typ));
+  let name = required ~off "data" "name" !name in
+  let producer = required ~off "data" "producer" !producer in
+  let payload = required ~off "data" "payload" !payload in
+  let signature = required ~off "data" "signature" !signature in
+  (* [Data.t] is private and [Data.create] would re-sign (the wire
+     carries no key): [Data.of_wire] keeps the carried signature. *)
+  Data.of_wire ~name ~payload ~producer ~signature
+    ~producer_private:(!flags land 1 <> 0)
+    ~strict_match:(!flags land 2 <> 0)
+    ~content_id:!content_id ~freshness_ms:!freshness_ms
 
 let decode_nack_body s ~off ~len =
-  let acc = { n_name = None; n_nonce = None; n_reason = None } in
-  ignore
-    (fold_tlvs s ~off ~len ~init:() ~f:(fun () ~typ ~voff ~vlen ->
-         if typ = t_name then acc.n_name <- Some (decode_name s ~off:voff ~len:vlen)
-         else if typ = t_nonce then acc.n_nonce <- Some (decode_be64 s ~off:voff ~len:vlen)
-         else if typ = t_reason then begin
-           if vlen <> 1 then fail voff "reason must be one byte";
-           acc.n_reason <-
-             (match Char.code s.[voff] with
-             | 0 -> Some Nack.Congested
-             | 1 -> Some Nack.No_route
-             | 2 -> Some Nack.Pit_full
-             | 3 -> Some Nack.Duplicate
-             | b -> fail voff (Printf.sprintf "unknown nack reason %d" b))
-         end
-         else fail voff (Printf.sprintf "unknown nack field 0x%02x" typ)));
-  match (acc.n_name, acc.n_nonce, acc.n_reason) with
-  | Some name, Some nonce, Some reason -> Nack.create ~nonce ~reason name
-  | None, _, _ -> fail off "nack missing name"
-  | _, None, _ -> fail off "nack missing nonce"
-  | _, _, None -> fail off "nack missing reason"
+  let name = ref None and nonce = ref None and reason = ref None in
+  iter_tlvs s ~off ~len (fun ~typ ~voff ~vlen ->
+      if typ = t_name then name := Some (decode_name s ~off:voff ~len:vlen)
+      else if typ = t_nonce then nonce := Some (decode_be64 s ~off:voff ~len:vlen)
+      else if typ = t_reason then
+        reason :=
+          (match decode_byte s ~voff ~vlen "reason" with
+          | 0 -> Some Nack.Congested
+          | 1 -> Some Nack.No_route
+          | 2 -> Some Nack.Pit_full
+          | 3 -> Some Nack.Duplicate
+          | b -> fail voff (Printf.sprintf "unknown nack reason %d" b))
+      else fail voff (Printf.sprintf "unknown nack field 0x%02x" typ));
+  let name = required ~off "nack" "name" !name in
+  let nonce = required ~off "nack" "nonce" !nonce in
+  let reason = required ~off "nack" "reason" !reason in
+  Nack.create ~nonce ~reason name
 
-let decode_interest s =
-  try
-    let typ, voff, vlen = read_header s 0 in
-    if typ <> t_interest then fail 0 "not an interest packet";
-    if voff + vlen <> String.length s then fail (voff + vlen) "trailing bytes";
-    Ok (decode_interest_body s ~off:voff ~len:vlen)
-  with Fail e -> Error e
+(* The value of the single outer TLV of type [typ] that spans [s]. *)
+let outer s typ ~not_this =
+  let t, voff, vlen = read_header s 0 in
+  if t <> typ then fail 0 not_this;
+  if voff + vlen <> String.length s then fail (voff + vlen) "trailing bytes";
+  (voff, vlen)
 
-let decode_data s =
-  try
-    let typ, voff, vlen = read_header s 0 in
-    if typ <> t_data then fail 0 "not a data packet";
-    if voff + vlen <> String.length s then fail (voff + vlen) "trailing bytes";
-    let ( name,
-          payload,
-          producer,
-          signature,
-          producer_private,
-          strict_match,
-          content_id,
-          freshness_ms ) =
-      decode_data_body s ~off:voff ~len:vlen
-    in
-    Ok
-      (Data.of_wire ~name ~payload ~producer ~signature ~producer_private
-         ~strict_match ~content_id ~freshness_ms)
-  with Fail e -> Error e
+let interest_exn s =
+  let off, len = outer s t_interest ~not_this:"not an interest packet" in
+  decode_interest_body s ~off ~len
 
-let decode_nack s =
-  try
-    let typ, voff, vlen = read_header s 0 in
-    if typ <> t_nack then fail 0 "not a nack packet";
-    if voff + vlen <> String.length s then fail (voff + vlen) "trailing bytes";
-    Ok (decode_nack_body s ~off:voff ~len:vlen)
-  with Fail e -> Error e
+let data_exn s =
+  let off, len = outer s t_data ~not_this:"not a data packet" in
+  decode_data_body s ~off ~len
+
+let decode_interest s = Sim.Scan.protect (fun () -> interest_exn s)
+
+let decode_data s = Sim.Scan.protect (fun () -> data_exn s)
 
 let decode_packet s =
-  try
-    let typ, _, _ = read_header s 0 in
-    if typ = t_interest then
-      Result.map (fun i -> Packet.Interest i) (decode_interest s)
-    else if typ = t_data then Result.map (fun d -> Packet.Data d) (decode_data s)
-    else if typ = t_nack then Result.map (fun n -> Packet.Nack n) (decode_nack s)
-    else fail 0 (Printf.sprintf "unknown packet type 0x%02x" typ)
-  with Fail e -> Error e
+  Sim.Scan.protect @@ fun () ->
+  let typ, _, _ = read_header s 0 in
+  if typ = t_interest then Packet.Interest (interest_exn s)
+  else if typ = t_data then Packet.Data (data_exn s)
+  else if typ = t_nack then begin
+    let off, len = outer s t_nack ~not_this:"not a nack packet" in
+    Packet.Nack (decode_nack_body s ~off ~len)
+  end
+  else fail 0 (Printf.sprintf "unknown packet type 0x%02x" typ)

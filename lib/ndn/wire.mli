@@ -5,14 +5,8 @@
     the simulator byte-accurate packet sizes for bandwidth accounting
     and lets traces be written/read as real bytes; the codec is total:
     every packet round-trips, and every byte string either decodes or
-    yields a descriptive error. *)
-
-type error = {
-  offset : int;  (** Byte offset where decoding failed. *)
-  reason : string;
-}
-
-val pp_error : Format.formatter -> error -> unit
+    yields a descriptive error positioned at a byte offset (a
+    {!Sim.Scan.error}, DESIGN §17). *)
 
 val encode_interest : Interest.t -> string
 
@@ -20,11 +14,11 @@ val encode_data : Data.t -> string
 
 val encode_packet : Packet.t -> string
 
-val decode_interest : string -> (Interest.t, error) result
+val decode_interest : string -> (Interest.t, Sim.Scan.error) result
 
-val decode_data : string -> (Data.t, error) result
+val decode_data : string -> (Data.t, Sim.Scan.error) result
 
-val decode_packet : string -> (Packet.t, error) result
+val decode_packet : string -> (Packet.t, Sim.Scan.error) result
 (** Dispatches on the outer TLV type. *)
 
 val encoded_size : Packet.t -> int

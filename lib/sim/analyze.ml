@@ -82,9 +82,10 @@ let tier_of_node label =
       while !j < n && digit label.[!j] do
         incr j
       done;
-      if !j < n && label.[!j] = '-' then
-        Some (int_of_string (String.sub label (i + 2) (!j - i - 2)))
-      else find (i + 1)
+      (* A digit run past [max_int] is no tier, not a crash. *)
+      match int_of_string_opt (String.sub label (i + 2) (!j - i - 2)) with
+      | Some tier when !j < n && label.[!j] = '-' -> Some tier
+      | _ -> find (i + 1)
     end
     else find (i + 1)
   in

@@ -31,7 +31,7 @@ val merge : t -> t -> t
 (** Combine two partial folds into a fresh accumulator (inputs are
     left usable). *)
 
-val of_source : Trace_reader.source -> (t, Trace_reader.error) result
+val of_source : Trace_reader.source -> (t, Scan.error) result
 (** Sniff the stream format and fold the whole trace into a fresh
     accumulator. *)
 

@@ -46,24 +46,17 @@ let measure ~clock_ns ?(warmup = 2) ?(runs = 5) ~label ~ops f =
    minimum is the best estimate of the code's intrinsic cost, and the
    allocation minimum discards first-run lazy initialization. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  Scan.Json.escape_into b s;
+  Buffer.add_char b '"';
+  Buffer.contents b
 
 let result_to_json r =
   Printf.sprintf
-    {|{"op": "%s", "ns_per_op": %.3f, "allocs_per_op": %.6f, "ops": %d, "runs": %d}|}
-    (json_escape r.label) r.ns_per_op r.allocs_per_op r.ops r.runs
+    {|{"op": %s, "ns_per_op": %.3f, "allocs_per_op": %.6f, "ops": %d, "runs": %d}|}
+    (json_string r.label) r.ns_per_op r.allocs_per_op r.ops r.runs
 
 let pp_result ppf r =
   Format.fprintf ppf "%-28s %12.1f ns/op %12.3f words/op" r.label r.ns_per_op
@@ -74,8 +67,6 @@ let pp_result ppf r =
    writer.  A writer replaces its own member and copies every other
    member's value text through unchanged, so no run can drop or reformat
    another run's numbers. *)
-
-let json_string s = "\"" ^ json_escape s ^ "\""
 
 (* One member per line at [indent]; the closing brace two columns left. *)
 let render_object ~indent members =
@@ -93,79 +84,58 @@ let section ~git_rev ~host_domains ~argv fields =
     :: ("argv", "[" ^ String.concat ", " (List.map json_string argv) ^ "]")
     :: fields)
 
-exception Malformed of int * string
+(* Line and column of byte [i] of [text]; an error past the end (an
+   escape at the very end) reports one past the last byte. *)
+let column_of text i =
+  let before = String.sub text 0 (min i (String.length text)) in
+  let line = List.length (String.split_on_char '\n' before) in
+  let line_start = match String.rindex_opt before '\n' with Some k -> k + 1 | None -> 0 in
+  Scan.Column (line, String.length before - line_start + 1)
 
 (* The members of the JSON object [text] as (name as written, value
    text) pairs: just enough JSON to find where each value ends. *)
 let members text =
-  let n = String.length text in
-  let fail i what = raise (Malformed (i, what)) in
-  let rec ws i =
-    if i < n && String.contains " \t\r\n" text.[i] then ws (i + 1) else i
-  in
-  let expect c i =
-    let i = ws i in
-    if i < n && text.[i] = c then i + 1 else fail i (Printf.sprintf "expected '%c'" c)
-  in
-  let rec string_end i =
-    if i >= n then fail i "unterminated string"
-    else if text.[i] = '"' then i + 1
-    else string_end (i + if text.[i] = '\\' then 2 else 1)
-  in
-  (* Comma-separated [item]s up to [close]; [i] is just past the opener. *)
-  let rec seq close item i =
-    let j = ws i in
-    if j < n && text.[j] = close then j + 1 else items close item j
-  and items close item i =
-    let i = ws (item i) in
-    if i < n && text.[i] = ',' then items close item (i + 1) else expect close i
-  and value i =
-    let i = ws i in
-    match if i < n then text.[i] else ' ' with
-    | '"' -> string_end (i + 1)
-    | '{' -> seq '}' (fun i -> value (expect ':' (string_end (expect '"' i)))) (i + 1)
-    | '[' -> seq ']' value (i + 1)
-    | _ ->
-      let j = ref i in
-      while !j < n && not (String.contains " \t\r\n,]}:" text.[!j]) do
-        incr j
-      done;
-      let tok = String.sub text i (!j - i) in
-      if List.mem tok [ "true"; "false"; "null" ] || Option.is_some (Float.of_string_opt tok)
-      then !j
-      else fail i "expected a value"
+  let lx = Scan.Json.lexer ~ws:true ~where:(column_of text) text in
+  let is_literal_byte c = not (String.contains " \t\r\n,]}:" c) in
+  (* Skip one value; its start. *)
+  let rec value () =
+    let next = Scan.Json.peek lx in
+    let start = Scan.Json.pos lx in
+    (match next with
+    | Some '"' -> ignore (Scan.Json.string lx ~raw:true)
+    | Some '{' ->
+      Scan.Json.expect lx '{';
+      Scan.Json.sequence lx ~close:'}' (fun () -> ignore (member ()))
+    | Some '[' ->
+      Scan.Json.expect lx '[';
+      Scan.Json.sequence lx ~close:']' (fun () -> ignore (value ()))
+    | _ -> (
+      match Scan.Json.span lx is_literal_byte with
+      | "true" | "false" | "null" -> ()
+      | tok ->
+        if Option.is_none (Float.of_string_opt tok) then
+          Scan.fail (Scan.Json.at lx start) "expected a value"));
+    start
+  (* One [name: value]: the name as written and the value's start. *)
+  and member () =
+    let key = Scan.Json.string lx ~raw:true in
+    Scan.Json.expect lx ':';
+    (key, value ())
   in
   let acc = ref [] in
-  let member i =
-    let k0 = expect '"' i in
-    let k1 = string_end k0 in
-    let v0 = ws (expect ':' k1) in
-    let v1 = value v0 in
-    acc :=
-      (String.sub text k0 (k1 - k0 - 1), String.sub text v0 (v1 - v0)) :: !acc;
-    v1
-  in
-  let last = ws (seq '}' member (expect '{' 0)) in
-  if last < n then fail last "text after the ledger object";
+  Scan.Json.expect lx '{';
+  Scan.Json.sequence lx ~close:'}' (fun () ->
+      let key, start = member () in
+      acc := (key, String.sub text start (Scan.Json.pos lx - start)) :: !acc);
+  if Scan.Json.peek lx <> None then
+    Scan.fail (Scan.Json.at lx (Scan.Json.pos lx)) "text after the ledger object";
   List.rev !acc
 
 let parse text =
-  match members text with
-  | ms -> Ok ms
-  | exception Malformed (i, what) ->
-    (* An escape at the very end reports one past the last byte. *)
-    let before = String.sub text 0 (min i (String.length text)) in
-    let line_start =
-      match String.rindex_opt before '\n' with Some k -> k + 1 | None -> 0
-    in
-    let line = List.length (String.split_on_char '\n' before) in
-    Error
-      (Printf.sprintf "line %d, column %d: %s" line
-         (String.length before - line_start + 1)
-         what)
+  Result.map_error Scan.error_to_string (Scan.protect (fun () -> members text))
 
 let merge_section ledger ~name section =
-  let ( let* ) = Result.bind in
+  let open Scan in
   let* ms = match ledger with None -> Ok [] | Some text -> parse text in
   let ms =
     if List.exists (fun (k, _) -> String.equal k name) ms then

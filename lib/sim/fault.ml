@@ -94,18 +94,7 @@ let phase_boundaries schedule =
 
 (* --- text format --- *)
 
-let ( let* ) = Result.bind
-
-let float_field name s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: expected a number, got %S" name s)
-
-let bool_field name s =
-  match String.lowercase_ascii s with
-  | "true" | "yes" | "1" -> Ok true
-  | "false" | "no" | "0" -> Ok false
-  | _ -> Error (Printf.sprintf "%s: expected a boolean, got %S" name s)
+open Scan
 
 let direction_field name s =
   match String.lowercase_ascii s with
@@ -113,28 +102,6 @@ let direction_field name s =
   | "ba" -> Ok Ba
   | "both" -> Ok Both
   | _ -> Error (Printf.sprintf "%s: expected ab, ba or both, got %S" name s)
-
-let parse_attrs ~directive ~allowed tokens =
-  List.fold_left
-    (fun acc token ->
-      let* acc = acc in
-      match String.index_opt token '=' with
-      | Some i ->
-        let key = String.sub token 0 i in
-        let value = String.sub token (i + 1) (String.length token - i - 1) in
-        if List.mem key allowed then Ok ((key, value) :: acc)
-        else
-          Error
-            (Printf.sprintf "%s: unknown attribute %S (allowed: %s)" directive
-               key
-               (String.concat ", " allowed))
-      | None ->
-        Error (Printf.sprintf "%s: expected key=value, got %S" directive token))
-    (Ok []) tokens
-
-let attr attrs key = List.assoc_opt key attrs
-
-let is_attr token = String.contains token '='
 
 let endpoints ~directive = function
   | a :: b :: rest when not (is_attr a || is_attr b) -> Ok (a, b, rest)
@@ -148,9 +115,7 @@ let one_node ~directive = function
   | _ -> Error (Printf.sprintf "%s: expected a node name" directive)
 
 let dir_attr ~directive attrs =
-  match attr attrs "dir" with
-  | Some v -> direction_field (directive ^ " dir") v
-  | None -> Ok Both
+  attr_field attrs "dir" ~default:Both (fun _ -> direction_field (directive ^ " dir"))
 
 let required_float ~directive attrs key =
   match attr attrs key with
@@ -177,29 +142,18 @@ let parse_kind_tokens tokens =
         rest
     in
     let* dir = dir_attr ~directive:"degrade" attrs in
-    let* loss =
-      match attr attrs "loss" with Some v -> float_field "loss" v | None -> Ok 0.
-    in
-    let* latency_factor =
-      match attr attrs "latency_factor" with
-      | Some v -> float_field "latency_factor" v
-      | None -> Ok 1.
-    in
+    let* loss = attr_field attrs "loss" ~default:0. float_field in
+    let* latency_factor = attr_field attrs "latency_factor" ~default:1. float_field in
     let* until = required_float ~directive:"degrade" attrs "until" in
     Ok (Link_degrade { a; b; dir; loss; latency_factor; until })
   | "crash" :: rest ->
     let* node, rest = one_node ~directive:"crash" rest in
     let* attrs = parse_attrs ~directive:"crash" ~allowed:[ "preserve_cs" ] rest in
-    let* preserve_cs =
-      match attr attrs "preserve_cs" with
-      | Some v -> bool_field "preserve_cs" v
-      | None -> Ok false
-    in
+    let* preserve_cs = attr_field attrs "preserve_cs" ~default:false bool_field in
     Ok (Node_crash { node; preserve_cs })
   | "restart" :: rest ->
     let* node, rest = one_node ~directive:"restart" rest in
-    let* attrs = parse_attrs ~directive:"restart" ~allowed:[] rest in
-    let () = ignore attrs in
+    let* _ = parse_attrs ~directive:"restart" ~allowed:[] rest in
     Ok (Node_restart { node })
   | "producer_down" :: rest ->
     let* node, rest = one_node ~directive:"producer_down" rest in
@@ -211,11 +165,7 @@ let parse_kind_tokens tokens =
     let* attrs =
       parse_attrs ~directive:"producer_slow" ~allowed:[ "factor"; "until" ] rest
     in
-    let* factor =
-      match attr attrs "factor" with
-      | Some v -> float_field "factor" v
-      | None -> Ok 2.
-    in
+    let* factor = attr_field attrs "factor" ~default:2. float_field in
     let* until = required_float ~directive:"producer_slow" attrs "until" in
     Ok (Producer_slowdown { node; factor; until })
   | directive :: _ ->
@@ -237,41 +187,16 @@ let parse_event_tokens tokens =
     Ok e
 
 let parse text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (sort (List.rev acc))
-    | line :: rest -> (
-      let tokens =
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun tok -> tok <> "")
-      in
-      match tokens with
-      | [] -> go (lineno + 1) acc rest
-      | comment :: _ when String.length comment > 0 && comment.[0] = '#' ->
-        go (lineno + 1) acc rest
-      | tokens -> (
-        match parse_event_tokens tokens with
-        | Ok e -> go (lineno + 1) (e :: acc) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)))
+  let* events =
+    fold_lines text ~init:[] ~f:(fun acc ~line:_ tokens ->
+        let* e = parse_event_tokens tokens in
+        Ok (e :: acc))
   in
-  go 1 [] lines
+  Ok (sort (List.rev events))
 
 let load ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        really_input_string ic n)
-  with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
-
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  let* text = read_file path in
+  parse text
 
 let direction_str = function Ab -> "ab" | Ba -> "ba" | Both -> "both"
 

@@ -223,36 +223,22 @@ let format_of_string s =
 
 let format_to_string = function Jsonl -> "jsonl" | Csv -> "csv" | Binary -> "binary"
 
-let json_escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let event_to_jsonl e =
   let b = Buffer.create 96 in
   Buffer.add_string b (Printf.sprintf "{\"time\":%.6f,\"node\":\"" e.time);
-  json_escape_into b e.node;
+  Scan.Json.escape_into b e.node;
   Buffer.add_string b "\",\"kind\":\"";
   Buffer.add_string b (kind_to_string e.kind);
   Buffer.add_string b "\",\"name\":\"";
-  json_escape_into b e.name;
+  Scan.Json.escape_into b e.name;
   Buffer.add_string b "\",\"attrs\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      json_escape_into b k;
+      Scan.Json.escape_into b k;
       Buffer.add_string b "\":\"";
-      json_escape_into b v;
+      Scan.Json.escape_into b v;
       Buffer.add_char b '"')
     e.attrs;
   Buffer.add_string b "}}";

@@ -2,27 +2,9 @@
    [Trace] (DESIGN §16) and the JSONL rendering, both folded event by
    event without materializing the trace.
 
-   Error discipline follows [Ndn.Topology_spec]: every malformed input
-   is reported as a positioned, actionable [error] value — byte offsets
-   for the binary format, line numbers for JSONL — never a bare
-   exception escaping to the caller. *)
-
-type position = Byte of int | Line of int
-
-type error = { position : position; reason : string }
-
-let pp_error ppf e =
-  match e.position with
-  | Byte n -> Format.fprintf ppf "byte %d: %s" n e.reason
-  | Line n -> Format.fprintf ppf "line %d: %s" n e.reason
-
-let error_to_string e = Format.asprintf "%a" pp_error e
-
-exception Fail of error
-
-let fail position reason = raise (Fail { position; reason })
-
-let failf position fmt = Printf.ksprintf (fail position) fmt
+   Every malformed input is reported as a positioned [Scan.error] —
+   byte offsets for the binary format, line and column for JSONL —
+   never a bare exception escaping to the caller (DESIGN §17). *)
 
 (* --- chunked byte source --- *)
 
@@ -99,16 +81,18 @@ let take src n =
 let read_uint src ~what =
   ensure src Varint.max_bytes;
   let avail = available src in
-  if avail = 0 then failf (Byte (offset src)) "stream ends where %s is expected" what;
+  if avail = 0 then
+    Scan.failf (Scan.Byte (offset src)) "stream ends where %s is expected" what;
   let window = Bytes.sub_string src.buf src.lo (min avail (Varint.max_bytes + 1)) in
   match Varint.read_uint window 0 with
   | v, consumed ->
     src.lo <- src.lo + consumed;
     v
   | exception Varint.Truncated _ ->
-    failf (Byte (offset src)) "stream ends inside the varint encoding %s" what
+    Scan.failf (Scan.Byte (offset src)) "stream ends inside the varint encoding %s" what
   | exception Varint.Overflow _ ->
-    failf (Byte (offset src)) "varint encoding %s exceeds 9 bytes (corrupt stream?)" what
+    Scan.failf (Scan.Byte (offset src))
+      "varint encoding %s exceeds 9 bytes (corrupt stream?)" what
 
 (* --- growable string table --- *)
 
@@ -135,9 +119,11 @@ let payload_uint ~base payload pos ~what =
   match Varint.read_uint payload pos with
   | v, pos' -> (v, pos')
   | exception Varint.Truncated p ->
-    failf (Byte (base + p)) "record payload ends inside the varint encoding %s" what
+    Scan.failf (Scan.Byte (base + p))
+      "record payload ends inside the varint encoding %s" what
   | exception Varint.Overflow p ->
-    failf (Byte (base + p)) "varint encoding %s exceeds 9 bytes (corrupt record?)" what
+    Scan.failf (Scan.Byte (base + p))
+      "varint encoding %s exceeds 9 bytes (corrupt record?)" what
 
 let payload_int ~base payload pos ~what =
   let v, pos' = payload_uint ~base payload pos ~what in
@@ -145,44 +131,44 @@ let payload_int ~base payload pos ~what =
 
 let payload_bytes ~base payload pos len ~what =
   if pos + len > String.length payload then
-    failf (Byte (base + pos))
+    Scan.failf (Scan.Byte (base + pos))
       "record payload ends inside %s (%d bytes declared, %d remain)" what len
       (String.length payload - pos)
   else (String.sub payload pos len, pos + len)
 
 let check_header src =
   ensure src 8;
-  if available src = 0 then fail (Byte 0) "empty stream: not a binary trace";
+  if available src = 0 then Scan.fail (Scan.Byte 0) "empty stream: not a binary trace";
   if available src < 8 then
-    failf (Byte 0) "stream shorter than the 8-byte magic: not a binary trace";
+    Scan.failf (Scan.Byte 0) "stream shorter than the 8-byte magic: not a binary trace";
   let magic = take src 8 in
   if magic <> Trace.binary_magic then
-    failf (Byte 0)
+    Scan.failf (Scan.Byte 0)
       "bad magic %S (expected %S): not a binary ndn trace — JSONL traces go \
        through the jsonl reader"
       magic Trace.binary_magic;
   let version = read_uint src ~what:"the format version" in
   if version <> Trace.binary_version then
-    failf (Byte (offset src))
+    Scan.failf (Scan.Byte (offset src))
       "unsupported binary trace version %d (this reader implements version %d)"
       version Trace.binary_version;
   let count = read_uint src ~what:"the registry snapshot size" in
   if count = 0 || count > 4096 then
-    failf (Byte (offset src)) "implausible registry snapshot size %d" count;
+    Scan.failf (Scan.Byte (offset src)) "implausible registry snapshot size %d" count;
   let kinds = Array.make count Trace.Engine_step in
   for i = 0 to count - 1 do
     let len = read_uint src ~what:"a registry name length" in
     if len > 256 then
-      failf (Byte (offset src)) "implausible registry name length %d" len;
+      Scan.failf (Scan.Byte (offset src)) "implausible registry name length %d" len;
     ensure src len;
     if available src < len then
-      failf (Byte (offset src)) "stream ends inside the registry snapshot";
+      Scan.failf (Scan.Byte (offset src)) "stream ends inside the registry snapshot";
     let name = take src len in
     match Trace.kind_of_string name with
     | Some k -> kinds.(i) <- k
     | None ->
-      failf
-        (Byte (offset src - len))
+      Scan.failf
+        (Scan.Byte (offset src - len))
         "registry snapshot entry %d names unknown trace kind %S — the trace \
          was written by a newer build; regenerate it or upgrade this reader"
         i name
@@ -197,7 +183,7 @@ type binary_state = {
 
 let resolve_ref ~base st r ~at ~what =
   if r < 0 || r >= st.tab.n then
-    failf (Byte (base + at))
+    Scan.failf (Scan.Byte (base + at))
       "%s references string #%d but only %d strings are defined so far" what r
       st.tab.n
   else st.tab.arr.(r)
@@ -208,18 +194,19 @@ let decode_record st acc f ~base payload =
   | '\x01' ->
     let id, pos = payload_uint ~base payload 1 ~what:"a string id" in
     if id <> st.tab.n then
-      failf (Byte (base + 1))
+      Scan.failf (Scan.Byte (base + 1))
         "string definition id %d out of order (expected %d)" id st.tab.n;
     let slen, pos = payload_uint ~base payload pos ~what:"a string length" in
     let s, pos = payload_bytes ~base payload pos slen ~what:"a string body" in
     if pos <> len then
-      failf (Byte (base + pos)) "string record has %d trailing bytes" (len - pos);
+      Scan.failf (Scan.Byte (base + pos))
+        "string record has %d trailing bytes" (len - pos);
     strtab_push st.tab s;
     acc
   | '\x02' ->
     let kid, pos = payload_uint ~base payload 1 ~what:"a kind id" in
     if kid >= Array.length st.kinds then
-      failf (Byte (base + 1))
+      Scan.failf (Scan.Byte (base + 1))
         "kind id %d outside the registry snapshot (%d kinds)" kid
         (Array.length st.kinds);
     let dt, pos = payload_int ~base payload pos ~what:"a time delta" in
@@ -242,7 +229,8 @@ let decode_record st acc f ~base payload =
       pos := p
     done;
     if !pos <> len then
-      failf (Byte (base + !pos)) "event record has %d trailing bytes" (len - !pos);
+      Scan.failf (Scan.Byte (base + !pos))
+        "event record has %d trailing bytes" (len - !pos);
     let us = st.prev_us + dt in
     st.prev_us <- us;
     let event =
@@ -255,8 +243,10 @@ let decode_record st acc f ~base payload =
       }
     in
     f acc event
-  | c -> failf (Byte base) "unknown record tag 0x%02x" (Char.code c)
+  | c -> Scan.failf (Scan.Byte base) "unknown record tag 0x%02x" (Char.code c)
 
+(* [try] rather than [Scan.protect]: no closure per fold, so the
+   trace-analyze/binary-stream row's words/op stay where they were. *)
 let fold_binary src ~init ~f =
   try
     let kinds = check_header src in
@@ -270,10 +260,10 @@ let fold_binary src ~init ~f =
         let record_at = offset src in
         let len = read_uint src ~what:"a record length" in
         if len = 0 || len > max_record_bytes then
-          failf (Byte record_at) "implausible record length %d" len;
+          Scan.failf (Scan.Byte record_at) "implausible record length %d" len;
         ensure src len;
         if available src < len then
-          failf (Byte record_at)
+          Scan.failf (Scan.Byte record_at)
             "record truncated: %d payload bytes declared at byte %d but the \
              stream ends after %d"
             len record_at (available src);
@@ -283,7 +273,7 @@ let fold_binary src ~init ~f =
       end
     done;
     Ok !acc
-  with Fail e -> Error e
+  with Scan.Fail e -> Error e
 
 (* --- JSONL decoding --- *)
 
@@ -317,118 +307,53 @@ let read_line_opt src =
       Some line
   end
 
+let is_number_byte = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
 let parse_jsonl_event ~line_no line =
-  let err reason = fail (Line line_no) reason in
-  let errf fmt = failf (Line line_no) fmt in
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else err "unexpected end of line" in
-  let advance () = incr pos in
-  let expect c =
-    if !pos >= n || line.[!pos] <> c then
-      errf "expected '%c' at column %d" c (!pos + 1)
-    else advance ()
+  let where i = Scan.Column (line_no, i + 1) in
+  let lx = Scan.Json.lexer ~ws:false ~where line in
+  let errf fmt = Scan.failf (Scan.Json.at lx (Scan.Json.pos lx)) fmt in
+  let string () = Scan.Json.string lx ~raw:false in
+  let number () =
+    match Scan.Json.span lx is_number_byte with
+    | "" -> errf "expected a number"
+    | s -> (
+      match float_of_string_opt s with
+      | Some f -> f
+      | None -> errf "malformed number %S" s)
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then err "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (if !pos >= n then err "unterminated escape"
-           else
-             match line.[!pos] with
-             | '"' -> Buffer.add_char b '"'; advance ()
-             | '\\' -> Buffer.add_char b '\\'; advance ()
-             | '/' -> Buffer.add_char b '/'; advance ()
-             | 'n' -> Buffer.add_char b '\n'; advance ()
-             | 'r' -> Buffer.add_char b '\r'; advance ()
-             | 't' -> Buffer.add_char b '\t'; advance ()
-             | 'b' -> Buffer.add_char b '\b'; advance ()
-             | 'u' ->
-               advance ();
-               if !pos + 4 > n then err "truncated \\u escape"
-               else begin
-                 let hex = String.sub line !pos 4 in
-                 let code =
-                   try int_of_string ("0x" ^ hex)
-                   with Failure _ -> errf "bad \\u escape %S" hex
-                 in
-                 if code > 0xff then
-                   errf "\\u escape %S outside the exporter's byte range" hex
-                 else Buffer.add_char b (Char.chr code);
-                 pos := !pos + 4
-               end
-             | c -> errf "unsupported escape '\\%c'" c);
-          go ()
-        | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num line.[!pos] do
-      advance ()
-    done;
-    if !pos = start then err "expected a number";
-    let s = String.sub line start (!pos - start) in
-    try float_of_string s with Failure _ -> errf "malformed number %S" s
-  in
-  let parse_attrs () =
-    expect '{';
-    if peek () = '}' then begin
-      advance ();
-      []
-    end
-    else begin
-      let rec go acc =
-        let k = parse_string () in
-        expect ':';
-        let v = parse_string () in
-        let acc = (k, v) :: acc in
-        match peek () with
-        | ',' -> advance (); go acc
-        | '}' -> advance (); List.rev acc
-        | c -> errf "expected ',' or '}' in attrs, got '%c'" c
-      in
-      go []
-    end
+  let attr_object () =
+    let acc = ref [] in
+    Scan.Json.expect lx '{';
+    Scan.Json.sequence lx ~close:'}' (fun () ->
+        let k = string () in
+        Scan.Json.expect lx ':';
+        acc := (k, string ()) :: !acc);
+    List.rev !acc
   in
   let time = ref None and node = ref None and kind = ref None in
   let name = ref None and attrs = ref None in
-  expect '{';
-  let rec members () =
-    let key = parse_string () in
-    expect ':';
-    (match key with
-    | "time" -> time := Some (parse_number ())
-    | "node" -> node := Some (parse_string ())
-    | "kind" ->
-      let s = parse_string () in
-      (match Trace.kind_of_string s with
-      | Some k -> kind := Some k
-      | None -> errf "unknown trace kind %S (registry: lib/sim/trace_kinds.txt)" s)
-    | "name" -> name := Some (parse_string ())
-    | "attrs" -> attrs := Some (parse_attrs ())
-    | k -> errf "unexpected key %S (schema: time,node,kind,name,attrs)" k);
-    match peek () with
-    | ',' -> advance (); members ()
-    | '}' -> advance ()
-    | c -> errf "expected ',' or '}', got '%c'" c
-  in
-  members ();
-  if !pos <> n then errf "trailing bytes after the JSON object at column %d" (!pos + 1);
+  Scan.Json.expect lx '{';
+  Scan.Json.sequence lx ~close:'}' (fun () ->
+      let key = string () in
+      Scan.Json.expect lx ':';
+      match key with
+      | "time" -> time := Some (number ())
+      | "node" -> node := Some (string ())
+      | "kind" -> (
+        let s = string () in
+        match Trace.kind_of_string s with
+        | Some k -> kind := Some k
+        | None -> errf "unknown trace kind %S (registry: lib/sim/trace_kinds.txt)" s)
+      | "name" -> name := Some (string ())
+      | "attrs" -> attrs := Some (attr_object ())
+      | k -> errf "unexpected key %S (schema: time,node,kind,name,attrs)" k);
+  if Scan.Json.peek lx <> None then errf "trailing bytes after the JSON object";
   let req what = function
     | Some v -> v
-    | None -> errf "missing key %S" what
+    | None -> Scan.failf (Scan.Line line_no) "missing key %S" what
   in
   {
     Trace.time = req "time" !time;
@@ -439,7 +364,7 @@ let parse_jsonl_event ~line_no line =
   }
 
 let fold_jsonl src ~init ~f =
-  try
+  Scan.protect @@ fun () ->
     let acc = ref init in
     let line_no = ref 0 in
     let running = ref true in
@@ -451,8 +376,7 @@ let fold_jsonl src ~init ~f =
         incr line_no;
         acc := f !acc (parse_jsonl_event ~line_no:!line_no line)
     done;
-    Ok !acc
-  with Fail e -> Error e
+    !acc
 
 (* --- format sniffing --- *)
 
@@ -476,7 +400,7 @@ let fold_auto src ~init ~f =
   | Csv ->
     Error
       {
-        position = Line 1;
+        Scan.position = Line 1;
         reason =
           "this is a CSV trace; the streaming analyzers read binary or JSONL \
            traces — re-run with --trace-format binary (or jsonl)";

@@ -9,18 +9,9 @@
     the string table, never to the event count.
 
     {b Error discipline.}  Malformed input never raises: every decoder
-    returns a positioned {!error} in the style of
-    [Ndn.Topology_spec] — byte offsets for binary streams (framing
-    violations, truncated tails, bad varints, out-of-range string
-    references), line numbers for JSONL. *)
-
-type position =
-  | Byte of int  (** Byte offset into a binary stream. *)
-  | Line of int  (** 1-based line number of a JSONL stream. *)
-
-type error = { position : position; reason : string }
-
-val error_to_string : error -> string
+    returns a positioned {!Scan.error} (DESIGN §17) — byte offsets for
+    binary streams (framing violations, truncated tails, bad varints,
+    out-of-range string references), line and column for JSONL. *)
 
 (** {1 Byte sources} *)
 
@@ -35,14 +26,14 @@ val of_channel : in_channel -> source
 (** {1 Folds} *)
 
 val fold_binary :
-  source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, error) result
+  source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, Scan.error) result
 (** Validate the header (magic, version, registry snapshot) and fold
     [f] over every event record in stream order.  Framing is fully
     checked: record lengths, string-table discipline, payload bounds,
     and end-of-stream landing exactly on a record boundary. *)
 
 val fold_jsonl :
-  source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, error) result
+  source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, Scan.error) result
 (** Fold over a JSONL trace (the exporter's own schema:
     time/node/kind/name/attrs per line; blank lines tolerated). *)
 
@@ -53,7 +44,7 @@ val detect : source -> detected
     the CSV header line, else JSONL. *)
 
 val fold_auto :
-  source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, error) result
+  source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, Scan.error) result
 (** {!detect}, then dispatch to the matching fold.  CSV is rejected
     with an actionable error (the streaming analyzers read binary or
     JSONL). *)

@@ -1,13 +1,8 @@
 type parse_stats = { parsed : int; skipped : int }
 
-(* Split on runs of whitespace (Squid pads the elapsed field). *)
-let fields line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
+(* Squid pads the elapsed field with runs of spaces. *)
 let parse_line line =
-  match fields line with
+  match Sim.Scan.tokens line with
   | timestamp :: _elapsed :: client :: action :: _size :: _method :: url :: _rest
     -> (
     match float_of_string_opt timestamp with
@@ -59,14 +54,6 @@ let of_lines lines =
   (Trace.create arr, { parsed = !parsed; skipped = !skipped })
 
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      of_lines (List.rev !lines))
+  Result.map
+    (fun text -> of_lines (String.split_on_char '\n' text))
+    (Sim.Scan.read_file path)

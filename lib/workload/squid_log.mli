@@ -27,6 +27,6 @@ val of_lines : string list -> Trace.t * parse_stats
     and the records sorted (Squid logs are written at request
     completion, so they can be slightly out of order). *)
 
-val load : path:string -> Trace.t * parse_stats
-(** Parse a log file.
-    @raise Sys_error if the file cannot be read. *)
+val load : path:string -> (Trace.t * parse_stats, string) result
+(** Parse a log file; [Error] with the [Sys_error] message when it
+    cannot be read. *)

@@ -43,28 +43,30 @@ let save t ~path =
         (fun r -> Printf.fprintf oc "%.6f %d %d\n" r.time_s r.user r.content)
         t)
 
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let records = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match String.split_on_char ' ' (String.trim line) with
-             | [ ts; u; c ] -> (
-               match
-                 (float_of_string_opt ts, int_of_string_opt u, int_of_string_opt c)
-               with
-               | Some time_s, Some user, Some content ->
-                 records := { time_s; user; content } :: !records
-               | _ -> failwith ("Trace.load: malformed line: " ^ line))
-             | _ -> failwith ("Trace.load: malformed line: " ^ line)
-         done
-       with End_of_file -> ());
-      create (Array.of_list (List.rev !records)))
+let parse text =
+  let open Sim.Scan in
+  let* _, rev =
+    fold_lines text ~init:(neg_infinity, []) ~f:(fun (prev, acc) ~line:_ tokens ->
+        match tokens with
+        | [ ts; u; c ] ->
+          let* time_s = float_field "time" ts in
+          let* user = int_field "user" u in
+          let* content = int_field "content" c in
+          if not (Float.is_finite time_s) then
+            Error (Printf.sprintf "time: expected a finite number, got %S" ts)
+          else if time_s < prev then
+            Error
+              (Printf.sprintf "time %s is before the previous record's %s"
+                 (float_str time_s) (float_str prev))
+          else Ok (time_s, { time_s; user; content } :: acc)
+        | _ ->
+          Error
+            (Printf.sprintf "expected 'TIME USER CONTENT', got %d fields"
+               (List.length tokens)))
+  in
+  Ok (create (Array.of_list (List.rev rev)))
+
+let load ~path = Result.bind (Sim.Scan.read_file path) parse
 
 let pp_summary ppf t =
   Format.fprintf ppf

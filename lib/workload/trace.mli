@@ -36,7 +36,13 @@ val sub : t -> pos:int -> len:int -> t
 val save : t -> path:string -> unit
 (** Text format, one ["time user content"] line per record. *)
 
-val load : path:string -> t
-(** @raise Failure on malformed input. *)
+val parse : string -> (t, string) result
+(** Read the {!save} format: blank lines and ['#'] comments are
+    skipped, times must be finite and non-decreasing.  Errors carry
+    the line: ["line N: ..."]. *)
+
+val load : path:string -> (t, string) result
+(** {!parse} of the file's text; [Error] with the [Sys_error] message
+    when it cannot be read. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -308,7 +308,7 @@ let test_wire_through_cache_story () =
   in
   let bytes = Ndn.Wire.encode_data d in
   match Ndn.Wire.decode_data bytes with
-  | Error e -> Alcotest.failf "decode: %s" (Format.asprintf "%a" Ndn.Wire.pp_error e)
+  | Error e -> Alcotest.failf "decode: %s" (Sim.Scan.error_to_string e)
   | Ok d' ->
     Alcotest.(check bool) "signature still verifies" true (Ndn.Data.verify d' ~key:"k");
     let cs = Ndn.Content_store.create ~capacity:4 () in

@@ -1256,7 +1256,7 @@ let test_wire_interest_roundtrip () =
     (fun i ->
       match Wire.decode_interest (Wire.encode_interest i) with
       | Ok i' -> Alcotest.(check bool) "roundtrip" true (Interest.equal i i')
-      | Error e -> Alcotest.failf "decode failed: %s" (Format.asprintf "%a" Wire.pp_error e))
+      | Error e -> Alcotest.failf "decode failed: %s" (Sim.Scan.error_to_string e))
     cases
 
 let test_wire_data_roundtrip () =
@@ -1276,7 +1276,7 @@ let test_wire_data_roundtrip () =
     Alcotest.(check (option (float 1e-9))) "freshness" d.Data.freshness_ms d'.Data.freshness_ms;
     Alcotest.(check bool) "signature verifies after roundtrip" true
       (Data.verify d' ~key:"secret")
-  | Error e -> Alcotest.failf "decode failed: %s" (Format.asprintf "%a" Wire.pp_error e)
+  | Error e -> Alcotest.failf "decode failed: %s" (Sim.Scan.error_to_string e)
 
 let test_wire_packet_dispatch () =
   let i = Interest.create ~nonce:1L (name "/a") in
@@ -1284,18 +1284,18 @@ let test_wire_packet_dispatch () =
   (match Wire.decode_packet (Wire.encode_packet (Packet.Interest i)) with
   | Ok (Packet.Interest _) -> ()
   | Ok (Packet.Data _ | Packet.Nack _) -> Alcotest.fail "wrong branch"
-  | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Wire.pp_error e));
+  | Error e -> Alcotest.failf "%s" (Sim.Scan.error_to_string e));
   (match Wire.decode_packet (Wire.encode_packet (Packet.Data d)) with
   | Ok (Packet.Data _) -> ()
   | Ok (Packet.Interest _ | Packet.Nack _) -> Alcotest.fail "wrong branch"
-  | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Wire.pp_error e));
+  | Error e -> Alcotest.failf "%s" (Sim.Scan.error_to_string e));
   let nk =
     Nack.create ~nonce:7L ~reason:Nack.Pit_full (name "/a/b")
   in
   match Wire.decode_packet (Wire.encode_packet (Packet.Nack nk)) with
   | Ok (Packet.Nack nk') -> Alcotest.(check bool) "nack roundtrips" true (Nack.equal nk nk')
   | Ok (Packet.Interest _ | Packet.Data _) -> Alcotest.fail "wrong branch"
-  | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Wire.pp_error e)
+  | Error e -> Alcotest.failf "%s" (Sim.Scan.error_to_string e)
 
 let test_wire_rejects_garbage () =
   (match Wire.decode_packet "" with
@@ -1303,7 +1303,7 @@ let test_wire_rejects_garbage () =
   | Ok _ -> Alcotest.fail "empty input must fail");
   (match Wire.decode_packet "\x99\x00\x00\x00\x00" with
   | Error e -> Alcotest.(check bool) "unknown type reported" true
-      (String.length e.Wire.reason > 0)
+      (String.length e.Sim.Scan.reason > 0)
   | Ok _ -> Alcotest.fail "unknown type must fail");
   (* truncate a valid encoding at every length: must never raise *)
   let enc =

@@ -30,9 +30,9 @@ let rule r f = f.Ndnlint.rule = r
 
 (* Every finding the planted fixtures must produce, in output order —
    the typed counterpart of test_ndnlint's golden list.  exports.mli
-   declares three values and only the one no other unit names is
-   flagged: exports_user.ml reaches the other two through
-   [module E = Exports] and [let open Exports in]. *)
+   declares four values and only the one no other unit names is
+   flagged: exports_user.ml reaches the other three through
+   [module E = Exports], [let open Exports in] and [let*]. *)
 let golden_jsonl =
   [
     {|{"rule":"U1","severity":"error","file":"test/typedlint_fixtures/exports.mli","line":5,"col":0,"message":"`Typedlint_fixture.Exports.unreferenced` is exported but no other unit references it; delete it, or drop it from the interface if its own unit still uses it","status":"active"}|};

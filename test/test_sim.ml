@@ -1022,6 +1022,27 @@ let test_ledger_merge_rejects_malformed () =
   | Ok _ -> Alcotest.fail "accepted a malformed section"
   | Error _ -> ()
 
+(* The checked-in ledger, merged with one of its own sections, comes
+   back byte for byte: the reader finds every value's extent and the
+   writer's layout is the file's. *)
+let test_ledger_checked_in_fixpoint () =
+  let text = In_channel.with_open_bin "../BENCH_core.json" In_channel.input_all in
+  let find sub from =
+    let n = String.length sub in
+    let rec go i = if String.sub text i n = sub then i else go (i + 1) in
+    go from
+  in
+  List.iter
+    (fun name ->
+      let start = find (Printf.sprintf "\n  %S: " name) 0 in
+      let v0 = start + String.length name + 7 in
+      let v1 = find "\n  }" v0 + 4 in
+      Alcotest.(check string)
+        (name ^ " merged onto itself")
+        text
+        (merge (Some text) name (String.sub text v0 (v1 - v0))))
+    [ "core"; "bench_scale"; "overload" ]
+
 let test_git_rev () =
   let rev = "0123456789abcdef0123456789abcdef01234567" in
   let other = String.make 40 'f' in
@@ -1416,6 +1437,8 @@ let () =
           Alcotest.test_case "missing file starts fresh" `Quick test_ledger_merge_fresh;
           Alcotest.test_case "malformed ledger is a positioned error" `Quick
             test_ledger_merge_rejects_malformed;
+          Alcotest.test_case "checked-in ledger is a fixpoint" `Quick
+            test_ledger_checked_in_fixpoint;
           Alcotest.test_case "git rev: loose, packed, detached" `Quick test_git_rev;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

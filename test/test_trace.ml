@@ -438,6 +438,14 @@ let test_topo_error_link () =
 let test_topo_error_route () =
   check_error ~line:1 ~needle:"route U /prod via R" "route U /prod R"
 
+(* A NUL byte cannot sit in a name component: reported at parse time
+   with the line, never raised from [Name.of_string] at build time. *)
+let test_topo_error_nul_name () =
+  check_error ~line:1 ~needle:"route: Name: NUL byte" "route U /pr\000d via R";
+  check_error ~line:1 ~needle:"producer: Name: NUL byte" "producer R /pr\000d";
+  check_error ~line:1 ~needle:"generate: Name: NUL byte"
+    "generate tree name=is\000p arity=2 tiers=2"
+
 let test_topo_error_unknown_attr () =
   check_error ~line:1 ~needle:"allowed:" "node R colour=red";
   check_error ~line:1 ~needle:"unknown attribute" "node R colour=red"
@@ -580,7 +588,7 @@ let decode_binary_exn s =
   | Ok acc -> List.rev acc
   | Error e ->
     Alcotest.failf "binary decode failed: %s"
-      (Sim.Trace_reader.error_to_string e)
+      (Sim.Scan.error_to_string e)
 
 let test_binary_format_of_string () =
   Alcotest.(check bool) "binary" true
@@ -672,7 +680,7 @@ let qcheck_jsonl_reader_round_trip =
       with
       | Error e ->
         QCheck.Test.fail_reportf "jsonl parse failed: %s"
-          (Sim.Trace_reader.error_to_string e)
+          (Sim.Scan.error_to_string e)
       | Ok parsed -> jsonl_of_events (List.rev parsed) = jsonl_of_events evs)
 
 let test_binary_incremental_encoder () =
@@ -732,13 +740,13 @@ let check_decode_error ~needle s =
   match Sim.Trace_reader.fold_binary src ~init:0 ~f:(fun n _ -> n + 1) with
   | Ok _ -> Alcotest.failf "expected a decode error mentioning %S" needle
   | Error e ->
-    let msg = Sim.Trace_reader.error_to_string e in
+    let msg = Sim.Scan.error_to_string e in
     if not (contains msg needle) then
       Alcotest.failf "error %S does not mention %S" msg needle;
-    (match e.Sim.Trace_reader.position with
-    | Sim.Trace_reader.Byte n ->
+    (match e.Sim.Scan.position with
+    | Sim.Scan.Byte n ->
       if n < 0 then Alcotest.failf "negative byte offset in %S" msg
-    | Sim.Trace_reader.Line _ ->
+    | Sim.Scan.Line _ | Sim.Scan.Column _ ->
       Alcotest.failf "expected a byte-positioned error, got %S" msg)
 
 (* magic + version + registry snapshot, no records *)
@@ -799,7 +807,7 @@ let test_detect_and_auto () =
   | Ok () -> Alcotest.fail "CSV must be rejected"
   | Error e ->
     Alcotest.(check bool) "actionable CSV rejection" true
-      (contains (Sim.Trace_reader.error_to_string e) "--trace-format binary"));
+      (contains (Sim.Scan.error_to_string e) "--trace-format binary"));
   let count s =
     match
       Sim.Trace_reader.fold_auto (Sim.Trace_reader.of_string s) ~init:0
@@ -807,7 +815,7 @@ let test_detect_and_auto () =
     with
     | Ok n -> n
     | Error e ->
-      Alcotest.failf "fold_auto failed: %s" (Sim.Trace_reader.error_to_string e)
+      Alcotest.failf "fold_auto failed: %s" (Sim.Scan.error_to_string e)
   in
   Alcotest.(check int) "auto binary count" golden_lines (count bin);
   Alcotest.(check int) "auto jsonl count" golden_lines (count js)
@@ -831,7 +839,7 @@ let test_reader_channel_source () =
     | Ok acc -> List.rev acc
     | Error e ->
       Alcotest.failf "channel decode failed: %s"
-        (Sim.Trace_reader.error_to_string e)
+        (Sim.Scan.error_to_string e)
   in
   close_in ic;
   Sys.remove path;
@@ -845,7 +853,7 @@ let analyze_exn s =
   match Sim.Analyze.of_source (Sim.Trace_reader.of_string s) with
   | Ok t -> t
   | Error e ->
-    Alcotest.failf "analyze failed: %s" (Sim.Trace_reader.error_to_string e)
+    Alcotest.failf "analyze failed: %s" (Sim.Scan.error_to_string e)
 
 let test_analyze_binary_equals_jsonl () =
   let tr = (campaign ~jobs:1).Attack.Timing_experiment.trace in
@@ -893,6 +901,18 @@ let test_analyze_sharded_matches () =
   Alcotest.(check string) "analyzer summaries identical across --shards K"
     (Sim.Analyze.render_json (analyze_exn b1))
     (Sim.Analyze.render_json (analyze_exn b4))
+
+(* A trace is outside input: a router label whose tier number overflows
+   an int lands in the untiered bucket instead of raising. *)
+let test_analyze_overlong_tier () =
+  let acc = Sim.Analyze.create () in
+  List.iter
+    (fun node ->
+      Sim.Analyze.feed acc
+        { Sim.Trace.time = 1.; node; kind = Sim.Trace.Cs_hit; name = "/a"; attrs = [] })
+    [ "isp-t2-n5"; "isp-t99999999999999999999-n1" ];
+  Alcotest.(check (list (option int))) "tiers" [ Some 2; None ]
+    (List.map (fun r -> r.Sim.Analyze.tier) (Sim.Analyze.tiers acc))
 
 let check_merge_law evs k =
   let whole = Sim.Analyze.create () in
@@ -1022,6 +1042,7 @@ let () =
           Alcotest.test_case "node errors" `Quick test_topo_error_node;
           Alcotest.test_case "link errors" `Quick test_topo_error_link;
           Alcotest.test_case "route errors" `Quick test_topo_error_route;
+          Alcotest.test_case "NUL in a name" `Quick test_topo_error_nul_name;
           Alcotest.test_case "unknown attribute" `Quick
             test_topo_error_unknown_attr;
           Alcotest.test_case "latency errors" `Quick test_topo_error_latency;
@@ -1074,6 +1095,8 @@ let () =
             test_analyze_sharded_matches;
           Alcotest.test_case "merge law on campaign" `Slow
             test_analyze_merge_law;
+          Alcotest.test_case "overlong tier is untiered" `Quick
+            test_analyze_overlong_tier;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -83,7 +83,11 @@ let test_trace_save_load_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Workload.Trace.save t ~path;
-      let t' = Workload.Trace.load ~path in
+      let t' =
+        match Workload.Trace.load ~path with
+        | Ok t' -> t'
+        | Error msg -> Alcotest.failf "load: %s" msg
+      in
       Alcotest.(check int) "length" (Workload.Trace.length t) (Workload.Trace.length t');
       for i = 0 to Workload.Trace.length t - 1 do
         let a = Workload.Trace.get t i and b = Workload.Trace.get t' i in
@@ -91,6 +95,25 @@ let test_trace_save_load_roundtrip () =
         Alcotest.(check int) "content" a.Workload.Trace.content b.Workload.Trace.content;
         check_close "time" 1e-5 a.Workload.Trace.time_s b.Workload.Trace.time_s
       done)
+
+let check_trace_error what expected text =
+  match Workload.Trace.parse text with
+  | Ok _ -> Alcotest.failf "%s: accepted %S" what text
+  | Error msg -> Alcotest.(check string) what expected msg
+
+let test_trace_load_malformed () =
+  check_trace_error "missing field" "line 3: expected 'TIME USER CONTENT', got 2 fields"
+    "# time user content\n0.5 3 7\n1.0 4\n";
+  check_trace_error "bad user" "line 1: user: expected an integer, got \"x\"" "0.5 x 7\n";
+  check_trace_error "non-finite time" "line 1: time: expected a finite number, got \"nan\""
+    "nan 1 2\n";
+  match Workload.Trace.load ~path:"/nonexistent/trace.txt" with
+  | Ok _ -> Alcotest.fail "loaded a missing file"
+  | Error _ -> ()
+
+let test_trace_load_out_of_order () =
+  check_trace_error "disorder" "line 3: time 1 is before the previous record's 2"
+    "0.5 1 1\n2 1 2\n1 1 3\n"
 
 let test_trace_sub () =
   let t = mk_trace [ rec_ 0. 0 0; rec_ 1. 0 1; rec_ 2. 0 2; rec_ 3. 0 3 ] in
@@ -709,6 +732,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_trace_basics;
           Alcotest.test_case "rejects disorder" `Quick test_trace_rejects_disorder;
           Alcotest.test_case "save/load" `Quick test_trace_save_load_roundtrip;
+          Alcotest.test_case "load malformed line" `Quick test_trace_load_malformed;
+          Alcotest.test_case "load out of order" `Quick test_trace_load_out_of_order;
           Alcotest.test_case "sub" `Quick test_trace_sub;
           Alcotest.test_case "name mapping" `Quick test_trace_name_mapping;
         ] );

@@ -1,5 +1,5 @@
 (* U1 fixture: an interface with one value no other unit references
-   and two that [exports_user.ml] reaches without naming [Exports]
+   and three that [exports_user.ml] reaches without naming [Exports]
    directly. *)
 
 val unreferenced : int -> int
@@ -7,3 +7,5 @@ val unreferenced : int -> int
 val used_via_alias : int -> int
 
 val used_after_open : int -> int
+
+val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option

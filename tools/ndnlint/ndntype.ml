@@ -483,8 +483,9 @@ let scan_g1 ~emit str =
    A value path is unit-rooted: ["Ndn__Pit"; "size"], or
    ["Privacy__Theorems"; "Uniform"; "epsilon"] for a value of a nested
    [module Uniform : sig ... end].  Declarations come from the [.cmti]
-   of each checked interface; references are the [Texp_ident]s of
-   every other unit's [.cmt], resolved to that form. *)
+   of each checked interface; references are the [Texp_ident]s and
+   binding operators ([let*]) of every other unit's [.cmt], resolved to
+   that form. *)
 
 let rec declared_values prefix sg =
   List.concat_map
@@ -600,6 +601,10 @@ let references ~units str =
         (fun sub e ->
           match e.exp_desc with
           | Texp_ident (p, _, _) -> record values p
+          | Texp_letop { let_; ands; _ } ->
+            (* [let* x = e in b] names its operator only here. *)
+            List.iter (fun bop -> record values bop.bop_op_path) (let_ :: ands);
+            Tast_iterator.default_iterator.expr sub e
           | Texp_letmodule (id, _, _, me, body) when alias id me ->
             sub.expr sub body
           | _ -> Tast_iterator.default_iterator.expr sub e);
