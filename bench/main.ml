@@ -13,7 +13,7 @@
    hardware thread).  Output is bit-identical for any N — trial RNGs
    are split before dispatch and results merge in trial order.
 
-   --trace FILE [--trace-format jsonl|csv|binary] records the fig3 campaigns'
+   --trace FILE [--trace-format jsonl|binary] records the fig3 campaigns'
    structured event traces (merged in run order, so also bit-identical
    for any --jobs) to FILE.
 
@@ -87,7 +87,7 @@ let trace_format =
   let parse s =
     match Sim.Trace.format_of_string s with
     | Some fmt -> Ok fmt
-    | None -> Error (`Msg (Printf.sprintf "expected jsonl, csv or binary, got %S" s))
+    | None -> Error (`Msg (Printf.sprintf "expected jsonl or binary, got %S" s))
   in
   Arg.conv (parse, fun ppf fmt -> Format.pp_print_string ppf (Sim.Trace.format_to_string fmt))
 
@@ -107,6 +107,6 @@ let () =
       $ opt (Arg.some positive) None "jobs" "N" "Sim.Parallel domain-pool size."
       $ opt (Arg.some positive) None "shards" "K" "Shard-count sweep up to $(docv) for $(b,scale)."
       $ opt Arg.(some string) None "trace" "FILE" "Record the fig3 campaigns' event traces."
-      $ opt trace_format Sim.Trace.Jsonl "trace-format" "FMT" "$(b,jsonl), $(b,csv) or $(b,binary).")
+      $ opt trace_format Sim.Trace.Jsonl "trace-format" "FMT" "$(b,jsonl) or $(b,binary).")
   in
   exit (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc:"Reproduce the paper's evaluation.") term))

@@ -67,7 +67,7 @@ let trace_file_arg =
           "Record the structured simulation event trace (engine steps, \
            Content-Store operations, packet hops, latency draws) to $(docv); \
            $(b,-) streams it to stdout (all diagnostics go to stderr, so \
-           piped CSV/JSONL is never interleaved with warnings).")
+           a piped trace is never interleaved with warnings).")
 
 let trace_format_arg =
   let parse s =
@@ -81,9 +81,9 @@ let trace_format_arg =
     & opt (conv (parse, print)) Sim.Trace.Jsonl
     & info [ "trace-format" ] ~docv:"FMT"
         ~doc:
-          "Trace file format: $(b,jsonl) (default), $(b,csv), or $(b,binary) \
-           (the compact length-prefixed wire format of DESIGN \u{00a7}16, \
-           readable by $(b,ndnsim analyze)).")
+          "Trace file format: $(b,jsonl) (default) or $(b,binary) (the \
+           compact length-prefixed wire format of DESIGN \u{00a7}16); \
+           $(b,ndnsim analyze) reads both.")
 
 (* The summary line is a diagnostic, so it goes to stderr: with
    [--trace -] the exported rows own stdout and must never interleave
@@ -110,18 +110,23 @@ let result_formatter trace_file =
 (* --- fault schedules (--faults) --- *)
 
 (* A file option loaded while the command line is read, so a file that
-   does not parse is reported as a bad option value, naming the file. *)
-let file_conv ~load ~print =
-  let parse path =
-    Result.map_error (fun msg -> `Msg (Printf.sprintf "%s: %s" path msg)) (load ~path)
+   cannot be read or does not parse is reported as a bad option value,
+   naming the file once: the read error already names it, and a parse
+   error gets it as a prefix. *)
+let file_conv ~parse ~print =
+  let load path =
+    Result.map_error
+      (fun msg -> `Msg msg)
+      (Result.bind (Sim.Scan.read_file path) (fun text ->
+           Result.map_error (Printf.sprintf "%s: %s" path) (parse text)))
   in
-  Arg.conv (parse, print)
+  Arg.conv (load, print)
 
 let faults_arg =
   let print ppf s = Format.fprintf ppf "<%d faults>" (List.length s) in
   Arg.(
     value
-    & opt (some (file_conv ~load:Sim.Fault.load ~print)) None
+    & opt (some (file_conv ~parse:Sim.Fault.parse ~print)) None
     & info [ "faults" ] ~docv:"FILE"
         ~doc:
           "Inject the deterministic fault schedule in $(docv) (one fault \
@@ -465,7 +470,7 @@ let replay_cmd =
   let trace_file =
     Arg.(
       value
-      & opt (some (file_conv ~load:Workload.Trace.load ~print:print_trace)) None
+      & opt (some (file_conv ~parse:Workload.Trace.parse ~print:print_trace)) None
       & info [ "trace" ] ~docv:"FILE" ~doc:"Load a saved trace.")
   in
   let squid_file =
@@ -473,8 +478,10 @@ let replay_cmd =
       value
       & opt
           (some
-             (file_conv ~load:Workload.Squid_log.load ~print:(fun ppf (t, _) ->
-                  print_trace ppf t)))
+             (file_conv
+                ~parse:(fun text ->
+                  Ok (Workload.Squid_log.of_lines (String.split_on_char '\n' text)))
+                ~print:(fun ppf (t, _) -> print_trace ppf t)))
           None
       & info [ "squid" ] ~docv:"FILE"
           ~doc:"Load a Squid access.log (the IRCache trace format).")

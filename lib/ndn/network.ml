@@ -56,7 +56,6 @@ type t = {
   rng : Sim.Rng.t;
   mutable nodes_rev : (string * Node.t) list;  (* reverse creation order *)
   node_tbl : (string, Node.t) Hashtbl.t;
-  mutable links_rev : link list;
   (* Keyed by the (l_a, l_b) orientation of [connect]; first link wins
      for a duplicate pair, matching the old first-match list scan. *)
   link_tbl : (string * string, link) Hashtbl.t;
@@ -71,7 +70,6 @@ let create ?(seed = 42) ?(tracer = Sim.Trace.disabled) ?(shards = 1) () =
     rng = Sim.Rng.create seed;
     nodes_rev = [];
     node_tbl = Hashtbl.create 64;
-    links_rev = [];
     link_tbl = Hashtbl.create 64;
   }
 
@@ -263,7 +261,6 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
   in
   let ab = fresh_dir () in
   let link = { l_a = Node.label a; l_b = Node.label b; ab; ba = fresh_dir () } in
-  t.links_rev <- link :: t.links_rev;
   if
     (not (Hashtbl.mem t.link_tbl (link.l_a, link.l_b)))
     && not (Hashtbl.mem t.link_tbl (link.l_b, link.l_a))

@@ -194,10 +194,6 @@ let parse text =
   in
   Ok (sort (List.rev events))
 
-let load ~path =
-  let* text = read_file path in
-  parse text
-
 let direction_str = function Ab -> "ab" | Ba -> "ba" | Both -> "both"
 
 let print_event e =

@@ -114,8 +114,6 @@ val parse : string -> (schedule, string) result
 (** Parse a whole schedule; errors are prefixed with [line N:].  The
     result is sorted. *)
 
-val load : path:string -> (schedule, string) result
-
 val print_event : event -> string
 (** Canonical one-line rendering (no newline). *)
 

@@ -62,7 +62,11 @@ let fold_lines text ~init ~f =
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | text -> Ok text
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg ->
+    (* A failed open names the file; a failed read (a directory) does
+       not. *)
+    let prefix = path ^ ": " in
+    Error (if String.starts_with ~prefix msg then msg else prefix ^ msg)
 
 let float_field name s =
   match float_of_string_opt s with

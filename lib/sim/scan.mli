@@ -52,7 +52,8 @@ val fold_lines :
     from [f] stops the fold and comes back prefixed ["line N: "]. *)
 
 val read_file : string -> (string, string) result
-(** The whole file, or the [Sys_error] message. *)
+(** The whole file, or the [Sys_error] message naming [path] once:
+    ["PATH: No such file or directory"]. *)
 
 val float_field : string -> string -> (float, string) result
 (** [float_field name s]: [Error "name: expected a number, got \"s\""]

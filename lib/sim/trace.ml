@@ -117,115 +117,71 @@ let kind_id = function
   | Nack_duplicate -> 27
   | Consumer_give_up -> 28
 
-let kind_table = Array.of_list all_kinds
-
-let kind_of_id i =
-  if i < 0 || i >= Array.length kind_table then None else Some kind_table.(i)
-
 let kind_of_string s = List.find_opt (fun k -> kind_to_string k = s) all_kinds
 
 (* --- tracers --- *)
 
-type t = {
-  on : bool;
-  (* Growable buffer; [None] for sink-only tracers. *)
-  mutable buf : event array option;
-  mutable len : int;
-  mutable sinks : (event -> unit) list;
-}
+(* A tracer is inert, buffers its events in emission order, or streams
+   each one to a single sink. *)
+type t =
+  | Off
+  | Buffered of { mutable buf : event array; mutable len : int }
+  | Sink of (event -> unit)
 
-let disabled = { on = false; buf = None; len = 0; sinks = [] }
+let disabled = Off
 
-let dummy_event = { time = 0.; node = ""; kind = Engine_step; name = ""; attrs = [] }
+let create () = Buffered { buf = [||]; len = 0 }
 
-let create () = { on = true; buf = Some [||]; len = 0; sinks = [] }
+let with_sink sink = Sink sink
 
-let with_sink sink = { on = true; buf = None; len = 0; sinks = [ sink ] }
-
-let enabled t = t.on
-
-let push t e =
-  match t.buf with
-  | None -> ()
-  | Some buf ->
-    let buf =
-      if t.len = Array.length buf then begin
-        let nb = Array.make (max 64 (2 * t.len)) dummy_event in
-        Array.blit buf 0 nb 0 t.len;
-        t.buf <- Some nb;
-        nb
-      end
-      else buf
-    in
-    buf.(t.len) <- e;
-    t.len <- t.len + 1
+let enabled = function Off -> false | Buffered _ | Sink _ -> true
 
 let emit t e =
-  if t.on then begin
-    push t e;
-    List.iter (fun sink -> sink e) t.sinks
-  end
+  match t with
+  | Off -> ()
+  | Sink sink -> sink e
+  | Buffered b ->
+    if b.len = Array.length b.buf then begin
+      let nb = Array.make (max 64 (2 * b.len)) e in
+      Array.blit b.buf 0 nb 0 b.len;
+      b.buf <- nb
+    end;
+    b.buf.(b.len) <- e;
+    b.len <- b.len + 1
 
-let subscribe t sink =
-  if not t.on then invalid_arg "Trace.subscribe: tracer is disabled";
-  t.sinks <- t.sinks @ [ sink ]
+let length = function Buffered b -> b.len | Off | Sink _ -> 0
 
-let length t = t.len
-
-let events t =
-  match t.buf with
-  | None -> [||]
-  | Some buf -> Array.sub buf 0 t.len
+let events = function
+  | Buffered b -> Array.sub b.buf 0 b.len
+  | Off | Sink _ -> [||]
 
 let iter t f =
-  match t.buf with
-  | None -> ()
-  | Some buf ->
-    for i = 0 to t.len - 1 do
-      f buf.(i)
+  match t with
+  | Buffered b ->
+    for i = 0 to b.len - 1 do
+      f b.buf.(i)
     done
+  | Off | Sink _ -> ()
 
 let merge_into ~into t =
-  if not into.on then invalid_arg "Trace.merge_into: target tracer is disabled";
+  if not (enabled into) then
+    invalid_arg "Trace.merge_into: target tracer is disabled";
   iter t (emit into)
-
-let tally t =
-  let counts = Hashtbl.create 32 in
-  iter t (fun e ->
-      let key = (e.node, e.kind) in
-      Hashtbl.replace counts key
-        (1 + Option.value (Hashtbl.find_opt counts key) ~default:0));
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-  |> List.sort (fun ((n1, k1), _) ((n2, k2), _) ->
-         match String.compare n1 n2 with
-         | 0 -> String.compare (kind_to_string k1) (kind_to_string k2)
-         | c -> c)
-
-let events_per_ms t =
-  if t.len < 2 then Float.nan
-  else
-    match t.buf with
-    | None -> Float.nan
-    | Some buf ->
-      let span = buf.(t.len - 1).time -. buf.(0).time in
-      if span <= 0. then Float.nan else float_of_int t.len /. span
 
 (* --- exporters --- *)
 
-type format = Jsonl | Csv | Binary
+type format = Jsonl | Binary
 
 let format_of_string s =
   match String.lowercase_ascii s with
   | "jsonl" | "json" -> Some Jsonl
-  | "csv" -> Some Csv
   | "binary" | "bin" -> Some Binary
   | _ -> None
 
-let format_to_string = function Jsonl -> "jsonl" | Csv -> "csv" | Binary -> "binary"
+let format_to_string = function Jsonl -> "jsonl" | Binary -> "binary"
 
-let event_to_jsonl e =
-  let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf "{\"time\":%.6f,\"node\":\"" e.time);
+let add_jsonl b e =
+  Printf.bprintf b "{\"time\":%.6f,\"node\":\"" e.time;
   Scan.Json.escape_into b e.node;
   Buffer.add_string b "\",\"kind\":\"";
   Buffer.add_string b (kind_to_string e.kind);
@@ -241,38 +197,12 @@ let event_to_jsonl e =
       Scan.Json.escape_into b v;
       Buffer.add_char b '"')
     e.attrs;
-  Buffer.add_string b "}}";
+  Buffer.add_string b "}}"
+
+let event_to_jsonl e =
+  let b = Buffer.create 96 in
+  add_jsonl b e;
   Buffer.contents b
-
-let csv_header = "time,node,kind,name,attrs"
-
-let csv_field s =
-  if
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  then begin
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string b "\"\"" else Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  end
-  else s
-
-let event_to_csv e =
-  let attrs =
-    String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) e.attrs)
-  in
-  String.concat ","
-    [
-      Printf.sprintf "%.6f" e.time;
-      csv_field e.node;
-      kind_to_string e.kind;
-      csv_field e.name;
-      csv_field attrs;
-    ]
 
 (* --- binary wire format (DESIGN §16) ---
 
@@ -325,14 +255,6 @@ let encoder_reset enc =
   Hashtbl.reset enc.strings;
   enc.next_ref <- 0;
   enc.prev_us <- 0
-
-let encoder_length enc = Buffer.length enc.ebuf
-
-let encoder_contents enc = Buffer.contents enc.ebuf
-
-let encoder_output oc enc =
-  Buffer.output_buffer oc enc.ebuf;
-  Buffer.clear enc.ebuf
 
 let encoder_add_header enc =
   Buffer.add_string enc.ebuf binary_magic;
@@ -410,55 +332,37 @@ let encode_event enc e =
   add_attrs enc e.attrs;
   enc.prev_us <- us
 
-let render_binary t =
+(* The one export loop: each format appends its events to the
+   encoder's buffer, and [chunk] sees the buffer after every event. *)
+let encode fmt t ~chunk =
   let enc = encoder_create () in
-  encoder_add_header enc;
-  iter t (encode_event enc);
-  Buffer.contents enc.ebuf
+  let b = enc.ebuf in
+  let add =
+    match fmt with
+    | Jsonl ->
+      fun e ->
+        add_jsonl b e;
+        Buffer.add_char b '\n'
+    | Binary ->
+      encoder_add_header enc;
+      encode_event enc
+  in
+  iter t (fun e ->
+      add e;
+      chunk b);
+  b
+
+let render fmt t = Buffer.contents (encode fmt t ~chunk:ignore)
 
 (* Flush at 64 KiB so a heavy-traffic export never holds the whole
    byte stream in memory. *)
-let binary_flush_threshold = 65536
-
-let write_binary oc t =
-  let enc = encoder_create () in
-  encoder_add_header enc;
-  iter t (fun e ->
-      encode_event enc e;
-      if Buffer.length enc.ebuf >= binary_flush_threshold then
-        encoder_output oc enc);
-  encoder_output oc enc
-
-let render fmt t =
-  match fmt with
-  | Binary -> render_binary t
-  | Jsonl | Csv ->
-    let b = Buffer.create (64 * (t.len + 1)) in
-    (match fmt with
-    | Jsonl | Binary -> ()
-    | Csv ->
-      Buffer.add_string b csv_header;
-      Buffer.add_char b '\n');
-    let line =
-      match fmt with Jsonl | Binary -> event_to_jsonl | Csv -> event_to_csv
-    in
-    iter t (fun e ->
-        Buffer.add_string b (line e);
-        Buffer.add_char b '\n');
-    Buffer.contents b
+let flush_threshold = 65536
 
 let write fmt oc t =
-  match fmt with
-  | Binary -> write_binary oc t
-  | Jsonl | Csv ->
-    (match fmt with
-    | Jsonl | Binary -> ()
-    | Csv ->
-      output_string oc csv_header;
-      output_char oc '\n');
-    let line =
-      match fmt with Jsonl | Binary -> event_to_jsonl | Csv -> event_to_csv
-    in
-    iter t (fun e ->
-        output_string oc (line e);
-        output_char oc '\n')
+  let flush b =
+    Buffer.output_buffer oc b;
+    Buffer.clear b
+  in
+  flush
+    (encode fmt t ~chunk:(fun b ->
+         if Buffer.length b >= flush_threshold then flush b))

@@ -4,7 +4,8 @@
     this module makes the {e simulator's} internal state observable to
     us: every layer (engine dispatch, Content Store, forwarding plane,
     Algorithm 1) can emit typed event records into a tracer, and
-    exporters render them as JSONL or CSV for offline analysis.
+    exporters render them as JSONL or the compact binary wire format
+    for offline analysis.
 
     {b Cost model.}  A tracer is either {!disabled} — a shared inert
     handle — or enabled.  Instrumented hot paths guard every emission
@@ -96,9 +97,6 @@ val kind_id : kind -> int
     snapshot; ndnlint rule T4 fails the build when this table and the
     registry disagree. *)
 
-val kind_of_id : int -> kind option
-(** Inverse of {!kind_id}; [None] for ids outside the registry. *)
-
 (** {1 Tracers} *)
 
 type t
@@ -112,23 +110,19 @@ val create : unit -> t
 (** Fresh enabled tracer buffering events in emission order. *)
 
 val with_sink : (event -> unit) -> t
-(** Enabled tracer that streams events to the sink {e without}
-    buffering them — for exporters that write as they go and for
+(** Enabled tracer that streams events to the one sink {e without}
+    buffering them — for consumers that fold as they go and for
     overhead measurements. *)
 
 val enabled : t -> bool
 
 val emit : t -> event -> unit
-(** Append to the buffer (if any) and call every subscribed sink.
-    A no-op on {!disabled}; hot paths should still guard with
-    {!enabled} to skip constructing the event record. *)
-
-val subscribe : t -> (event -> unit) -> unit
-(** Register an additional sink, called synchronously on each {!emit}.
-    @raise Invalid_argument on {!disabled}. *)
+(** Append to the buffer, or call the sink.  A no-op on {!disabled};
+    hot paths should still guard with {!enabled} to skip constructing
+    the event record. *)
 
 val events : t -> event array
-(** Buffered events in emission order (a copy). *)
+(** Buffered events in emission order (a copy; empty for a sink). *)
 
 val length : t -> int
 
@@ -140,21 +134,16 @@ val merge_into : into:t -> t -> unit
     trial order makes the result independent of domain scheduling.
     @raise Invalid_argument if [into] is {!disabled}. *)
 
-val tally : t -> ((string * kind) * int) list
-(** Per-(node, kind) event counts, sorted — a quick per-node telemetry
-    snapshot of a buffered trace. *)
+(** {1 Exporters}
 
-val events_per_ms : t -> float
-(** Buffered events divided by the virtual-time span they cover
-    (events/sec of simulated work; [nan] on fewer than 2 events). *)
+    Both formats share one export loop: events are appended to one
+    buffer, which {!render} returns and {!write} flushes to the
+    channel in 64 KiB chunks. *)
 
-(** {1 Exporters} *)
-
-type format = Jsonl | Csv | Binary
+type format = Jsonl | Binary
 
 val format_of_string : string -> format option
-(** ["jsonl"]/["json"], ["csv"], ["binary"]/["bin"]
-    (case-insensitive). *)
+(** ["jsonl"]/["json"], ["binary"]/["bin"] (case-insensitive). *)
 
 val format_to_string : format -> string
 
@@ -163,22 +152,13 @@ val event_to_jsonl : event -> string
     [{"time":1.234567,"node":"R","kind":"cs.hit","name":"/prod/a","attrs":{"policy":"lru"}}].
     Times use a fixed [%.6f] rendering so equal traces are equal bytes. *)
 
-val csv_header : string
-(** ["time,node,kind,name,attrs"]. *)
-
-val event_to_csv : event -> string
-(** One CSV row (RFC-4180 quoting); [attrs] flattened as
-    [k1=v1;k2=v2]. *)
-
 val render : format -> t -> string
-(** The whole buffered trace as one string (CSV includes the header
-    line; {!Binary} includes the stream header).  Text lines are
-    newline-terminated. *)
+(** The whole buffered trace as one string: newline-terminated
+    {!event_to_jsonl} lines, or the {!Binary} stream with its header. *)
 
 val write : format -> out_channel -> t -> unit
-(** Stream the buffered trace to a channel — line by line for the text
-    formats, in 64 KiB chunks for {!Binary}, so the export never holds
-    the whole byte stream. *)
+(** The bytes of {!render}, flushed to the channel in 64 KiB chunks so
+    the export never holds the whole byte stream. *)
 
 (** {1 Binary wire format}
 
@@ -224,8 +204,3 @@ val encoder_add_header : encoder -> unit
 val encode_event : encoder -> event -> unit
 (** Append one event record (preceded by string-definition records for
     any strings seen for the first time). *)
-
-val encoder_length : encoder -> int
-(** Bytes currently buffered. *)
-
-val encoder_contents : encoder -> string

@@ -380,29 +380,18 @@ let fold_jsonl src ~init ~f =
 
 (* --- format sniffing --- *)
 
-type detected = Binary | Jsonl | Csv
+type detected = Binary | Jsonl
 
 let detect src =
-  ensure src 10;
-  let avail = available src in
-  let prefix = Bytes.sub_string src.buf src.lo (if avail < 10 then avail else 10) in
-  let starts_with p =
-    String.length prefix >= String.length p
-    && String.sub prefix 0 (String.length p) = p
-  in
-  if starts_with Trace.binary_magic then Binary
-  else if starts_with Trace.csv_header || starts_with "time,node" then Csv
+  let n = String.length Trace.binary_magic in
+  ensure src n;
+  if
+    available src >= n
+    && Bytes.sub_string src.buf src.lo n = Trace.binary_magic
+  then Binary
   else Jsonl
 
 let fold_auto src ~init ~f =
   match detect src with
   | Binary -> fold_binary src ~init ~f
-  | Csv ->
-    Error
-      {
-        Scan.position = Line 1;
-        reason =
-          "this is a CSV trace; the streaming analyzers read binary or JSONL \
-           traces — re-run with --trace-format binary (or jsonl)";
-      }
   | Jsonl -> fold_jsonl src ~init ~f

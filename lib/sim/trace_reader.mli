@@ -37,14 +37,14 @@ val fold_jsonl :
 (** Fold over a JSONL trace (the exporter's own schema:
     time/node/kind/name/attrs per line; blank lines tolerated). *)
 
-type detected = Binary | Jsonl | Csv
+type detected = Binary | Jsonl
 
 val detect : source -> detected
 (** Sniff the stream prefix without consuming it: the binary magic,
-    the CSV header line, else JSONL. *)
+    else JSONL. *)
 
 val fold_auto :
   source -> init:'a -> f:('a -> Trace.event -> 'a) -> ('a, Scan.error) result
-(** {!detect}, then dispatch to the matching fold.  CSV is rejected
-    with an actionable error (the streaming analyzers read binary or
-    JSONL). *)
+(** {!detect}, then dispatch to the matching fold.  Anything that is
+    not a binary stream is read as JSONL, so other text fails with a
+    positioned JSONL error. *)

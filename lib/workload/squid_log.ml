@@ -52,8 +52,3 @@ let of_lines lines =
     Array.map (fun r -> { r with Trace.time_s = r.Trace.time_s -. t0 }) arr
   in
   (Trace.create arr, { parsed = !parsed; skipped = !skipped })
-
-let load ~path =
-  Result.map
-    (fun text -> of_lines (String.split_on_char '\n' text))
-    (Sim.Scan.read_file path)

@@ -26,7 +26,3 @@ val of_lines : string list -> Trace.t * parse_stats
 (** Build a trace from log lines: timestamps are shifted to start at 0
     and the records sorted (Squid logs are written at request
     completion, so they can be slightly out of order). *)
-
-val load : path:string -> (Trace.t * parse_stats, string) result
-(** Parse a log file; [Error] with the [Sys_error] message when it
-    cannot be read. *)

@@ -42,7 +42,7 @@ val parse : string -> (t, string) result
     the line: ["line N: ..."]. *)
 
 val load : path:string -> (t, string) result
-(** {!parse} of the file's text; [Error] with the [Sys_error] message
-    when it cannot be read. *)
+(** {!parse} of the file's text; [Error] naming the file when it
+    cannot be read (see {!Sim.Scan.read_file}). *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -49,9 +49,9 @@ let golden_jsonl =
     {|{"rule":"D1","severity":"error","file":"lib/sim/bad_random.ml","line":1,"col":14,"message":"nondeterministic RNG seeding; every stream must derive from an explicit seed via Sim.Rng","status":"active"}|};
     {|{"rule":"D2","severity":"error","file":"lib/sim/bad_random.ml","line":2,"col":14,"message":"Random.int uses the global Random state; draw from a Sim.Rng generator instead","status":"active"}|};
     {|{"rule":"D1","severity":"error","file":"lib/sim/bad_random.ml","line":3,"col":15,"message":"nondeterministic RNG seeding; every stream must derive from an explicit seed via Sim.Rng","status":"active"}|};
-    {|{"rule":"S2","severity":"error","file":"lib/sim/bad_stdout.ml","line":1,"col":16,"message":"print_endline writes to stdout from lib/; stdout belongs to exporters (CSV/JSONL) — route diagnostics to stderr or a formatter argument","status":"active"}|};
-    {|{"rule":"S2","severity":"error","file":"lib/sim/bad_stdout.ml","line":2,"col":15,"message":"Printf.printf writes to stdout from lib/; stdout belongs to exporters (CSV/JSONL) — route diagnostics to stderr or a formatter argument","status":"active"}|};
-    {|{"rule":"S2","severity":"error","file":"lib/sim/bad_stdout.ml","line":3,"col":16,"message":"Format.printf writes to stdout from lib/; stdout belongs to exporters (CSV/JSONL) — route diagnostics to stderr or a formatter argument","status":"active"}|};
+    {|{"rule":"S2","severity":"error","file":"lib/sim/bad_stdout.ml","line":1,"col":16,"message":"print_endline writes to stdout from lib/; stdout belongs to results and trace exports — route diagnostics to stderr or a formatter argument","status":"active"}|};
+    {|{"rule":"S2","severity":"error","file":"lib/sim/bad_stdout.ml","line":2,"col":15,"message":"Printf.printf writes to stdout from lib/; stdout belongs to results and trace exports — route diagnostics to stderr or a formatter argument","status":"active"}|};
+    {|{"rule":"S2","severity":"error","file":"lib/sim/bad_stdout.ml","line":3,"col":16,"message":"Format.printf writes to stdout from lib/; stdout belongs to results and trace exports — route diagnostics to stderr or a formatter argument","status":"active"}|};
     {|{"rule":"E0","severity":"error","file":"lib/sim/bad_syntax.ml","line":1,"col":13,"message":"syntax error; file cannot be checked","status":"active"}|};
     {|{"rule":"T1","severity":"error","file":"lib/sim/bad_trace.ml","line":5,"col":15,"message":"trace kind \"cs.sneaky\" is emitted here but absent from the registry; add it (and document it) before shipping the event","status":"active"}|};
     {|{"rule":"T4","severity":"error","file":"lib/sim/bad_trace.ml","line":7,"col":14,"message":"registered trace kind \"cs.quiet\" has no stable binary id: add a kind_id case mapping Quiet to its registry position 3, or binary traces cannot encode it","status":"active"}|};

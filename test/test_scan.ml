@@ -45,6 +45,18 @@ let test_fold_lines () =
     (Sim.Scan.fold_lines "ok\nbad\n" ~init:0 ~f:(fun n ~line:_ toks ->
          if toks = [ "bad" ] then Error "nope" else Ok (n + 1)))
 
+(* A file that cannot be opened or cannot be read is named once, so a
+   caller can report the error as it stands. *)
+let test_read_file_names_path_once () =
+  let dir = Filename.get_temp_dir_name () in
+  let missing = Filename.concat dir "no-such-file.scan" in
+  Alcotest.(check (result string string)) "failed open"
+    (Error (missing ^ ": No such file or directory"))
+    (Sim.Scan.read_file missing);
+  Alcotest.(check (result string string)) "failed read"
+    (Error (dir ^ ": Is a directory"))
+    (Sim.Scan.read_file dir)
+
 let test_json_string_modes () =
   let lex text = Sim.Scan.Json.lexer ~ws:false ~where:(fun i -> Sim.Scan.Byte i) text in
   Alcotest.(check string) "raw keeps the escapes" {|a\"b\q|}
@@ -170,6 +182,8 @@ let () =
         [
           Alcotest.test_case "error rendering" `Quick test_error_rendering;
           Alcotest.test_case "fold_lines" `Quick test_fold_lines;
+          Alcotest.test_case "read_file names the path once" `Quick
+            test_read_file_names_path_once;
           Alcotest.test_case "json string modes" `Quick test_json_string_modes;
         ] );
       ("totality", [ Alcotest.test_case "no parser raises" `Quick test_totality ]);

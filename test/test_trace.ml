@@ -65,7 +65,7 @@ let test_kind_of_string_unknown () =
 let test_format_of_string () =
   Alcotest.(check bool) "jsonl" true (Sim.Trace.format_of_string "jsonl" = Some Sim.Trace.Jsonl);
   Alcotest.(check bool) "json alias" true (Sim.Trace.format_of_string "json" = Some Sim.Trace.Jsonl);
-  Alcotest.(check bool) "csv" true (Sim.Trace.format_of_string "csv" = Some Sim.Trace.Csv);
+  Alcotest.(check bool) "csv is not a format" true (Sim.Trace.format_of_string "csv" = None);
   Alcotest.(check bool) "garbage" true (Sim.Trace.format_of_string "xml" = None)
 
 (* --- exporters --- *)
@@ -90,30 +90,6 @@ let test_jsonl_escaping () =
   Alcotest.(check bool) "single line" true
     (not (String.contains line '\n'))
 
-let test_csv_basic () =
-  Alcotest.(check string) "header" "time,node,kind,name,attrs"
-    Sim.Trace.csv_header;
-  Alcotest.(check string) "plain row" "1.250000,R,cs.hit,/prod/a,policy=lru"
-    (Sim.Trace.event_to_csv (ev ~attrs:[ ("policy", "lru") ] ()))
-
-let test_csv_quoting () =
-  let row =
-    Sim.Trace.event_to_csv (ev ~node:"a,b" ~name:"say \"hi\"" ~attrs:[] ())
-  in
-  Alcotest.(check bool) "comma field quoted" true
-    (contains row {|"a,b"|});
-  Alcotest.(check bool) "quotes doubled" true
-    (contains row {|"say ""hi"""|})
-
-let test_render_csv_has_header () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.emit t (ev ());
-  let s = Sim.Trace.render Sim.Trace.Csv t in
-  Alcotest.(check bool) "starts with header" true
-    (String.length s >= String.length Sim.Trace.csv_header
-    && String.sub s 0 (String.length Sim.Trace.csv_header)
-       = Sim.Trace.csv_header)
-
 (* --- tracer semantics --- *)
 
 let test_disabled_is_inert () =
@@ -121,9 +97,7 @@ let test_disabled_is_inert () =
   Alcotest.(check bool) "not enabled" false (Sim.Trace.enabled d);
   Sim.Trace.emit d (ev ());
   Alcotest.(check int) "emit buffers nothing" 0 (Sim.Trace.length d);
-  Alcotest.check_raises "subscribe raises"
-    (Invalid_argument "Trace.subscribe: tracer is disabled") (fun () ->
-      Sim.Trace.subscribe d ignore)
+  Alcotest.(check int) "no events" 0 (Array.length (Sim.Trace.events d))
 
 let test_buffering_order () =
   let t = Sim.Trace.create () in
@@ -143,14 +117,6 @@ let test_sink_streams () =
   Sim.Trace.emit t (ev ());
   Alcotest.(check int) "sink called per emit" 2 !seen;
   Alcotest.(check int) "nothing buffered" 0 (Sim.Trace.length t)
-
-let test_subscribe_extra_sink () =
-  let t = Sim.Trace.create () in
-  let seen = ref 0 in
-  Sim.Trace.subscribe t (fun _ -> incr seen);
-  Sim.Trace.emit t (ev ());
-  Alcotest.(check int) "sink saw the event" 1 !seen;
-  Alcotest.(check int) "and it is buffered too" 1 (Sim.Trace.length t)
 
 let test_merge_preserves_order () =
   let a = Sim.Trace.create () and b = Sim.Trace.create () in
@@ -232,18 +198,6 @@ let test_tracing_does_not_perturb_results () =
   Alcotest.(check bool) "identical RTT streams" true
     (rtts Sim.Trace.disabled = rtts (Sim.Trace.create ()))
 
-let test_tally_and_rate () =
-  let tracer = probe_trace () in
-  let tally = Sim.Trace.tally tracer in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 tally in
-  Alcotest.(check int) "tally counts every event" (Sim.Trace.length tracer)
-    total;
-  Alcotest.(check bool) "tally keys unique" true
-    (let keys = List.map fst tally in
-     List.length keys = List.length (List.sort_uniq compare keys));
-  Alcotest.(check bool) "events_per_ms positive" true
-    (Sim.Trace.events_per_ms tracer > 0.)
-
 (* --- determinism: --jobs invariance and the golden trace --- *)
 
 let campaign ~jobs =
@@ -258,11 +212,11 @@ let test_jobs_invariant_jsonl () =
   Alcotest.(check bool) "trace is non-trivial" true (String.length t1 > 1000);
   Alcotest.(check string) "byte-identical JSONL for --jobs 1 vs --jobs 4" t1 t4
 
-let test_jobs_invariant_csv () =
+let test_jobs_invariant_binary () =
   let r1 = campaign ~jobs:1 and r3 = campaign ~jobs:3 in
-  Alcotest.(check string) "byte-identical CSV for --jobs 1 vs --jobs 3"
-    (Sim.Trace.render Sim.Trace.Csv r1.Attack.Timing_experiment.trace)
-    (Sim.Trace.render Sim.Trace.Csv r3.Attack.Timing_experiment.trace)
+  Alcotest.(check string) "byte-identical binary for --jobs 1 vs --jobs 3"
+    (Sim.Trace.render Sim.Trace.Binary r1.Attack.Timing_experiment.trace)
+    (Sim.Trace.render Sim.Trace.Binary r3.Attack.Timing_experiment.trace)
 
 (* Golden trace for the canonical small probe run (LAN, seed 42, warm
    /prod/a then probe it).  The pinned digest is the determinism
@@ -598,18 +552,14 @@ let test_binary_format_of_string () =
   Alcotest.(check string) "to_string" "binary"
     (Sim.Trace.format_to_string Sim.Trace.Binary)
 
+(* [kind_id] maps [all_kinds] onto 0..n-1 in order. *)
 let test_kind_ids_are_registry_positions () =
   List.iteri
     (fun i k ->
       Alcotest.(check int)
         (Printf.sprintf "kind_id %s" (Sim.Trace.kind_to_string k))
-        i (Sim.Trace.kind_id k);
-      match Sim.Trace.kind_of_id i with
-      | Some k' when k' = k -> ()
-      | _ -> Alcotest.failf "kind_of_id %d does not invert kind_id" i)
-    Sim.Trace.all_kinds;
-  Alcotest.(check bool) "out of range" true (Sim.Trace.kind_of_id 999 = None);
-  Alcotest.(check bool) "negative" true (Sim.Trace.kind_of_id (-1) = None)
+        i (Sim.Trace.kind_id k))
+    Sim.Trace.all_kinds
 
 (* One event per registered kind, with out-of-order timestamps (merged
    per-trial streams restart virtual time, so the zigzag delta path
@@ -683,37 +633,45 @@ let qcheck_jsonl_reader_round_trip =
           (Sim.Scan.error_to_string e)
       | Ok parsed -> jsonl_of_events (List.rev parsed) = jsonl_of_events evs)
 
+(* The encoder only appends: the stream of any prefix of the events is
+   a prefix of the whole stream, which is what lets [write] flush it in
+   chunks. *)
 let test_binary_incremental_encoder () =
   let evs = Array.to_list (Sim.Trace.events (probe_trace ())) in
-  let enc = Sim.Trace.encoder_create () in
-  Sim.Trace.encoder_add_header enc;
-  List.iter (Sim.Trace.encode_event enc) evs;
-  Alcotest.(check int) "encoder_length" (String.length (Sim.Trace.encoder_contents enc))
-    (Sim.Trace.encoder_length enc);
-  Alcotest.(check string) "incremental = one-shot render"
+  let whole = Sim.Trace.render Sim.Trace.Binary (tracer_of_events evs) in
+  List.iteri
+    (fun k _ ->
+      let part =
+        Sim.Trace.render Sim.Trace.Binary
+          (tracer_of_events (List.filteri (fun i _ -> i < k) evs))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "first %d events are a prefix" k)
+        part
+        (String.sub whole 0 (String.length part)))
+    evs;
+  Alcotest.(check string) "rendering again is identical" whole
     (Sim.Trace.render Sim.Trace.Binary (tracer_of_events evs))
-    (Sim.Trace.encoder_contents enc);
-  (* reset reuses capacity but restarts the stream state *)
-  Sim.Trace.encoder_reset enc;
-  Sim.Trace.encoder_add_header enc;
-  List.iter (Sim.Trace.encode_event enc) evs;
-  Alcotest.(check string) "re-encoding after reset is identical"
-    (Sim.Trace.render Sim.Trace.Binary (tracer_of_events evs))
-    (Sim.Trace.encoder_contents enc)
 
+(* Both formats go through the one chunked writer; the campaign's JSONL
+   spans several 64 KiB chunks. *)
 let test_binary_write_matches_render () =
   let tr = (campaign ~jobs:1).Attack.Timing_experiment.trace in
-  let path = Filename.temp_file "trace" ".bin" in
-  let oc = open_out_bin path in
-  Sim.Trace.write Sim.Trace.Binary oc tr;
-  close_out oc;
-  let written = read_file path in
-  Sys.remove path;
-  Alcotest.(check int) "chunked write length"
-    (String.length (Sim.Trace.render Sim.Trace.Binary tr))
-    (String.length written);
-  Alcotest.(check bool) "chunked write = render" true
-    (written = Sim.Trace.render Sim.Trace.Binary tr)
+  List.iter
+    (fun fmt ->
+      let path = Filename.temp_file "trace" ".out" in
+      let oc = open_out_bin path in
+      Sim.Trace.write fmt oc tr;
+      close_out oc;
+      let written = read_file path in
+      Sys.remove path;
+      let what = Sim.Trace.format_to_string fmt in
+      let rendered = Sim.Trace.render fmt tr in
+      Alcotest.(check int) (what ^ " chunked write length")
+        (String.length rendered) (String.length written);
+      Alcotest.(check bool) (what ^ " chunked write = render") true
+        (written = rendered))
+    [ Sim.Trace.Binary; Sim.Trace.Jsonl ]
 
 (* Golden binary probe fixture: byte length + digest of the canonical
    probe run's binary trace.  Catches silent format drift the same way
@@ -797,17 +755,18 @@ let test_detect_and_auto () =
     (detect bin = Sim.Trace_reader.Binary);
   Alcotest.(check bool) "jsonl detected" true
     (detect js = Sim.Trace_reader.Jsonl);
-  Alcotest.(check bool) "csv detected" true
-    (detect "time,node,kind,name,attrs\n" = Sim.Trace_reader.Csv);
+  let csv = "time,node,kind,name,attrs\n" in
+  Alcotest.(check bool) "csv sniffs as jsonl" true
+    (detect csv = Sim.Trace_reader.Jsonl);
   (match
-     Sim.Trace_reader.fold_auto
-       (Sim.Trace_reader.of_string "time,node,kind,name,attrs\n")
-       ~init:() ~f:(fun () _ -> ())
+     Sim.Trace_reader.fold_auto (Sim.Trace_reader.of_string csv) ~init:()
+       ~f:(fun () _ -> ())
    with
   | Ok () -> Alcotest.fail "CSV must be rejected"
   | Error e ->
-    Alcotest.(check bool) "actionable CSV rejection" true
-      (contains (Sim.Scan.error_to_string e) "--trace-format binary"));
+    let msg = Sim.Scan.error_to_string e in
+    if e.Sim.Scan.position <> Sim.Scan.Column (1, 1) then
+      Alcotest.failf "CSV error %S is not at line 1, column 1" msg);
   let count s =
     match
       Sim.Trace_reader.fold_auto (Sim.Trace_reader.of_string s) ~init:0
@@ -996,17 +955,12 @@ let () =
         [
           Alcotest.test_case "jsonl basic" `Quick test_jsonl_basic;
           Alcotest.test_case "jsonl escaping" `Quick test_jsonl_escaping;
-          Alcotest.test_case "csv basic" `Quick test_csv_basic;
-          Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
-          Alcotest.test_case "csv render header" `Quick
-            test_render_csv_has_header;
         ] );
       ( "tracer",
         [
           Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
           Alcotest.test_case "buffering order" `Quick test_buffering_order;
           Alcotest.test_case "sink streams" `Quick test_sink_streams;
-          Alcotest.test_case "subscribe" `Quick test_subscribe_extra_sink;
           Alcotest.test_case "merge order" `Quick test_merge_preserves_order;
         ] );
       ( "emission",
@@ -1016,13 +970,13 @@ let () =
           Alcotest.test_case "times monotone" `Quick test_probe_times_monotone;
           Alcotest.test_case "tracing does not perturb results" `Quick
             test_tracing_does_not_perturb_results;
-          Alcotest.test_case "tally and rate" `Quick test_tally_and_rate;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "jobs-invariant jsonl" `Slow
             test_jobs_invariant_jsonl;
-          Alcotest.test_case "jobs-invariant csv" `Slow test_jobs_invariant_csv;
+          Alcotest.test_case "jobs-invariant binary" `Slow
+            test_jobs_invariant_binary;
           Alcotest.test_case "golden probe trace" `Quick
             test_golden_probe_trace;
           Alcotest.test_case "golden attack trace" `Slow

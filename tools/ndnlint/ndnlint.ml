@@ -524,6 +524,13 @@ let scan_structure ctx ~key_modules ~registry ~emit ~record_kind str =
   let check_ident loc path =
     let line, col = pos_of_loc loc in
     let f rule msg = emit ~rule ~line ~col ~msg in
+    let stdout_write name =
+      f "S2"
+        (Printf.sprintf
+           "%s writes to stdout from lib/; stdout belongs to results and \
+            trace exports — route diagnostics to stderr or a formatter \
+            argument" name)
+    in
     match path with
     | [ "Random"; "self_init" ] | [ "Random"; "State"; "make_self_init" ] ->
       f "D1"
@@ -576,17 +583,8 @@ let scan_structure ctx ~key_modules ~registry ~emit ~record_kind str =
     | [ "Printf"; "printf" ] | [ "Format"; "printf" ]
     | [ "Format"; "std_formatter" ] | [ "stdout" ]
       when ctx.in_lib ->
-      f "S2"
-        (Printf.sprintf
-           "%s writes to stdout from lib/; stdout belongs to exporters \
-            (CSV/JSONL) — route diagnostics to stderr or a formatter \
-            argument" (String.concat "." path))
-    | [ fn ] when ctx.in_lib && List.mem fn print_fns ->
-      f "S2"
-        (Printf.sprintf
-           "%s writes to stdout from lib/; stdout belongs to exporters \
-            (CSV/JSONL) — route diagnostics to stderr or a formatter \
-            argument" fn)
+      stdout_write (String.concat "." path)
+    | [ fn ] when ctx.in_lib && List.mem fn print_fns -> stdout_write fn
     | _ -> ()
   in
   (* T4 state: the constructor -> wire-name cases of [kind_to_string]
