@@ -412,7 +412,7 @@ let jsonl_emit_workload events =
     for _ = 1 to ops / n do
       Buffer.clear buf;
       for i = 0 to n - 1 do
-        Buffer.add_string buf (Sim.Trace.event_to_jsonl (Array.unsafe_get events i));
+        Sim.Trace.add_jsonl buf (Array.unsafe_get events i);
         Buffer.add_char buf '\n'
       done
     done

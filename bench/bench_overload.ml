@@ -1,10 +1,10 @@
 (* bench overload: graceful degradation under interest flooding.
 
-   Reuses bench scale's generated ISP tree (item-1 scale: arity 10,
-   5 tiers = 11,111 routers / 1M represented users; --quick: arity 14,
-   3 tiers = 211 routers) and its tier-classification timing attack,
-   then arms the robust forwarding plane and sweeps a seeded
-   interest-flooding adversary (Workload.Flood) across
+   Runs [Tier_attack], the generated ISP tree and tier-classification
+   timing attack it shares with bench scale (arity 10, 5 tiers =
+   11,111 routers / 1M represented users; --quick: arity 14, 3 tiers =
+   211 routers), then arms the robust forwarding plane and sweeps a
+   seeded interest-flooding adversary (Workload.Flood) across
 
      flood intensity x PIT admission policy x link-queue depth.
 
@@ -12,8 +12,8 @@
 
    - warm: one aggregate consumer per access router (Zipf + diurnal);
    - calibration (clean window, before the flood): per-tier RTT
-     centroids measured from an adversary host exactly as bench scale
-     does, plus an origin centroid;
+     centroids measured from the adversary host as in bench scale,
+     but scheduled ahead of the one run, plus an origin centroid;
    - flood: a host behind the adversary's access router floods
      [prefix/boom/...] — a subnamespace the producer host resolves to
      a handler that never answers, so each interest pins a PIT entry
@@ -50,9 +50,6 @@
 let clock_ns () = Int64.to_float (Monotonic_clock.now ())
 
 type params = {
-  arity : int;
-  ntiers : int;
-  users_per_edge : int;
   req_per_user_per_hour : float;
   warm_ms : float;
   probes : int;
@@ -60,15 +57,11 @@ type params = {
   util_working_set : int;
   pit_capacity : int;
   queue_rate_mbps : float;
-  spec : string;
 }
 
 let params ~quick =
   if quick then
     {
-      arity = 14;
-      ntiers = 3;
-      users_per_edge = 100;
       req_per_user_per_hour = 600.;
       warm_ms = 8_000.;
       probes = 48;
@@ -76,15 +69,9 @@ let params ~quick =
       util_working_set = 8;
       pit_capacity = 512;
       queue_rate_mbps = 4.;
-      spec =
-        "generate tree name=overload arity=14 cs=4096,1024,256 \
-         latency=const:8,const:2,const:1 payload=16 seed=7";
     }
   else
     {
-      arity = 10;
-      ntiers = 5;
-      users_per_edge = 100;
       req_per_user_per_hour = 60.;
       warm_ms = 10_000.;
       probes = 120;
@@ -92,10 +79,6 @@ let params ~quick =
       util_working_set = 12;
       pit_capacity = 2048;
       queue_rate_mbps = 4.;
-      spec =
-        "generate tree name=overload arity=10 \
-         cs=8192,4096,1024,512,256 \
-         latency=const:8,const:4,const:2,const:1,const:0.5 payload=16 seed=7";
     }
 
 (* Sweep grid: intensities x admission policies at the default queue
@@ -118,6 +101,7 @@ let depth_sweep_policy = Ndn.Pit.Evict_oldest
 
 (* ------------------------------------------------------------------ *)
 
+module TA = Tier_attack
 module TS = Ndn.Topology_spec
 
 type point = {
@@ -141,37 +125,20 @@ type point = {
   wall_s : float;
 }
 
-let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
-  let k = p.ntiers in
-  let topo =
-    match TS.build ~seed:11 spec with
-    | Ok t -> t
-    | Error e -> failwith ("bench overload: build failed: " ^ e)
-  in
-  let net = topo.TS.network in
-  let prefix = TS.Gen.prefix decl in
-  let label i = TS.Gen.node_label decl g i in
-  let node_of i =
-    match Ndn.Network.node net (label i) with
-    | Some n -> n
-    | None -> assert false
-  in
+let run_point ~p ~a ~flood_rate ~policy ~depth () =
+  let net = TA.build a in
+  let prefix = TA.prefix a and path = a.TA.path in
+  let label = TA.label a and node_of = TA.node_of a net in
   (* --- robust plane: finite PITs + NACKs everywhere, queues on the
      adversary path --- *)
   List.iter
     (fun (_, n) -> Ndn.Node.set_nacks_enabled n true)
     (Ndn.Network.nodes net);
-  for i = 0 to g.TS.Gen.node_count - 1 do
+  for i = 0 to a.TA.graph.TS.Gen.node_count - 1 do
     Ndn.Node.set_pit_limits (node_of i) ~capacity:p.pit_capacity
       ~admission:policy ()
   done;
-  let adv_leaf = off.(k - 1) + (counts.(k - 1) / 2) in
-  let parent = TS.Gen.parents g in
-  let path = Array.make k adv_leaf in
-  for t = k - 2 downto 0 do
-    path.(t) <- parent.(path.(t + 1))
-  done;
-  for t = 0 to k - 2 do
+  for t = 0 to a.TA.tiers - 2 do
     match
       Ndn.Network.set_link_queue net ~a:(label path.(t))
         ~b:(label path.(t + 1))
@@ -185,7 +152,7 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
      every flood interest pins PIT state along the whole path for the
      full lifetime. *)
   let producer =
-    match Ndn.Network.node net (TS.Gen.producer_label decl) with
+    match Ndn.Network.node net (TS.Gen.producer_label a.TA.decl) with
     | Some n -> n
     | None -> assert false
   in
@@ -193,37 +160,14 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
   Ndn.Node.add_producer producer ~prefix:boom (fun _ -> None);
 
   (* --- honest background: one aggregate per access router --- *)
-  let config =
-    {
-      Workload.Aggregate.default with
-      users = p.users_per_edge;
-      req_per_user_per_hour = p.req_per_user_per_hour;
-      catalog = 10_000;
-      zipf_s = 0.85;
-      diurnal_amplitude = 0.5;
-      diurnal_period_ms = p.warm_ms;
-      max_retries = 1;
-    }
-  in
-  let master = Sim.Rng.create 2013 in
   let aggregates =
-    List.map
-      (fun i ->
-        let rng = Sim.Rng.split master in
-        ( i,
-          Workload.Aggregate.attach config ~node:(node_of i) ~prefix ~rng
-            ~until:p.warm_ms () ))
-      g.TS.Gen.edge_routers
+    TA.attach_aggregates ~req_per_user_per_hour:p.req_per_user_per_hour a net
+      ~warm_ms:p.warm_ms
   in
 
   (* --- hosts behind the attacked access router --- *)
-  let access = node_of adv_leaf in
   let host name =
-    let h = Ndn.Network.add_node net ~cs_capacity:0 ~caching:false name in
-    let face, _ =
-      Ndn.Network.connect net ~latency:(Sim.Latency.Constant 0.25) h access
-    in
-    Ndn.Network.route net h ~prefix ~via:face;
+    let h = TA.add_host a net name in
     Ndn.Node.set_nacks_enabled h true;
     h
   in
@@ -235,7 +179,7 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
      cohort below measures how much cache benefit private consumers
      retain under overload. *)
   let rc =
-    Core.Private_router.attach access
+    Core.Private_router.attach (node_of a.TA.adv_leaf)
       ~rng:(Sim.Rng.create 9091)
       (Core.Private_router.Random_cache_mimic
          {
@@ -244,50 +188,33 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
          })
   in
 
-  (* --- calibration (clean window): per-tier centroids, as in bench
-     scale: plant cal-l from a helper access router whose path joins
-     the adversary's exactly at tier l, then time the adversary's own
-     fetch of it. *)
-  let ia = adv_leaf - off.(k - 1) in
-  let pow a b =
-    let r = ref 1 in
-    for _ = 1 to b do
-      r := !r * a
-    done;
-    !r
-  in
-  let helper_leaf l =
-    if l = k - 1 then adv_leaf
-    else begin
-      let j = ia / pow p.arity (k - 2 - l) in
-      let j' = if j mod p.arity < p.arity - 1 then j + 1 else j - 1 in
-      off.(k - 1) + (j' * pow p.arity (k - 2 - l))
-    end
-  in
-  let centroids = Array.make k Float.infinity in
-  let origin_centroid = ref Float.infinity in
+  (* --- calibration (clean window): the tier centroids of
+     [Tier_attack], scheduled ahead of the run: each helper plants its
+     tier's name, then the adversary times its own fetch of it. *)
+  let k = a.TA.tiers in
+  let tier = Array.make k Float.infinity in
+  let origin = ref Float.infinity in
   let t_plant = 0.28 *. p.warm_ms and t_cal = 0.34 *. p.warm_ms in
+  let time_fetch slot name on_rtt =
+    Ndn.Node.schedule_app_at adv
+      ~time:(t_cal +. (10. *. float_of_int slot))
+      (fun () ->
+        Ndn.Node.express_interest adv
+          ~on_data:(fun ~rtt_ms _ -> on_rtt rtt_ms)
+          name)
+  in
   for l = 0 to k - 1 do
-    let cal = Ndn.Name.append prefix (Printf.sprintf "ov-cal-%d" l) in
-    let helper = node_of (helper_leaf l) in
+    let cal = TA.calibration_name a l in
+    let helper = node_of (TA.helper_leaf a l) in
     Ndn.Node.schedule_app_at helper
       ~time:(t_plant +. (10. *. float_of_int l))
       (fun () ->
         Ndn.Node.express_interest helper
           ~on_data:(fun ~rtt_ms:_ _ -> ())
           cal);
-    Ndn.Node.schedule_app_at adv
-      ~time:(t_cal +. (10. *. float_of_int l))
-      (fun () ->
-        Ndn.Node.express_interest adv
-          ~on_data:(fun ~rtt_ms _ -> centroids.(l) <- rtt_ms)
-          cal)
+    time_fetch l cal (fun rtt -> tier.(l) <- rtt)
   done;
-  Ndn.Node.schedule_app_at adv ~time:(t_cal +. (10. *. float_of_int k))
-    (fun () ->
-      Ndn.Node.express_interest adv
-        ~on_data:(fun ~rtt_ms _ -> origin_centroid := rtt_ms)
-        (Ndn.Name.append prefix "ov-cal-origin"));
+  time_fetch k (TA.calibration_name a (-1)) (fun rtt -> origin := rtt);
 
   (* --- flood --- *)
   let t_flood = 0.45 *. p.warm_ms in
@@ -311,40 +238,23 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
     end
   in
 
-  (* --- probes during the flood --- *)
-  let ground_truth name =
-    let holds t =
-      Ndn.Content_store.mem (Ndn.Node.content_store (node_of path.(t))) name
-    in
-    let rec deepest t =
-      if t < 0 then -1 else if holds t then t else deepest (t - 1)
-    in
-    deepest (k - 1)
-  in
-  let probe_rng = Sim.Rng.create 4177 in
-  let zipf = Workload.Zipf.create ~n:config.catalog ~s:config.zipf_s in
+  (* --- probes during the flood: truth is read when each probe
+     leaves, and a timeout is left unclassified until the harvest --- *)
   let results = ref [] in
   let t_probe0 = 0.55 *. p.warm_ms in
   let probe_step = 0.40 *. p.warm_ms /. float_of_int p.probes in
-  for i = 1 to p.probes do
-    let name =
-      match i mod 3 with
-      | 0 -> Ndn.Name.append prefix (Printf.sprintf "ov-fresh-%d" i)
-      | 1 -> Ndn.Name.append prefix (string_of_int ((i mod 8) + 1))
-      | _ ->
-        Ndn.Name.append prefix
-          (string_of_int (Workload.Zipf.sample zipf probe_rng))
-    in
-    Ndn.Node.schedule_app_at adv
-      ~time:(t_probe0 +. (probe_step *. float_of_int i))
-      (fun () ->
-        let truth = ground_truth name in
-        Ndn.Node.express_interest adv ~timeout_ms:1500.
-          ~on_data:(fun ~rtt_ms _ ->
-            results := (truth, Some rtt_ms) :: !results)
-          ~on_timeout:(fun () -> results := (truth, None) :: !results)
-          name)
-  done;
+  List.iteri
+    (fun i0 name ->
+      Ndn.Node.schedule_app_at adv
+        ~time:(t_probe0 +. (probe_step *. float_of_int (i0 + 1)))
+        (fun () ->
+          let truth = TA.ground_truth a net name in
+          Ndn.Node.express_interest adv ~timeout_ms:1500.
+            ~on_data:(fun ~rtt_ms _ ->
+              results := (truth, Some rtt_ms) :: !results)
+            ~on_timeout:(fun () -> results := (truth, None) :: !results)
+            name))
+    (TA.probe_names a ~count:p.probes);
 
   (* --- honest consumer-private cohort with backoff --- *)
   let give_ups = ref 0 and completed = ref 0 in
@@ -376,20 +286,10 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
   let wall_s = (clock_ns () -. t0) /. 1e9 in
   let events = Ndn.Network.events_processed net in
 
+  let centroids = { TA.origin = !origin; tier } in
   let classify = function
     | None -> -1 (* timeout: the attacker's only consistent guess *)
-    | Some rtt ->
-      let best = ref (-1)
-      and best_d = ref (Float.abs (rtt -. !origin_centroid)) in
-      Array.iteri
-        (fun l c ->
-          let d = Float.abs (rtt -. c) in
-          if d < !best_d then begin
-            best := l;
-            best_d := d
-          end)
-        centroids;
-      !best
+    | Some rtt -> TA.classify centroids rtt
   in
   let total = List.length !results in
   let correct =
@@ -417,10 +317,10 @@ let run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () =
   in
   let issued, timeouts, edge_issued, edge_timeouts =
     List.fold_left
-      (fun (i, t, ei, et) (r, a) ->
-        let ai = Workload.Aggregate.requests_issued a
-        and at = Workload.Aggregate.timeouts a in
-        if r = adv_leaf then (i + ai, t + at, ei + ai, et + at)
+      (fun (i, t, ei, et) (r, agg) ->
+        let ai = Workload.Aggregate.requests_issued agg
+        and at = Workload.Aggregate.timeouts agg in
+        if r = a.TA.adv_leaf then (i + ai, t + at, ei + ai, et + at)
         else (i + ai, t + at, ei, et))
       (0, 0, 0, 0) aggregates
   in
@@ -503,42 +403,19 @@ let run ~quick () =
     "@.================ Overload: interest flooding vs. the robust plane \
      ================@.";
   let p = params ~quick in
-  let spec =
-    match TS.parse_spec p.spec with
-    | Ok s -> s
-    | Error e -> failwith ("bench overload: bad spec: " ^ e)
-  in
-  let decl =
-    match
-      List.find_map
-        (function _, TS.Generate_decl d -> Some d | _ -> None)
-        spec
-    with
-    | Some d -> d
-    | None -> assert false
-  in
-  let g = TS.Gen.graph_of decl in
-  let k = p.ntiers in
-  let off = Array.make (k + 1) 0 in
-  let counts = Array.make k 1 in
-  for t = 1 to k - 1 do
-    counts.(t) <- counts.(t - 1) * p.arity
-  done;
-  for t = 0 to k - 1 do
-    off.(t + 1) <- off.(t) + counts.(t)
-  done;
+  let a = TA.create ~quick ~name:"overload" ~stem:"ov-" in
+  let access = TA.access_routers a in
   Format.printf
     "graph: %d routers, %d access routers, %d represented users; pit cap \
      %d, queue %.1f Mbps@."
-    g.TS.Gen.node_count
-    counts.(k - 1)
-    (p.users_per_edge * counts.(k - 1))
+    a.TA.graph.TS.Gen.node_count access
+    (TA.users_per_edge * access)
     p.pit_capacity p.queue_rate_mbps;
   Format.printf
     "  flood/ms  policy        depth  accuracy   fnr  rc-util  give-up  \
      edge-goodput@.";
   let run_one ~flood_rate ~policy ~depth =
-    let pt = run_point ~p ~spec ~decl ~g ~off ~counts ~flood_rate ~policy ~depth () in
+    let pt = run_point ~p ~a ~flood_rate ~policy ~depth () in
     Format.printf
       "  %8.2f  %-12s  %5d    %6.1f%%  %4.2f   %6.1f%%  %6.1f%%        \
        %6.1f%%  (%.1fs)@."
@@ -570,9 +447,9 @@ let run ~quick () =
   Ledger.write "overload"
     [
       ("quick", string_of_bool quick);
-      ("routers", string_of_int g.TS.Gen.node_count);
-      ("access_routers", string_of_int counts.(k - 1));
-      ("represented_users", string_of_int (p.users_per_edge * counts.(k - 1)));
+      ("routers", string_of_int a.TA.graph.TS.Gen.node_count);
+      ("access_routers", string_of_int access);
+      ("represented_users", string_of_int (TA.users_per_edge * access));
       ("pit_capacity", string_of_int p.pit_capacity);
       ("queue_rate_mbps", Printf.sprintf "%.1f" p.queue_rate_mbps);
       ("default_queue_depth", string_of_int default_queue_depth);

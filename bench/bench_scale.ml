@@ -20,6 +20,8 @@
      nearest calibration centroid.  Per-tier accuracy is the fraction
      of probes whose guess matches the truth.
 
+   The tree, the calibration names, the classifier, the ground truth
+   and the probe mix are [Tier_attack]'s, shared with bench overload.
    Default scale: arity 10, 5 tiers = 11,111 routers, 10,000 access
    routers x 100 users = 1M represented users.  --quick: arity 14,
    3 tiers = 211 routers for the CI smoke job.
@@ -29,42 +31,15 @@
 
 let clock_ns () = Int64.to_float (Monotonic_clock.now ())
 
-type params = {
-  arity : int;
-  ntiers : int;
-  users_per_edge : int;
-  warm_ms : float;
-  probes : int;
-  spec : string;
-}
+type params = { warm_ms : float; probes : int }
 
 let params ~quick =
-  if quick then
-    {
-      arity = 14;
-      ntiers = 3;
-      users_per_edge = 100;
-      warm_ms = 60_000.;
-      probes = 60;
-      spec =
-        "generate tree name=scale arity=14 cs=4096,1024,256 \
-         latency=const:8,const:2,const:1 payload=16 seed=7";
-    }
-  else
-    {
-      arity = 10;
-      ntiers = 5;
-      users_per_edge = 100;
-      warm_ms = 600_000.;
-      probes = 200;
-      spec =
-        "generate tree name=scale arity=10 \
-         cs=8192,4096,1024,512,256 \
-         latency=const:8,const:4,const:2,const:1,const:0.5 payload=16 seed=7";
-    }
+  if quick then { warm_ms = 60_000.; probes = 60 }
+  else { warm_ms = 600_000.; probes = 200 }
 
 (* ------------------------------------------------------------------ *)
 
+module TA = Tier_attack
 module TS = Ndn.Topology_spec
 
 (* One warm phase: build the tree (optionally sharded over [shards]
@@ -83,62 +58,24 @@ type warm_result = {
   wtimeouts : int;
 }
 
-let aggregate_config p =
-  {
-    Workload.Aggregate.default with
-    users = p.users_per_edge;
-    catalog = 10_000;
-    zipf_s = 0.85;
-    diurnal_amplitude = 0.5;
-    diurnal_period_ms = p.warm_ms;
-    max_retries = 1;
-  }
-
-let warm_phase ~p ~spec ~decl ~g ?shards () =
-  let topo =
-    match TS.build ~seed:11 ?shards spec with
-    | Ok t -> t
-    | Error e -> failwith ("bench scale: build failed: " ^ e)
-  in
-  let net = topo.TS.network in
-  let prefix = TS.Gen.prefix decl in
-  let node_of i =
-    match Ndn.Network.node net (TS.Gen.node_label decl g i) with
-    | Some n -> n
-    | None -> assert false
-  in
-  let config = aggregate_config p in
-  let master = Sim.Rng.create 2013 in
+let warm_phase ~p ~a ?shards () =
+  let net = TA.build ?shards a in
   let aggregates =
-    List.map
-      (fun i ->
-        let rng = Sim.Rng.split master in
-        Workload.Aggregate.attach config ~node:(node_of i) ~prefix ~rng
-          ~until:p.warm_ms ())
-      g.TS.Gen.edge_routers
+    List.map snd (TA.attach_aggregates a net ~warm_ms:p.warm_ms)
   in
   let t0 = clock_ns () in
   let ev0 = Ndn.Network.events_processed net in
   Ndn.Network.run net;
   let wall_s = (clock_ns () -. t0) /. 1e9 in
   let events = Ndn.Network.events_processed net - ev0 in
-  let issued =
-    List.fold_left
-      (fun acc a -> acc + Workload.Aggregate.requests_issued a)
-      0 aggregates
-  in
-  let timeouts =
-    List.fold_left
-      (fun acc a -> acc + Workload.Aggregate.timeouts a)
-      0 aggregates
-  in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 aggregates in
   {
     wnet = net;
     wevents = events;
     wwindows = Ndn.Network.windows net;
     wwall_s = wall_s;
-    wissued = issued;
-    wtimeouts = timeouts;
+    wissued = sum Workload.Aggregate.requests_issued;
+    wtimeouts = sum Workload.Aggregate.timeouts;
   }
 
 let run ~quick ?shards () =
@@ -146,35 +83,13 @@ let run ~quick ?shards () =
     "@.================ Scale: generated ISP tree + aggregate consumers \
      ================@.";
   let p = params ~quick in
-  let spec =
-    match TS.parse_spec p.spec with
-    | Ok s -> s
-    | Error e -> failwith ("bench scale: bad spec: " ^ e)
-  in
-  let decl =
-    match
-      List.find_map
-        (function _, TS.Generate_decl d -> Some d | _ -> None)
-        spec
-    with
-    | Some d -> d
-    | None -> assert false
-  in
-  let g = TS.Gen.graph_of decl in
-  let k = p.ntiers in
-  (* Tier offsets: tier t spans [off.(t), off.(t+1)). *)
-  let off = Array.make (k + 1) 0 in
-  let counts = Array.make k 1 in
-  for t = 1 to k - 1 do
-    counts.(t) <- counts.(t - 1) * p.arity
-  done;
-  for t = 0 to k - 1 do
-    off.(t + 1) <- off.(t) + counts.(t)
-  done;
+  let a = TA.create ~quick ~name:"scale" ~stem:"" in
+  let g = a.TA.graph and k = a.TA.tiers and counts = a.TA.counts in
+  let access = TA.access_routers a in
   Format.printf "graph: %d routers, %d links, diameter %d, %d access routers@."
     g.TS.Gen.node_count
     (List.length g.TS.Gen.edges)
-    g.TS.Gen.diameter counts.(k - 1);
+    g.TS.Gen.diameter access;
 
   (* --- warm phase: one aggregate consumer per access router ---
      Always on one engine domain: a sharded run's wall time depends on
@@ -182,23 +97,15 @@ let run ~quick ?shards () =
      which the first sharded run after an idle spell pays in full, so
      the headline times the single-domain run and the [--shards]
      sweep below reports every K on its own row. *)
-  let w = warm_phase ~p ~spec ~decl ~g () in
+  let w = warm_phase ~p ~a () in
   let net = w.wnet in
-  let prefix = TS.Gen.prefix decl in
-  let label i = TS.Gen.node_label decl g i in
-  let node_of i =
-    match Ndn.Network.node net (label i) with
-    | Some n -> n
-    | None -> assert false
-  in
+  let node_of = TA.node_of a net in
   let events = w.wevents and wall_s = w.wwall_s in
   let issued = w.wissued and timeouts = w.wtimeouts in
   let events_per_sec = float_of_int events /. Float.max 1e-9 wall_s in
   Format.printf
     "warm: %d requests from %d aggregates (%d users), %d timeouts@." issued
-    counts.(k - 1)
-    (p.users_per_edge * counts.(k - 1))
-    timeouts;
+    access (TA.users_per_edge * access) timeouts;
   Format.printf "engine: %d events in %.2f s wall = %.0f events/s@." events
     wall_s events_per_sec;
 
@@ -206,125 +113,50 @@ let run ~quick ?shards () =
   let tier_interests = Array.make k 0 in
   let tier_hits = Array.make k 0 in
   for t = 0 to k - 1 do
-    for i = off.(t) to off.(t + 1) - 1 do
+    for i = a.TA.off.(t) to a.TA.off.(t + 1) - 1 do
       let c = Ndn.Node.counters (node_of i) in
       tier_interests.(t) <- tier_interests.(t) + c.Ndn.Node.interests_received;
       tier_hits.(t) <- tier_hits.(t) + c.Ndn.Node.cache_responses
     done
   done;
 
-  (* --- adversary host behind one access router --- *)
-  let adv_leaf = off.(k - 1) + (counts.(k - 1) / 2) in
-  let adv =
-    Ndn.Network.add_node net ~cs_capacity:0 ~caching:false "scale-adv"
-  in
-  let adv_face, _ =
-    Ndn.Network.connect net
-      ~latency:(Sim.Latency.Constant 0.25)
-      adv (node_of adv_leaf)
-  in
-  Ndn.Network.route net adv ~prefix ~via:adv_face;
-  (* Ancestor chain: path.(t) is the adversary path's router at tier t
-     (path.(k-1) = the access router itself). *)
-  let parent = TS.Gen.parents g in
-  let path = Array.make k adv_leaf in
-  for t = k - 2 downto 0 do
-    path.(t) <- parent.(path.(t + 1))
-  done;
-  (* Within-access-tier index of the adversary's leaf. *)
-  let ia = adv_leaf - off.(k - 1) in
-  let pow a b =
-    let r = ref 1 in
-    for _ = 1 to b do
-      r := !r * a
-    done;
-    !r
-  in
-  (* Calibration: for tier l, a helper access router whose path joins
-     the adversary's exactly at tier l — a leftmost access descendant
-     of a sibling (at tier l+1) of the adversary's tier-(l+1)
-     ancestor.  For l = k-1 the helper is the adversary's own access
-     router. *)
-  let helper_leaf l =
-    if l = k - 1 then adv_leaf
-    else begin
-      let j = ia / pow p.arity (k - 2 - l) in
-      let j' = if j mod p.arity < p.arity - 1 then j + 1 else j - 1 in
-      off.(k - 1) + (j' * pow p.arity (k - 2 - l))
-    end
-  in
+  (* --- adversary host behind one access router; calibration: plant
+     each tier's name from its helper, then time the adversary's fetch
+     of it, in sequence --- *)
+  let adv = TA.add_host a net "scale-adv" in
   let probe name = Ndn.Network.fetch_rtt net ~from:adv name in
-  let centroids =
+  let rtt_of name = Option.value (probe name) ~default:Float.infinity in
+  let tier =
     Array.init k (fun l ->
-        let cal = Ndn.Name.append prefix (Printf.sprintf "cal-%d" l) in
-        ignore (Ndn.Network.fetch_rtt net ~from:(node_of (helper_leaf l)) cal);
-        match probe cal with Some rtt -> rtt | None -> Float.infinity)
+        let cal = TA.calibration_name a l in
+        ignore (Ndn.Network.fetch_rtt net ~from:(node_of (TA.helper_leaf a l)) cal);
+        rtt_of cal)
   in
-  let origin_centroid =
-    let cal = Ndn.Name.append prefix "cal-origin" in
-    match probe cal with Some rtt -> rtt | None -> Float.infinity
-  in
-  Format.printf "centroids (rtt ms): origin %.2f,%s@." origin_centroid
+  let centroids = { TA.origin = rtt_of (TA.calibration_name a (-1)); tier } in
+  Format.printf "centroids (rtt ms): origin %.2f,%s@." centroids.TA.origin
     (String.concat ","
        (Array.to_list
-          (Array.mapi (fun l c -> Printf.sprintf " t%d %.2f" l c) centroids)));
+          (Array.mapi (fun l c -> Printf.sprintf " t%d %.2f" l c) tier)));
 
   (* --- probe sweep --- *)
-  let classify rtt =
-    (* Nearest centroid; -1 encodes "origin server". *)
-    let best = ref (-1) and best_d = ref (Float.abs (rtt -. origin_centroid)) in
-    Array.iteri
-      (fun l c ->
-        let d = Float.abs (rtt -. c) in
-        if d < !best_d then begin
-          best := l;
-          best_d := d
-        end)
-      centroids;
-    !best
-  in
-  (* The interest climbs adv → access (tier k-1) → … → core (tier 0)
-     → P, so the deepest-tier cache on the path holding the name is
-     the one that serves; -1 means it reaches the origin. *)
-  let ground_truth name =
-    let holds t =
-      Ndn.Content_store.mem (Ndn.Node.content_store (node_of path.(t))) name
-    in
-    let rec deepest t = if t < 0 then -1 else if holds t then t else deepest (t - 1) in
-    deepest (k - 1)
-  in
-  let probe_rng = Sim.Rng.create 4177 in
-  let config = aggregate_config p in
-  let zipf = Workload.Zipf.create ~n:config.catalog ~s:config.zipf_s in
   let tier_probes = Array.make (k + 1) 0 in
   let tier_correct = Array.make (k + 1) 0 in
   (* Index k holds the origin-served bucket. *)
   let bucket t = if t = -1 then k else t in
-  for i = 1 to p.probes do
-    (* A third fresh names (origin-served), a third head ranks (likely
-       resident in the adversary's own access cache), a third Zipf
-       draws (mid-tail, served wherever they last landed). *)
-    let name =
-      match i mod 3 with
-      | 0 -> Ndn.Name.append prefix (Printf.sprintf "fresh-%d" i)
-      | 1 -> Ndn.Name.append prefix (string_of_int ((i mod 8) + 1))
-      | _ ->
-        Ndn.Name.append prefix
-          (string_of_int (Workload.Zipf.sample zipf probe_rng))
-    in
-    let truth = ground_truth name in
-    match probe name with
-    | None -> ()
-    | Some rtt ->
-      let guess = classify rtt in
-      tier_probes.(bucket truth) <- tier_probes.(bucket truth) + 1;
-      if guess = truth then
-        tier_correct.(bucket truth) <- tier_correct.(bucket truth) + 1
-  done;
+  List.iter
+    (fun name ->
+      let truth = TA.ground_truth a net name in
+      match probe name with
+      | None -> ()
+      | Some rtt ->
+        tier_probes.(bucket truth) <- tier_probes.(bucket truth) + 1;
+        if TA.classify centroids rtt = truth then
+          tier_correct.(bucket truth) <- tier_correct.(bucket truth) + 1)
+    (TA.probe_names a ~count:p.probes);
 
   (* --- report --- *)
   let cs_of_tier t =
-    match decl.TS.gen_model with
+    match a.TA.decl.TS.gen_model with
     | TS.Gen_tree { tiers; _ } -> (List.nth tiers t).TS.tier_cs
     | _ -> 0
   in
@@ -392,7 +224,7 @@ let run ~quick ?shards () =
       let rows =
         List.map
           (fun sk ->
-            let r = if sk = 1 then w else warm_phase ~p ~spec ~decl ~g ~shards:sk () in
+            let r = if sk = 1 then w else warm_phase ~p ~a ~shards:sk () in
             Format.printf
               "shards %d: %d events in %.2f s wall = %.0f events/s, %d windows@." sk
               r.wevents r.wwall_s
@@ -435,8 +267,8 @@ let run ~quick ?shards () =
     ([
        ("quick", string_of_bool quick);
        ("routers", string_of_int g.TS.Gen.node_count);
-       ("access_routers", string_of_int counts.(k - 1));
-       ("represented_users", string_of_int (p.users_per_edge * counts.(k - 1)));
+       ("access_routers", string_of_int access);
+       ("represented_users", string_of_int (TA.users_per_edge * access));
        ("requests", string_of_int issued);
        ("events", string_of_int events);
        ("wall_s", Printf.sprintf "%.3f" wall_s);

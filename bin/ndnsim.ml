@@ -673,8 +673,9 @@ let topo_cmd =
       | Some _, Some _ ->
         Format.eprintf "--file and --generate are mutually exclusive@.";
         exit 1
-      | Some file, None ->
-        Ndn.Topology_spec.parse_file ~seed ~tracer ~path:file ()
+      | Some (path, spec), None ->
+        Result.map_error (Printf.sprintf "%s: %s" path)
+          (Ndn.Topology_spec.build ~seed ~tracer spec)
       | None, Some directive ->
         let text = "generate " ^ directive ^ "\n" in
         Result.bind (Ndn.Topology_spec.parse_spec text) (fun spec ->
@@ -753,9 +754,13 @@ let topo_cmd =
       | None -> ())
   in
   let file =
+    (* The path rides along with the spec, so a build error names the
+       file as a syntax error does; only [spec]'s parser is used. *)
+    let spec = file_conv ~parse:Ndn.Topology_spec.parse_spec ~print:(fun _ _ -> ()) in
+    let load path = Result.map (fun s -> (path, s)) (Arg.conv_parser spec path) in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (conv (load, fun ppf (path, _) -> Format.pp_print_string ppf path))) None
       & info [ "file" ] ~docv:"FILE" ~doc:"Topology specification file.")
   in
   let generate =

@@ -1,5 +1,7 @@
 (** Exact request-count recovery against the naïve k-threshold scheme
-    (Section VI, "A Non-Private Naïve Approach").
+    (Section VI, "A Non-Private Naïve Approach"): Algorithm 1 with
+    {!Core.Kdist.Constant} [k], which misses the first request and then
+    requests 1…k and hits every later one.
 
     Because the naïve scheme's threshold k is public and deterministic,
     the adversary issues probes until the first cache hit and solves
@@ -12,16 +14,20 @@ type outcome = {
   recovered_count : int;  (** The inferred number of prior requests. *)
 }
 
-val run : naive:Core.Naive_scheme.t -> Ndn.Name.t -> max_probes:int -> outcome option
-(** Probe through the naïve scheme until the first hit ([None] if none
-    within [max_probes] — the content is fresh and k is larger than the
-    probe budget allows distinguishing). *)
+val run :
+  Core.Random_cache.t -> k:int -> Ndn.Name.t -> max_probes:int -> outcome option
+(** Probe through the cache until the first hit and solve for the
+    count assuming threshold [k] ([None] if no hit within [max_probes]
+    — the content is fresh and k is larger than the probe budget allows
+    distinguishing).  Exact when the cache draws {!Core.Kdist.Constant}
+    [k]. *)
 
 val demonstrate :
   k:int -> prior_requests:int -> outcome option
-(** Self-contained demonstration: build a naïve scheme with threshold
-    [k], feed it [prior_requests] honest requests, run the attack and
-    return what the adversary learns.  Used by tests to verify
+(** Self-contained demonstration: build a Random-Cache with
+    {!Core.Kdist.Constant} [k] (the naïve scheme), feed it
+    [prior_requests] honest requests, run the attack and return what
+    the adversary learns.  Used by tests to verify
     [recovered_count = prior_requests] for all [prior_requests <= k+1]. *)
 
 val random_cache_resists :

@@ -1004,8 +1004,4 @@ let parse ?seed ?tracer text =
   let* spec = parse_spec text in
   build ?seed ?tracer spec
 
-let parse_file ?seed ?tracer ~path () =
-  let* text = read_file path in
-  parse ?seed ?tracer text
-
 let parse_latency s = parse_latency s

@@ -178,11 +178,6 @@ val build :
 val parse : ?seed:int -> ?tracer:Sim.Trace.t -> string -> (t, string) result
 (** [parse_spec] followed by [build]. *)
 
-val parse_file :
-  ?seed:int -> ?tracer:Sim.Trace.t -> path:string -> unit -> (t, string) result
-(** {!parse} of the file's text; [Error] with the [Sys_error] message
-    when it cannot be read. *)
-
 val parse_latency : string -> (Sim.Latency.t, string) result
 (** The latency sub-grammar, exposed for reuse and tests. *)
 

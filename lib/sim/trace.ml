@@ -199,11 +199,6 @@ let add_jsonl b e =
     e.attrs;
   Buffer.add_string b "}}"
 
-let event_to_jsonl e =
-  let b = Buffer.create 96 in
-  add_jsonl b e;
-  Buffer.contents b
-
 (* --- binary wire format (DESIGN §16) ---
 
    Stream layout: an 8-byte magic, a varint format version, a snapshot

@@ -147,14 +147,14 @@ val format_of_string : string -> format option
 
 val format_to_string : format -> string
 
-val event_to_jsonl : event -> string
-(** One JSON object per event, no trailing newline:
+val add_jsonl : Buffer.t -> event -> unit
+(** Append one JSON object for the event, no trailing newline:
     [{"time":1.234567,"node":"R","kind":"cs.hit","name":"/prod/a","attrs":{"policy":"lru"}}].
     Times use a fixed [%.6f] rendering so equal traces are equal bytes. *)
 
 val render : format -> t -> string
 (** The whole buffered trace as one string: newline-terminated
-    {!event_to_jsonl} lines, or the {!Binary} stream with its header. *)
+    {!add_jsonl} lines, or the {!Binary} stream with its header. *)
 
 val write : format -> out_channel -> t -> unit
 (** The bytes of {!render}, flushed to the channel in 64 KiB chunks so

@@ -214,9 +214,11 @@ let test_counter_attack_exact_recovery () =
   done
 
 let test_counter_attack_budget () =
-  let naive = Core.Naive_scheme.create ~k:50 in
+  let naive =
+    Core.Random_cache.create ~kdist:(Core.Kdist.Constant 50) ~rng:(Sim.Rng.create 0) ()
+  in
   Alcotest.(check bool) "insufficient budget returns None" true
-    (Attack.Counter_attack.run ~naive (name "/x") ~max_probes:10 = None)
+    (Attack.Counter_attack.run naive ~k:50 (name "/x") ~max_probes:10 = None)
 
 let test_counter_attack_fails_on_random_cache () =
   (* Against Random-Cache the recovered count is wrong most of the time. *)

@@ -156,16 +156,14 @@ let test_rc_miss_counts_match_theory () =
 (* --- Naive scheme + its insecurity --- *)
 
 let test_naive_deterministic_threshold () =
-  let naive = Core.Naive_scheme.create ~k:2 in
+  let naive =
+    Core.Random_cache.create ~kdist:(Core.Kdist.Constant 2) ~rng:(Sim.Rng.create 0) ()
+  in
   let key = name "/c" in
-  let outputs = List.init 5 (fun _ -> Core.Naive_scheme.on_request naive key) in
+  let outputs = List.init 5 (fun _ -> Core.Random_cache.on_request naive key) in
   Alcotest.(check (list output_testable)) "k=2: 3 misses then hits"
     Core.Random_cache.[ Miss; Miss; Miss; Hit; Hit ]
     outputs
-
-let test_naive_rejects_negative_k () =
-  Alcotest.check_raises "negative k" (Invalid_argument "Naive_scheme.create: negative k")
-    (fun () -> ignore (Core.Naive_scheme.create ~k:(-1)))
 
 (* --- Marking --- *)
 
@@ -726,7 +724,6 @@ let () =
         [
           Alcotest.test_case "deterministic threshold" `Quick
             test_naive_deterministic_threshold;
-          Alcotest.test_case "rejects negative k" `Quick test_naive_rejects_negative_k;
         ] );
       ( "marking",
         [

@@ -70,15 +70,20 @@ let test_format_of_string () =
 
 (* --- exporters --- *)
 
+let jsonl e =
+  let b = Buffer.create 96 in
+  Sim.Trace.add_jsonl b e;
+  Buffer.contents b
+
 let test_jsonl_basic () =
   Alcotest.(check string) "canonical object"
     {|{"time":1.250000,"node":"R","kind":"cs.hit","name":"/prod/a","attrs":{"policy":"lru","count":"3"}}|}
-    (Sim.Trace.event_to_jsonl
+    (jsonl
        (ev ~attrs:[ ("policy", "lru"); ("count", "3") ] ()))
 
 let test_jsonl_escaping () =
   let line =
-    Sim.Trace.event_to_jsonl
+    jsonl
       (ev ~node:"a\"b\\c" ~name:"/x\n/y" ~attrs:[ ("k\t", "\x01") ] ())
   in
   Alcotest.(check bool) "quote and backslash escaped" true
@@ -532,7 +537,13 @@ let tracer_of_events evs =
   t
 
 let jsonl_of_events evs =
-  String.concat "" (List.map (fun e -> Sim.Trace.event_to_jsonl e ^ "\n") evs)
+  let b = Buffer.create 256 in
+  List.iter
+    (fun e ->
+      Sim.Trace.add_jsonl b e;
+      Buffer.add_char b '\n')
+    evs;
+  Buffer.contents b
 
 let decode_binary_exn s =
   let src = Sim.Trace_reader.of_string s in
