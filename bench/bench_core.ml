@@ -607,11 +607,6 @@ let run ~quick () =
       Format.eprintf "FAIL: %s allocates %.6f minor words/op (ceiling %.6f) — %s@."
         r.Sim.Bench.label r.Sim.Bench.allocs_per_op ceiling why)
     breaches;
-  if emit_speedup < 3.0 then
-    Format.eprintf
-      "warning: binary emit only %.2fx faster than jsonl (3x target — noise, \
-       or the emit path regressed)@."
-      emit_speedup;
   if bytes_ratio > 0.25 then
     Format.eprintf
       "warning: binary trace is %.3fx the jsonl bytes (0.25x target — did \

@@ -11,8 +11,22 @@ type t = {
   clock : unit -> float;
 }
 
+(* Every Random-Cache is built here, so a threshold law that cannot be
+   sampled is refused once, before any request draws from it. *)
+let check_kdist = function
+  | Kdist.Constant k when k < 0 -> invalid_arg "Random_cache.create: Constant k with k < 0"
+  | Kdist.Uniform d when d <= 0 -> invalid_arg "Random_cache.create: Uniform d with d <= 0"
+  | Kdist.Weighted [] -> invalid_arg "Random_cache.create: empty Weighted distribution"
+  | Kdist.Weighted pairs when not (List.fold_left (fun acc (_, w) -> acc +. w) 0. pairs > 0.)
+    ->
+    invalid_arg "Random_cache.create: Weighted total weight is not positive"
+  | Kdist.Truncated_geometric { domain; _ } when domain <= 0 ->
+    invalid_arg "Random_cache.create: Truncated_geometric domain <= 0"
+  | Kdist.Constant _ | Kdist.Uniform _ | Kdist.Weighted _ | Kdist.Truncated_geometric _ -> ()
+
 let create ?(tracer = Sim.Trace.disabled) ?(label = "")
     ?(clock = fun () -> 0.) ~kdist ~rng () =
+  check_kdist kdist;
   { kdist; rng; table = Ndn.Name.Tbl.create 256; tracer; label; clock }
 
 let trace t kind key attrs =

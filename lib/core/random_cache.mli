@@ -24,7 +24,11 @@ val create :
     [rc.fake_miss] (request disguised as a miss) and [rc.hit] records
     tagged with [label] (typically the owning node) and timestamped by
     [clock] (typically the simulation engine's clock; defaults to a
-    constant [0.]). *)
+    constant [0.]).
+    @raise Invalid_argument when [kdist] cannot be sampled: [Constant k]
+    with [k < 0], [Uniform d] or [Truncated_geometric] with a domain
+    [<= 0], or a [Weighted] law that is empty or whose total weight is
+    not positive. *)
 
 val on_request : t -> Ndn.Name.t -> output
 (** Process one request for a content key and return the observable

@@ -80,23 +80,21 @@ let generate cfg =
   in
   let times = Array.init cfg.requests (fun _ -> sample_time ()) in
   Array.stable_sort Float.compare times;
-  (* One-timer ids live above the catalog range. *)
+  (* One-timer ids live above the catalog range.  Each request draws
+     its content, then its user. *)
   let next_one_timer = ref cfg.catalog in
-  let records =
-    Array.map
-      (fun time_s ->
-        let content =
-          if Sim.Rng.bernoulli rng cfg.one_timer_fraction then begin
-            let id = !next_one_timer in
-            incr next_one_timer;
-            id
-          end
-          else Zipf.sample zipf rng - 1
-        in
-        { Trace.time_s; user = pick_user (); content })
-      times
-  in
-  Trace.create records
+  let users = Array.make cfg.requests 0 and contents = Array.make cfg.requests 0 in
+  for i = 0 to cfg.requests - 1 do
+    contents.(i) <-
+      (if Sim.Rng.bernoulli rng cfg.one_timer_fraction then begin
+         let id = !next_one_timer in
+         incr next_one_timer;
+         id
+       end
+       else Zipf.sample zipf rng - 1);
+    users.(i) <- pick_user ()
+  done;
+  Trace.of_columns ~times ~users ~contents
 
 let pp_config ppf cfg =
   Format.fprintf ppf

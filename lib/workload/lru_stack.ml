@@ -50,24 +50,21 @@ let generate cfg =
     id
   in
   let interval = cfg.duration_s /. float_of_int cfg.requests in
-  let records =
-    Array.init cfg.requests (fun i ->
-        let content =
-          if !top = 0 || Sim.Rng.bernoulli rng cfg.fresh_fraction then begin
-            let id = !next_fresh in
-            incr next_fresh;
-            push id;
-            id
-          end
-          else begin
-            let d = min !top (Zipf.sample depth_law rng) in
-            reference_depth d
-          end
-        in
-        {
-          Trace.time_s = float_of_int i *. interval;
-          user = Sim.Rng.int rng cfg.users;
-          content;
-        })
-  in
-  Trace.create records
+  let users = Array.make cfg.requests 0 and contents = Array.make cfg.requests 0 in
+  for i = 0 to cfg.requests - 1 do
+    contents.(i) <-
+      (if !top = 0 || Sim.Rng.bernoulli rng cfg.fresh_fraction then begin
+         let id = !next_fresh in
+         incr next_fresh;
+         push id;
+         id
+       end
+       else begin
+         let d = min !top (Zipf.sample depth_law rng) in
+         reference_depth d
+       end);
+    users.(i) <- Sim.Rng.int rng cfg.users
+  done;
+  Trace.of_columns
+    ~times:(Array.init cfg.requests (fun i -> float_of_int i *. interval))
+    ~users ~contents

@@ -52,12 +52,14 @@ let content_private ~seed ~fraction content =
    On fig5-replay the byte set reads a 1.3 MB (4.5 %) lower peak heap
    and 4.5 % more requests/s than the table alone (EXPERIMENTS,
    "Content Store entries without a record"). *)
-let later_requests trace =
-  let n = Trace.length trace in
+let later_requests contents =
+  let n = Array.length contents in
   let lo = ref max_int and hi = ref min_int in
-  Trace.iter trace ~f:(fun r ->
-      lo := Int.min !lo r.Trace.content;
-      hi := Int.max !hi r.Trace.content);
+  Array.iter
+    (fun c ->
+      lo := Int.min !lo c;
+      hi := Int.max !hi c)
+    contents;
   let span = !hi - !lo in
   (* Whether [c] was seen already; marks it seen. *)
   let seen =
@@ -74,7 +76,7 @@ let later_requests trace =
   in
   let later = Bytes.make n '\000' in
   for i = n - 1 downto 0 do
-    if seen (Trace.get trace i).Trace.content then Bytes.set later i '\001'
+    if seen contents.(i) then Bytes.set later i '\001'
   done;
   later
 
@@ -98,7 +100,7 @@ let replay trace config =
      every re-insertion, and an object nothing will ask for again (most
      contents are one-timers) is left to the cache alone.  Each content
      is signed exactly once. *)
-  let later = later_requests trace in
+  let later = later_requests trace.Trace.contents in
   let interned = Hashtbl.create 4096 in
   let data_of content name known ~again =
     match known with
@@ -115,25 +117,28 @@ let replay trace config =
   and real_hits = ref 0
   and hidden_hits = ref 0
   and private_requests = ref 0 in
+  (* The loop indexes the columns: a timestamp read from the flat
+     [times] array stays unboxed. *)
+  let { Trace.times; contents; users = _ } = trace in
   for i = 0 to Trace.length trace - 1 do
-    let r = Trace.get trace i in
+    let content = contents.(i) in
     let again = Bytes.get later i = '\001' in
     (* An interned object carries its content's name already, so
        only a content seen for the first time builds, hashes and
        interns [/trace/c<id>]. *)
-    let known = Hashtbl.find_opt interned r.Trace.content in
+    let known = Hashtbl.find_opt interned content in
     let name =
       match known with
       | Some d -> d.Ndn.Data.name
-      | None -> Trace.name_of r.Trace.content
+      | None -> Trace.name_of content
     in
-    let now = r.Trace.time_s *. 1000. in
+    let now = times.(i) *. 1000. in
     let cached =
       match Ndn.Content_store.lookup cs ~now ~exact:true name with
       | Some _ -> true
       | None -> false
     in
-    let priv = is_private r.Trace.content in
+    let priv = is_private content in
     if priv then incr private_requests;
     if cached then incr real_hits;
     let out =
@@ -145,8 +150,8 @@ let replay trace config =
     if not cached then
       (* Fetched from upstream and cached (the router caches all
          content, per Section VII). *)
-      Ndn.Content_store.insert cs ~now (data_of r.Trace.content name known ~again) ();
-    if (not again) && Option.is_some known then Hashtbl.remove interned r.Trace.content
+      Ndn.Content_store.insert cs ~now (data_of content name known ~again) ();
+    if (not again) && Option.is_some known then Hashtbl.remove interned content
   done;
   let counters = Ndn.Content_store.counters cs in
   {

@@ -2,15 +2,28 @@
 
     A trace is a time-ordered sequence of (timestamp, user, content)
     request records.  Contents are dense integer ids; {!name_of} maps
-    them to NDN names for components that need them. *)
+    them to NDN names for components that need them.
+
+    A trace is stored as three columns of equal length, one slot per
+    request: [times] (a flat, unboxed [float array]), [users] and
+    [contents].  That is 3 words per request; an array of {!record}s
+    takes 7, because OCaml boxes the float field of a mixed record.
+    The columns are readable for hot loops ({!Replay} indexes them
+    directly, so reading a timestamp allocates nothing) and must not
+    be written.  {!get} and {!iter} build a {!record} per call. *)
 
 type record = { time_s : float; user : int; content : int }
 
-type t
+type t = private { times : float array; users : int array; contents : int array }
 
 val create : record array -> t
-(** Takes ownership of the array.
+(** Copies the records into columns.
     @raise Invalid_argument if timestamps are not non-decreasing. *)
+
+val of_columns : times:float array -> users:int array -> contents:int array -> t
+(** Takes ownership of the three columns.
+    @raise Invalid_argument if their lengths differ or timestamps are
+    not non-decreasing. *)
 
 val length : t -> int
 

@@ -77,6 +77,37 @@ let test_kdist_mean () =
 
 (* --- Random_cache (Algorithm 1) --- *)
 
+(* A threshold law that cannot be sampled is refused when the cache is
+   built, not at its first request. *)
+let check_rejects kdist expected =
+  Alcotest.check_raises (Format.asprintf "%a" Core.Kdist.pp kdist)
+    (Invalid_argument ("Random_cache.create: " ^ expected))
+    (fun () -> ignore (Core.Random_cache.create ~kdist ~rng:(Sim.Rng.create 1) ()))
+
+let test_rc_rejects_negative_constant () =
+  check_rejects (Core.Kdist.Constant (-1)) "Constant k with k < 0"
+
+let test_rc_rejects_empty_uniform () =
+  check_rejects (Core.Kdist.Uniform 0) "Uniform d with d <= 0";
+  check_rejects (Core.Kdist.Uniform (-5)) "Uniform d with d <= 0"
+
+let test_rc_rejects_empty_geometric () =
+  check_rejects
+    (Core.Kdist.Truncated_geometric { alpha = 0.9; domain = 0 })
+    "Truncated_geometric domain <= 0"
+
+let test_rc_rejects_empty_weighted () =
+  check_rejects (Core.Kdist.Weighted []) "empty Weighted distribution"
+
+let test_rc_rejects_weightless_weighted () =
+  check_rejects
+    (Core.Kdist.Weighted [ (1, 0.); (2, 0.) ])
+    "Weighted total weight is not positive";
+  check_rejects
+    (Core.Kdist.Weighted [ (1, 1.); (2, -3.) ])
+    "Weighted total weight is not positive";
+  check_rejects (Core.Kdist.Weighted [ (1, Float.nan) ]) "Weighted total weight is not positive"
+
 let test_rc_first_request_always_miss () =
   let rng = Sim.Rng.create 5 in
   let rc = Core.Random_cache.create ~kdist:(Core.Kdist.Uniform 10) ~rng () in
@@ -718,6 +749,12 @@ let () =
           Alcotest.test_case "threshold semantics" `Quick test_rc_threshold_controls_misses;
           Alcotest.test_case "keys independent" `Quick test_rc_keys_independent;
           Alcotest.test_case "forget" `Quick test_rc_forget;
+          Alcotest.test_case "rejects negative constant" `Quick test_rc_rejects_negative_constant;
+          Alcotest.test_case "rejects empty uniform" `Quick test_rc_rejects_empty_uniform;
+          Alcotest.test_case "rejects empty geometric" `Quick test_rc_rejects_empty_geometric;
+          Alcotest.test_case "rejects empty weighted" `Quick test_rc_rejects_empty_weighted;
+          Alcotest.test_case "rejects weightless weighted" `Quick
+            test_rc_rejects_weightless_weighted;
           Alcotest.test_case "matches theory" `Slow test_rc_miss_counts_match_theory;
         ] );
       ( "naive",

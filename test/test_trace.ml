@@ -633,7 +633,7 @@ let qcheck_binary_round_trip =
       jsonl_of_events decoded = jsonl_of_events evs)
 
 let qcheck_jsonl_reader_round_trip =
-  QCheck.Test.make ~name:"jsonl parse (event_to_jsonl e) re-renders to e"
+  QCheck.Test.make ~name:"jsonl parse (add_jsonl e) re-renders to e"
     ~count:300 arb_events (fun evs ->
       let src = Sim.Trace_reader.of_string (jsonl_of_events evs) in
       match

@@ -121,6 +121,27 @@ let test_trace_sub () =
   Alcotest.(check int) "sub length" 2 (Workload.Trace.length s);
   Alcotest.(check int) "sub first" 1 (Workload.Trace.get s 0).Workload.Trace.content
 
+let test_trace_of_columns_rejects () =
+  let of_columns times = Workload.Trace.of_columns ~times ~users:[| 0; 0 |] ~contents:[| 1; 2 |] in
+  Alcotest.(check int) "equal times" 2 (Workload.Trace.length (of_columns [| 1.; 1. |]));
+  Alcotest.check_raises "out of order"
+    (Invalid_argument "Trace.of_columns: timestamps must be non-decreasing") (fun () ->
+      ignore (of_columns [| 2.; 1. |]));
+  Alcotest.check_raises "ragged"
+    (Invalid_argument "Trace.of_columns: columns differ in length") (fun () ->
+      ignore (of_columns [| 1. |]))
+
+(* Three flat columns: 3 words per request plus the headers, where an
+   array of records with a boxed float field takes 7. *)
+let test_trace_resident_words () =
+  let n = 10_000 in
+  let t = Workload.Ircache.generate { Workload.Ircache.default with requests = n; seed = 3 } in
+  let words = Obj.reachable_words (Obj.repr t) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d requests <= 3n + 16" words n)
+    true
+    (words <= (3 * n) + 16)
+
 let test_trace_name_mapping () =
   Alcotest.(check string) "stable name" "/trace/c42"
     (Ndn.Name.to_string (Workload.Trace.name_of 42));
@@ -647,8 +668,51 @@ let test_aggregate_validation () =
     (fun () ->
       attach { Workload.Aggregate.default with req_per_user_per_hour = 0. })
 
+(* Non-decreasing records from a start and a list of steps; timestamps
+   are whole milliseconds, so the saved format's six decimals carry
+   them exactly. *)
+let records_of start steps =
+  let ms = ref start in
+  Array.of_list
+    (List.map
+       (fun (dt, user, content) ->
+         ms := !ms + dt;
+         rec_ (float_of_int !ms /. 1000.) user content)
+       steps)
+
+let trace_round_trip (start, steps, (a, b)) =
+  let records = records_of start steps in
+  let n = Array.length records in
+  let t = Workload.Trace.create records in
+  let same t' = Array.init (Workload.Trace.length t') (Workload.Trace.get t') = records in
+  let iterated = ref [] in
+  Workload.Trace.iter t ~f:(fun r -> iterated := r :: !iterated);
+  let pos = a mod (n + 1) in
+  let len = b mod (n - pos + 1) in
+  let s = Workload.Trace.sub t ~pos ~len in
+  let path = Filename.temp_file "trace" ".txt" in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Workload.Trace.save t ~path;
+        Workload.Trace.load ~path)
+  in
+  same t
+  && Array.of_list (List.rev !iterated) = records
+  && Array.init len (Workload.Trace.get s) = Array.sub records pos len
+  && match loaded with Ok t' -> same t' | Error msg -> QCheck.Test.fail_report msg
+
 let qcheck_tests =
   [
+    QCheck.Test.make ~name:"trace records survive create, get, iter, sub, save/load"
+      ~count:100
+      QCheck.(
+        triple
+          (int_range (-1_000_000) 1_000_000)
+          (list_of_size Gen.(int_range 0 60) (triple (int_range 0 5_000) int int))
+          (pair small_nat small_nat))
+      trace_round_trip;
     QCheck.Test.make ~name:"zipf samples within range" ~count:200
       QCheck.(triple small_int (int_range 1 100) (float_range 0. 2.))
       (fun (seed, n, s) ->
@@ -735,6 +799,8 @@ let () =
           Alcotest.test_case "load malformed line" `Quick test_trace_load_malformed;
           Alcotest.test_case "load out of order" `Quick test_trace_load_out_of_order;
           Alcotest.test_case "sub" `Quick test_trace_sub;
+          Alcotest.test_case "of_columns rejects" `Quick test_trace_of_columns_rejects;
+          Alcotest.test_case "resident words" `Quick test_trace_resident_words;
           Alcotest.test_case "name mapping" `Quick test_trace_name_mapping;
         ] );
       ( "ircache",
