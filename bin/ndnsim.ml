@@ -9,9 +9,51 @@
      ndnsim flood    --rate 4 --pit-capacity 256 --admission evict-oldest
 
    Every experiment of the paper is reachable from here; `bench/main.exe`
-   regenerates the figures wholesale. *)
+   regenerates the figures wholesale.  Every flag is typed, so a value
+   out of its range is a usage error (exit 124) that names the flag,
+   never an exception from the library underneath. *)
 
 open Cmdliner
+
+(* --- typed values --- *)
+
+(* [conv] narrowed to the values [ok] accepts.  The error is worded like
+   Cmdliner's own, which prefixes it with the flag's name. *)
+let restrict conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let count = restrict Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+let natural = restrict Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
+
+let positive =
+  restrict Arg.float ~expected:"a finite number > 0" (fun x ->
+      Float.is_finite x && x > 0.)
+
+let non_negative =
+  restrict Arg.float ~expected:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.)
+
+let probability =
+  restrict Arg.float ~expected:"a number in [0, 1]" (fun x -> x >= 0. && x <= 1.)
+
+(* A value named by a library's own [of_string]/[to_string] pair. *)
+let named ~what of_string to_string =
+  let parse s =
+    Option.to_result (of_string s)
+      ~none:(`Msg (Printf.sprintf "unknown %s %S" what s))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (to_string v))
+
+(* A runtime error (a rejected fault target, an unknown node, a file
+   that cannot be read): one line on stderr, exit 1. *)
+let die fmt = Format.kfprintf (fun _ -> exit 1) Format.err_formatter (fmt ^^ "@.")
 
 (* --- shared argument definitions --- *)
 
@@ -19,34 +61,27 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Deterministic RNG seed.")
 
 let topology_arg =
-  let parse = function
-    | "lan" -> Ok `Lan
-    | "wan" -> Ok `Wan
-    | "producer" -> Ok `Producer
-    | "local" -> Ok `Local
-    | s -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
-  in
-  let print ppf t =
-    Format.pp_print_string ppf
-      (match t with `Lan -> "lan" | `Wan -> "wan" | `Producer -> "producer" | `Local -> "local")
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) `Lan
+    & opt
+        (enum
+           [ ("lan", `Lan); ("wan", `Wan); ("producer", `Producer); ("local", `Local) ])
+        `Lan
     & info [ "topology" ] ~docv:"TOPO"
         ~doc:"Measurement topology: $(b,lan), $(b,wan), $(b,producer) or $(b,local).")
 
-let make_setup_of_topology ?shards = function
-  | `Lan -> fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ?shards ()
-  | `Wan -> fun ~seed ~tracer -> Ndn.Network.wan ~seed ~tracer ?shards ()
-  | `Producer ->
-    fun ~seed ~tracer -> Ndn.Network.wan_producer ~seed ~tracer ?shards ()
-  | `Local -> fun ~seed ~tracer -> Ndn.Network.local_host ~seed ~tracer ?shards ()
+let make_setup_of_topology ?shards ?producer topology ~seed ~tracer =
+  (match topology with
+  | `Lan -> Ndn.Network.lan
+  | `Wan -> Ndn.Network.wan
+  | `Producer -> Ndn.Network.wan_producer
+  | `Local -> Ndn.Network.local_host)
+    ~seed ~tracer ?shards ?producer ()
 
 let shards_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some count) None
     & info [ "shards" ] ~docv:"K"
         ~doc:
           "Partition each simulated network across $(docv) engine domains \
@@ -56,56 +91,88 @@ let shards_arg =
            campaign budgets jobs*shards domains and refuses to oversubscribe \
            the host.")
 
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some count) None
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Fan runs over $(docv) domains (default: one per hardware \
+           thread).  Results and traces are identical for any value.")
+
+let warm_arg =
+  Arg.(value & opt_all string [] & info [ "warm" ] ~docv:"NAME" ~doc:"Content to pre-fetch (repeatable).")
+
+(* The size of the synthetic IRCache-like trace. *)
+let requests_arg default =
+  Arg.(value & opt count default & info [ "requests" ] ~docv:"N" ~doc:"Request count.")
+
+let scope_arg =
+  Arg.(value & opt (some count) None & info [ "scope" ] ~docv:"N" ~doc:"Interest scope field.")
+
+(* The parameters of Algorithm 1 (Theorems VI.1-VI.4). *)
+let k_arg = Arg.(value & opt count 5 & info [ "k" ] ~docv:"K" ~doc:"Anonymity parameter k.")
+
+let delta_arg =
+  Arg.(value & opt positive 0.05 & info [ "delta" ] ~docv:"D" ~doc:"Privacy delta.")
+
+let eps_arg default =
+  Arg.(value & opt non_negative default & info [ "eps" ] ~docv:"E" ~doc:"Privacy eps.")
+
 (* --- structured event tracing (--trace / --trace-format) --- *)
 
-let trace_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record the structured simulation event trace (engine steps, \
-           Content-Store operations, packet hops, latency draws) to $(docv); \
-           $(b,-) streams it to stdout (all diagnostics go to stderr, so \
-           a piped trace is never interleaved with warnings).")
-
-let trace_format_arg =
-  let parse s =
-    match Sim.Trace.format_of_string s with
-    | Some fmt -> Ok fmt
-    | None -> Error (`Msg (Printf.sprintf "unknown trace format %S" s))
+(* Where the event trace goes: [None] without [--trace], otherwise the
+   file ([-] is stdout) and its format. *)
+let sink_arg =
+  let file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record the structured simulation event trace (engine steps, \
+             Content-Store operations, packet hops, latency draws) to $(docv); \
+             $(b,-) streams it to stdout (all diagnostics go to stderr, so \
+             a piped trace is never interleaved with warnings).")
   in
-  let print ppf fmt = Format.pp_print_string ppf (Sim.Trace.format_to_string fmt) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Sim.Trace.Jsonl
-    & info [ "trace-format" ] ~docv:"FMT"
-        ~doc:
-          "Trace file format: $(b,jsonl) (default) or $(b,binary) (the \
-           compact length-prefixed wire format of DESIGN \u{00a7}16); \
-           $(b,ndnsim analyze) reads both.")
+  let format =
+    Arg.(
+      value
+      & opt
+          (named ~what:"trace format" Sim.Trace.format_of_string
+             Sim.Trace.format_to_string)
+          Sim.Trace.Jsonl
+      & info [ "trace-format" ] ~docv:"FMT"
+          ~doc:
+            "Trace file format: $(b,jsonl) (default) or $(b,binary) (the \
+             compact length-prefixed wire format of DESIGN \u{00a7}16); \
+             $(b,ndnsim analyze) reads both.")
+  in
+  Term.(const (fun file format -> Option.map (fun file -> (file, format)) file) $ file $ format)
+
+let tracer_of_sink sink =
+  if Option.is_some sink then Sim.Trace.create () else Sim.Trace.disabled
 
 (* The summary line is a diagnostic, so it goes to stderr: with
    [--trace -] the exported rows own stdout and must never interleave
    with warnings (the S2 lint rule enforces the same split in lib/). *)
-let write_trace ~file ~format tracer =
-  (match file with
-  | "-" ->
-    if format = Sim.Trace.Binary then set_binary_mode_out stdout true;
-    Sim.Trace.write format stdout tracer;
-    flush stdout
-  | _ ->
-    let oc = open_out_bin file in
+let write_trace sink tracer =
+  match sink with
+  | None -> ()
+  | Some (file, format) ->
+    let oc = if file = "-" then stdout else open_out_bin file in
+    if format = Sim.Trace.Binary then set_binary_mode_out oc true;
     Sim.Trace.write format oc tracer;
-    close_out oc);
-  Format.eprintf "trace: %d events -> %s (%s)@." (Sim.Trace.length tracer)
-    (if file = "-" then "<stdout>" else file)
-    (Sim.Trace.format_to_string format)
+    if file = "-" then flush oc else close_out oc;
+    Format.eprintf "trace: %d events -> %s (%s)@." (Sim.Trace.length tracer)
+      (if file = "-" then "<stdout>" else file)
+      (Sim.Trace.format_to_string format)
 
 (* Result lines normally own stdout, but with [--trace -] the streamed
    trace does, so the human-readable output moves to stderr too. *)
-let result_formatter trace_file =
-  if trace_file = Some "-" then Format.err_formatter else Format.std_formatter
+let result_formatter = function
+  | Some ("-", _) -> Format.err_formatter
+  | _ -> Format.std_formatter
 
 (* --- fault schedules (--faults) --- *)
 
@@ -133,85 +200,107 @@ let faults_arg =
            per line: TIME KIND ARGS; see $(b,Sim.Fault)) into every \
            simulated network.")
 
-let install_faults_or_die net = function
-  | None -> ()
-  | Some schedule -> (
-    match Ndn.Network.install_faults net schedule with
-    | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "fault schedule: %s@." msg;
-      exit 1)
+let install_faults_or_die net =
+  Option.iter (fun schedule ->
+      match Ndn.Network.install_faults net schedule with
+      | Ok () -> ()
+      | Error msg -> die "fault schedule: %s" msg)
+
+(* --- the Figure 3 campaign shared by attack, defend and chaos --- *)
+
+type campaign = {
+  contents : int;
+  runs : int;
+  seed : int;
+  jobs : int option;
+  shards : int option;
+  sink : (string * Sim.Trace.format) option;
+}
+
+let campaign_arg ~contents ~runs =
+  let open Term.Syntax in
+  let+ contents =
+    Arg.(value & opt count contents & info [ "contents" ] ~docv:"N" ~doc:"Contents per run.")
+  and+ runs =
+    Arg.(value & opt count runs & info [ "runs" ] ~docv:"N" ~doc:"Independent runs (fresh caches).")
+  and+ seed = seed_arg
+  and+ jobs = jobs_arg
+  and+ shards = shards_arg
+  and+ sink = sink_arg in
+  { contents; runs; seed; jobs; shards; sink }
 
 (* Timing_experiment installs the schedule into each run's fresh
-   network and rejects unknown targets there; surface that as a clean
+   network and rejects unknown targets there, and it refuses a
+   jobs*shards product the host cannot run; surface either as a clean
    CLI error rather than an uncaught exception. *)
-let experiment_or_die f =
-  try f ()
-  with Invalid_argument msg ->
-    Format.eprintf "%s@." msg;
-    exit 1
+let run_campaign c ?faults make_setup =
+  try
+    Attack.Timing_experiment.run ~make_setup ~contents:c.contents ~runs:c.runs
+      ~seed:c.seed ?jobs:c.jobs ?shards:c.shards ?faults
+      ~trace:(Option.is_some c.sink) ()
+  with Invalid_argument msg -> die "%s" msg
 
+(* --- Random-Cache parameters --- *)
+
+(* The one path from CLI input to a threshold law, for [replay --policy]
+   and [--countermeasure] alike. *)
+let kdist_of scheme ~k ~eps ~delta =
+  match scheme with
+  | `Uniform -> Ok (Core.Kdist.uniform_for ~k ~delta)
+  | `Expo -> (
+    match Core.Kdist.exponential_for ~k ~eps ~delta with
+    | Some kd -> Ok kd
+    | None -> Error (Printf.sprintf "expo: delta %g < 1 - alpha^k is infeasible" delta))
+
+(* [None] attaches nothing to the router. *)
 let countermeasure_arg =
+  let open Core.Private_router in
+  let random scheme k eps delta =
+    let ( let* ) = Result.bind in
+    let* k = Arg.conv_parser count k in
+    let* eps = Arg.conv_parser non_negative eps in
+    let* delta = Arg.conv_parser positive delta in
+    Result.map
+      (fun kdist ->
+        Some (Random_cache_mimic { kdist; grouping = Core.Grouping.By_namespace 2 }))
+      (Result.map_error (fun msg -> `Msg msg) (kdist_of scheme ~k ~eps ~delta))
+  in
   let parse s =
     match String.split_on_char ':' s with
-    | [ "none" ] -> Ok `None
-    | [ "specific" ] -> Ok (`Delay Core.Delay.Content_specific)
-    | [ "constant"; gamma ] -> (
-      match float_of_string_opt gamma with
-      | Some g when g >= 0. -> Ok (`Delay (Core.Delay.Constant g))
-      | _ -> Error (`Msg "constant:<gamma-ms> expects a non-negative float"))
+    | [ "none" ] -> Ok None
+    | [ "specific" ] -> Ok (Some (Delay_private Core.Delay.Content_specific))
+    | [ "constant"; gamma ] ->
+      Result.map
+        (fun g -> Some (Delay_private (Core.Delay.Constant g)))
+        (Arg.conv_parser non_negative gamma)
     | [ "dynamic" ] ->
-      Ok (`Delay (Core.Delay.Dynamic { floor = 2.; half_life_requests = 10. }))
-    | [ "uniform"; k; delta ] -> (
-      match (int_of_string_opt k, float_of_string_opt delta) with
-      | Some k, Some delta when k > 0 && delta > 0. ->
-        Ok (`Random (Core.Kdist.uniform_for ~k ~delta))
-      | _ -> Error (`Msg "uniform:<k>:<delta>"))
-    | [ "expo"; k; eps; delta ] -> (
-      match
-        (int_of_string_opt k, float_of_string_opt eps, float_of_string_opt delta)
-      with
-      | Some k, Some eps, Some delta -> (
-        match Core.Kdist.exponential_for ~k ~eps ~delta with
-        | Some kd -> Ok (`Random kd)
-        | None -> Error (`Msg "expo: delta below 1 - alpha^k is infeasible"))
-      | _ -> Error (`Msg "expo:<k>:<eps>:<delta>"))
+      Ok
+        (Some
+           (Delay_private
+              (Core.Delay.Dynamic { floor = 2.; half_life_requests = 10. })))
+    | [ "uniform"; k; delta ] -> random `Uniform k "0" delta (* no eps *)
+    | [ "expo"; k; eps; delta ] -> random `Expo k eps delta
     | _ -> Error (`Msg (Printf.sprintf "unknown countermeasure %S" s))
   in
   let print ppf _ = Format.pp_print_string ppf "<countermeasure>" in
   Arg.(
     value
-    & opt (conv (parse, print)) `None
+    & opt (conv (parse, print)) None
     & info [ "countermeasure" ] ~docv:"CM"
         ~doc:
           "Router countermeasure: $(b,none), $(b,specific), \
            $(b,constant:GAMMA), $(b,dynamic), $(b,uniform:K:DELTA) or \
            $(b,expo:K:EPS:DELTA).")
 
-let attach_countermeasure ?tracer router ~seed = function
-  | `None -> ()
-  | `Delay policy ->
-    ignore
-      (Core.Private_router.attach ?tracer router ~rng:(Sim.Rng.create seed)
-         (Core.Private_router.Delay_private policy))
-  | `Random kdist ->
-    ignore
-      (Core.Private_router.attach ?tracer router ~rng:(Sim.Rng.create seed)
-         (Core.Private_router.Random_cache_mimic
-            { kdist; grouping = Core.Grouping.By_namespace 2 }))
-
 (* --- overload plumbing shared by `attack --flood` and `flood` --- *)
 
 let admission_arg =
-  let parse s =
-    match Ndn.Pit.admission_of_string s with
-    | Some a -> Ok a
-    | None -> Error (`Msg (Printf.sprintf "unknown admission policy %S" s))
-  in
-  let print ppf a = Format.pp_print_string ppf (Ndn.Pit.admission_to_string a) in
   Arg.(
     value
-    & opt (conv (parse, print)) Ndn.Pit.Drop_new
+    & opt
+        (named ~what:"admission policy" Ndn.Pit.admission_of_string
+           Ndn.Pit.admission_to_string)
+        Ndn.Pit.Drop_new
     & info [ "admission" ] ~docv:"POLICY"
         ~doc:
           "PIT admission policy once $(b,--pit-capacity) is set: \
@@ -220,7 +309,7 @@ let admission_arg =
 let pit_capacity_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some count) None
     & info [ "pit-capacity" ] ~docv:"N"
         ~doc:
           "Bound the shared router's PIT to $(docv) entries (default: \
@@ -235,10 +324,10 @@ let arm_flood ~setup ~rate ~until ~pit_capacity ~admission ~seed =
   List.iter
     (fun (_, n) -> Ndn.Node.set_nacks_enabled n true)
     (Ndn.Network.nodes setup.Ndn.Network.net);
-  (match pit_capacity with
-  | Some c ->
-    Ndn.Node.set_pit_limits setup.Ndn.Network.router ~capacity:c ~admission ()
-  | None -> ());
+  Option.iter
+    (fun capacity ->
+      Ndn.Node.set_pit_limits setup.Ndn.Network.router ~capacity ~admission ())
+    pit_capacity;
   let boom = Ndn.Name.append setup.Ndn.Network.prefix "boom" in
   Ndn.Node.add_producer setup.Ndn.Network.producer_host ~prefix:boom (fun _ ->
       None);
@@ -255,51 +344,25 @@ let arm_flood ~setup ~rate ~until ~pit_capacity ~admission ~seed =
 (* --- attack: the Figure 3 measurement campaign --- *)
 
 let attack_cmd =
-  let run topology contents runs seed jobs shards trace_file trace_format faults
-      flood flood_until pit_capacity admission =
-    let base_make = make_setup_of_topology ?shards topology in
+  let run topology c faults flood flood_until pit_capacity admission =
     let make_setup ~seed ~tracer =
-      let setup = base_make ~seed ~tracer in
-      (match flood with
-      | None -> ()
-      | Some rate ->
-        ignore
-          (arm_flood ~setup ~rate ~until:flood_until ~pit_capacity ~admission
-             ~seed));
+      let setup = make_setup_of_topology ?shards:c.shards topology ~seed ~tracer in
+      Option.iter
+        (fun rate ->
+          ignore
+            (arm_flood ~setup ~rate ~until:flood_until ~pit_capacity ~admission
+               ~seed))
+        flood;
       setup
     in
-    let result =
-      experiment_or_die (fun () ->
-          Attack.Timing_experiment.run ~make_setup
-            ~contents ~runs ~seed ?jobs ?shards
-            ?faults
-            ~trace:(trace_file <> None) ())
-    in
-    Attack.Timing_experiment.pp_result (result_formatter trace_file) result;
-    match trace_file with
-    | Some file ->
-      write_trace ~file ~format:trace_format result.Attack.Timing_experiment.trace
-    | None -> ()
-  in
-  let contents =
-    Arg.(value & opt int 100 & info [ "contents" ] ~docv:"N" ~doc:"Contents per run.")
-  in
-  let runs =
-    Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc:"Independent runs (fresh caches).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Fan runs over $(docv) domains (default: one per hardware \
-             thread).  Results and traces are identical for any value.")
+    let result = run_campaign c ?faults make_setup in
+    Attack.Timing_experiment.pp_result (result_formatter c.sink) result;
+    write_trace c.sink result.Attack.Timing_experiment.trace
   in
   let flood =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive) None
       & info [ "flood" ] ~docv:"RATE"
           ~doc:
             "Run the campaign under an interest flood: the adversary \
@@ -311,7 +374,7 @@ let attack_cmd =
   let flood_until =
     Arg.(
       value
-      & opt float 2000.
+      & opt non_negative 2000.
       & info [ "flood-until" ] ~docv:"MS"
           ~doc:"Stop flood injection at this virtual time (per run).")
   in
@@ -319,86 +382,56 @@ let attack_cmd =
     (Cmd.info "attack"
        ~doc:"Run the cache timing attack and report hit/miss RTT histograms.")
     Term.(
-      const run $ topology_arg $ contents $ runs $ seed_arg $ jobs $ shards_arg
-      $ trace_file_arg $ trace_format_arg $ faults_arg $ flood $ flood_until
-      $ pit_capacity_arg $ admission_arg)
+      const run $ topology_arg $ campaign_arg ~contents:100 ~runs:5 $ faults_arg
+      $ flood $ flood_until $ pit_capacity_arg $ admission_arg)
 
 (* --- defend: attack vs countermeasure --- *)
 
 let defend_cmd =
-  let run topology cm contents runs seed jobs shards trace_file trace_format
-      faults =
-    let base_make = make_setup_of_topology ?shards topology in
+  let run topology cm c faults =
     (* The defended variant marks all content producer-private so the
        countermeasure engages. *)
-    let private_producer =
+    let producer =
       { Ndn.Network.default_producer_config with producer_private = true }
     in
-    let producer_make ~seed ~tracer =
+    let defended_setup ~seed ~tracer =
       let setup =
-        match topology with
-        | `Lan ->
-          Ndn.Network.lan ~seed ~tracer ?shards ~producer:private_producer ()
-        | `Wan ->
-          Ndn.Network.wan ~seed ~tracer ?shards ~producer:private_producer ()
-        | `Producer ->
-          Ndn.Network.wan_producer ~seed ~tracer ?shards
-            ~producer:private_producer ()
-        | `Local ->
-          Ndn.Network.local_host ~seed ~tracer ?shards
-            ~producer:private_producer ()
+        make_setup_of_topology ?shards:c.shards ~producer topology ~seed ~tracer
       in
       (* The router's own tracer, not the campaign tracer: the
          countermeasure's records must flow through the router's shard
          buffer to be stitched deterministically. *)
-      attach_countermeasure
-        ~tracer:(Ndn.Node.tracer setup.Ndn.Network.router)
-        setup.Ndn.Network.router ~seed:(seed + 10_000) cm;
+      let router = setup.Ndn.Network.router in
+      Option.iter
+        (fun cm ->
+          ignore
+            (Core.Private_router.attach ~tracer:(Ndn.Node.tracer router) router
+               ~rng:(Sim.Rng.create (seed + 10_000)) cm))
+        cm;
       setup
     in
-    let trace = trace_file <> None in
     let baseline =
-      experiment_or_die (fun () ->
-          Attack.Timing_experiment.run ~make_setup:base_make ~contents ~runs
-            ~seed ?jobs ?shards ?faults ~trace ())
+      run_campaign c ?faults (make_setup_of_topology ?shards:c.shards topology)
     in
-    let defended =
-      experiment_or_die (fun () ->
-          Attack.Timing_experiment.run ~make_setup:producer_make ~contents
-            ~runs ~seed ?jobs ?shards ?faults ~trace ())
-    in
+    let defended = run_campaign c ?faults defended_setup in
     Format.printf "undefended distinguisher: %.2f%%@."
       (100. *. baseline.Attack.Timing_experiment.success_rate);
     Format.printf "defended distinguisher:   %.2f%%@."
       (100. *. defended.Attack.Timing_experiment.success_rate);
-    match trace_file with
-    | Some file ->
+    if Option.is_some c.sink then begin
       (* Baseline campaign first, then the defended one. *)
       let merged = Sim.Trace.create () in
       Sim.Trace.merge_into ~into:merged baseline.Attack.Timing_experiment.trace;
       Sim.Trace.merge_into ~into:merged defended.Attack.Timing_experiment.trace;
-      write_trace ~file ~format:trace_format merged
-    | None -> ()
-  in
-  let contents =
-    Arg.(value & opt int 60 & info [ "contents" ] ~docv:"N" ~doc:"Contents per run.")
-  in
-  let runs = Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Runs.") in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Fan runs over $(docv) domains (default: one per hardware \
-             thread).  Results and traces are identical for any value.")
+      write_trace c.sink merged
+    end
   in
   Cmd.v
     (Cmd.info "defend"
        ~doc:"Measure distinguisher accuracy with and without a countermeasure.")
     Term.(
-      const run $ topology_arg $ countermeasure_arg $ contents $ runs $ seed_arg
-      $ jobs $ shards_arg $ trace_file_arg $ trace_format_arg $ faults_arg)
+      const run $ topology_arg $ countermeasure_arg
+      $ campaign_arg ~contents:60 ~runs:3 $ faults_arg)
 
 (* --- trace generation --- *)
 
@@ -415,22 +448,18 @@ let trace_cmd =
       Format.printf "saved to %s@." path
     | None -> ()
   in
-  let requests =
-    Arg.(value & opt int 400_000 & info [ "requests" ] ~docv:"N" ~doc:"Request count.")
-  in
-  let users = Arg.(value & opt int 185 & info [ "users" ] ~docv:"N" ~doc:"User count.") in
+  let users = Arg.(value & opt count 185 & info [ "users" ] ~docv:"N" ~doc:"User count.") in
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc:"Save to file.")
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Generate the synthetic IRCache-like workload.")
-    Term.(const run $ requests $ users $ out $ seed_arg)
+    Term.(const run $ requests_arg 400_000 $ users $ out $ seed_arg)
 
 (* --- replay --- *)
 
 let replay_cmd =
-  let run trace_file squid_file requests policy capacity private_frac k eps delta
-      seed =
+  let run trace_file squid_file requests policy capacity private_frac seed =
     let trace =
       match (trace_file, squid_file) with
       | Some trace, _ -> trace
@@ -443,23 +472,12 @@ let replay_cmd =
           { Workload.Ircache.default with Workload.Ircache.requests; seed }
     in
     Format.printf "workload: %a@." Workload.Trace.pp_summary trace;
-    let kind =
-      match policy with
-      | "none" -> Core.Policy.No_privacy
-      | "always" -> Core.Policy.Always_delay
-      | "uniform" -> Core.Policy.Random_cache (Core.Kdist.uniform_for ~k ~delta)
-      | "expo" -> (
-        match Core.Kdist.exponential_for ~k ~eps ~delta with
-        | Some kd -> Core.Policy.Random_cache kd
-        | None -> failwith "expo parameters infeasible (delta < 1 - alpha^k)")
-      | s -> failwith (Printf.sprintf "unknown policy %S" s)
-    in
     let outcome =
       Workload.Replay.replay trace
         {
           Workload.Replay.default_config with
           Workload.Replay.cache_capacity = capacity;
-          policy = kind;
+          policy;
           private_mode = Workload.Replay.Per_content private_frac;
           seed;
         }
@@ -486,30 +504,40 @@ let replay_cmd =
       & info [ "squid" ] ~docv:"FILE"
           ~doc:"Load a Squid access.log (the IRCache trace format).")
   in
-  let requests =
-    Arg.(value & opt int 200_000 & info [ "requests" ] ~docv:"N" ~doc:"Synthetic trace size.")
-  in
+  (* The Random-Cache law needs [-k], [--eps] and [--delta] together, so
+     an infeasible combination is reported once all three are parsed. *)
   let policy =
-    Arg.(
-      value
-      & opt string "none"
-      & info [ "policy" ] ~docv:"P"
-          ~doc:"Cache policy: $(b,none), $(b,always), $(b,uniform) or $(b,expo).")
+    let scheme =
+      Arg.(
+        value
+        & opt
+            (enum [ ("none", `None); ("always", `Always); ("uniform", `Uniform); ("expo", `Expo) ])
+            `None
+        & info [ "policy" ] ~docv:"P"
+            ~doc:"Cache policy: $(b,none), $(b,always), $(b,uniform) or $(b,expo).")
+    in
+    let resolve scheme k eps delta =
+      match scheme with
+      | `None -> Ok Core.Policy.No_privacy
+      | `Always -> Ok Core.Policy.Always_delay
+      | (`Uniform | `Expo) as scheme ->
+        Result.map
+          (fun kd -> Core.Policy.Random_cache kd)
+          (Result.map_error (( ^ ) "option '--delta': ") (kdist_of scheme ~k ~eps ~delta))
+    in
+    Term.(term_result' ~usage:true (const resolve $ scheme $ k_arg $ eps_arg 0.005 $ delta_arg))
   in
   let capacity =
-    Arg.(value & opt int 8000 & info [ "capacity" ] ~docv:"N" ~doc:"Cache entries; 0 = unbounded.")
+    Arg.(value & opt natural 8000 & info [ "capacity" ] ~docv:"N" ~doc:"Cache entries; 0 = unbounded.")
   in
   let private_frac =
-    Arg.(value & opt float 0.2 & info [ "private-frac" ] ~docv:"F" ~doc:"Private content fraction.")
+    Arg.(value & opt probability 0.2 & info [ "private-frac" ] ~docv:"F" ~doc:"Private content fraction.")
   in
-  let k = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"Anonymity parameter k.") in
-  let eps = Arg.(value & opt float 0.005 & info [ "eps" ] ~docv:"E" ~doc:"Privacy eps (expo).") in
-  let delta = Arg.(value & opt float 0.05 & info [ "delta" ] ~docv:"D" ~doc:"Privacy delta.") in
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay a workload through a privacy-aware cache.")
     Term.(
-      const run $ trace_file $ squid_file $ requests $ policy $ capacity
-      $ private_frac $ k $ eps $ delta $ seed_arg)
+      const run $ trace_file $ squid_file $ requests_arg 200_000 $ policy $ capacity
+      $ private_frac $ seed_arg)
 
 (* --- theorems --- *)
 
@@ -548,12 +576,9 @@ let theorems_cmd =
         delta
         (Privacy.Theorems.Exponential.delta_limit ~k ~alpha)
   in
-  let k = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"Anonymity parameter.") in
-  let delta = Arg.(value & opt float 0.05 & info [ "delta" ] ~docv:"D" ~doc:"Target delta.") in
-  let eps = Arg.(value & opt float 0.05 & info [ "eps" ] ~docv:"E" ~doc:"Target eps.") in
   Cmd.v
     (Cmd.info "theorems" ~doc:"Solve scheme parameters and verify the privacy theorems.")
-    Term.(const run $ k $ delta $ eps)
+    Term.(const run $ k_arg $ delta_arg $ eps_arg 0.05)
 
 (* --- leak: Bayesian leakage quantification --- *)
 
@@ -578,15 +603,13 @@ let leak_cmd =
           Core.Kdist.Truncated_geometric { alpha = 0.97; domain } );
       ]
   in
-  let k = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"Anonymity parameter.") in
-  let delta = Arg.(value & opt float 0.05 & info [ "delta" ] ~docv:"D" ~doc:"Privacy delta.") in
   let max_count =
-    Arg.(value & opt int 10 & info [ "max-count" ] ~docv:"N" ~doc:"Largest hidden count considered.")
+    Arg.(value & opt natural 10 & info [ "max-count" ] ~docv:"N" ~doc:"Largest hidden count considered.")
   in
   Cmd.v
     (Cmd.info "leak"
        ~doc:"Quantify information leakage (bits) of cache schemes via Bayesian inference.")
-    Term.(const run $ k $ delta $ max_count)
+    Term.(const run $ k_arg $ delta_arg $ max_count)
 
 (* --- interact: conversation-detection experiment --- *)
 
@@ -607,8 +630,8 @@ let interact_cmd =
   let unpredictable =
     Arg.(value & flag & info [ "unpredictable" ] ~doc:"Protect the session with HMAC-derived names.")
   in
-  let trials = Arg.(value & opt int 16 & info [ "trials" ] ~docv:"N" ~doc:"Trials.") in
-  let frames = Arg.(value & opt int 12 & info [ "frames" ] ~docv:"N" ~doc:"Frames per call.") in
+  let trials = Arg.(value & opt count 16 & info [ "trials" ] ~docv:"N" ~doc:"Trials.") in
+  let frames = Arg.(value & opt count 12 & info [ "frames" ] ~docv:"N" ~doc:"Frames per call.") in
   Cmd.v
     (Cmd.info "interact"
        ~doc:"Detect two-way interactive communication through the shared router.")
@@ -617,13 +640,10 @@ let interact_cmd =
 (* --- probe: one-off interactive probing --- *)
 
 let probe_cmd =
-  let run topology warm target scope seed shards trace_file trace_format faults
-      =
-    let tracer =
-      if trace_file <> None then Sim.Trace.create () else Sim.Trace.disabled
-    in
-    let setup = (make_setup_of_topology ?shards topology) ~seed ~tracer in
-    let out = result_formatter trace_file in
+  let run topology warm target scope seed shards sink faults =
+    let tracer = tracer_of_sink sink in
+    let setup = make_setup_of_topology ?shards topology ~seed ~tracer in
+    let out = result_formatter sink in
     install_faults_or_die setup.Ndn.Network.net faults;
     List.iter
       (fun w ->
@@ -639,44 +659,28 @@ let probe_cmd =
      with
     | Some rtt -> Format.fprintf out "probe %s -> %.3f ms@." target rtt
     | None -> Format.fprintf out "probe %s -> timeout@." target);
-    match trace_file with
-    | Some file -> write_trace ~file ~format:trace_format tracer
-    | None -> ()
-  in
-  let warm =
-    Arg.(
-      value & opt_all string []
-      & info [ "warm" ] ~docv:"NAME" ~doc:"Content the honest user fetches first (repeatable).")
+    write_trace sink tracer
   in
   let target =
     Arg.(value & opt string "/prod/x" & info [ "target" ] ~docv:"NAME" ~doc:"Name to probe.")
   in
-  let scope =
-    Arg.(value & opt (some int) None & info [ "scope" ] ~docv:"N" ~doc:"Interest scope field.")
-  in
   Cmd.v
     (Cmd.info "probe" ~doc:"Issue a single adversarial probe in a chosen topology.")
     Term.(
-      const run $ topology_arg $ warm $ target $ scope $ seed_arg $ shards_arg
-      $ trace_file_arg $ trace_format_arg $ faults_arg)
+      const run $ topology_arg $ warm_arg $ target $ scope_arg $ seed_arg $ shards_arg
+      $ sink_arg $ faults_arg)
 
 (* --- topo: run probes in a user-defined topology --- *)
 
 let topo_cmd =
-  let run file generate warm_node warm probe_node target scope seed trace_file
-      trace_format faults =
-    let tracer =
-      if trace_file <> None then Sim.Trace.create () else Sim.Trace.disabled
-    in
+  let run source warm_node warm probe_node target scope seed sink faults =
+    let tracer = tracer_of_sink sink in
     let parsed =
-      match (file, generate) with
-      | Some _, Some _ ->
-        Format.eprintf "--file and --generate are mutually exclusive@.";
-        exit 1
-      | Some (path, spec), None ->
+      match source with
+      | `File (path, spec) ->
         Result.map_error (Printf.sprintf "%s: %s" path)
           (Ndn.Topology_spec.build ~seed ~tracer spec)
-      | None, Some directive ->
+      | `Generate directive ->
         let text = "generate " ^ directive ^ "\n" in
         Result.bind (Ndn.Topology_spec.parse_spec text) (fun spec ->
             (* Surface the generated graph before building: canonical
@@ -701,16 +705,11 @@ let topo_cmd =
                 | _ -> ())
               spec;
             Ndn.Topology_spec.build ~seed ~tracer spec)
-      | None, None ->
-        Format.eprintf "one of --file or --generate is required@.";
-        exit 1
     in
     match parsed with
-    | Error msg ->
-      Format.eprintf "%s@." msg;
-      exit 1
+    | Error msg -> die "%s" msg
     | Ok topo ->
-      let out = result_formatter trace_file in
+      let out = result_formatter sink in
       install_faults_or_die topo.Ndn.Topology_spec.network faults;
       let names = List.map fst topo.Ndn.Topology_spec.nodes in
       let shown =
@@ -726,9 +725,7 @@ let topo_cmd =
       let resolve label =
         match List.assoc_opt label topo.Ndn.Topology_spec.nodes with
         | Some node -> node
-        | None ->
-          Format.eprintf "no node %S in the topology@." label;
-          exit 1
+        | None -> die "no node %S in the topology" label
       in
       List.iter
         (fun w ->
@@ -749,9 +746,7 @@ let topo_cmd =
         | Some rtt -> Format.fprintf out "%s probes %s: %.3f ms@." probe_node t rtt
         | None -> Format.fprintf out "%s probes %s: timeout@." probe_node t)
       | None -> ());
-      (match trace_file with
-      | Some file -> write_trace ~file ~format:trace_format tracer
-      | None -> ())
+      write_trace sink tracer
   in
   let file =
     (* The path rides along with the spec, so a build error names the
@@ -775,11 +770,18 @@ let topo_cmd =
              directive and the graph summary, then runs warm fetches and \
              the probe as with --file.")
   in
+  let source =
+    let pick file generate =
+      match (file, generate) with
+      | Some f, None -> Ok (`File f)
+      | None, Some d -> Ok (`Generate d)
+      | Some _, Some _ -> Error "--file and --generate are mutually exclusive"
+      | None, None -> Error "one of --file or --generate is required"
+    in
+    Term.(term_result' ~usage:true (const pick $ file $ generate))
+  in
   let warm_node =
     Arg.(value & opt string "U" & info [ "warm-node" ] ~docv:"NODE" ~doc:"Node issuing warm fetches.")
-  in
-  let warm =
-    Arg.(value & opt_all string [] & info [ "warm" ] ~docv:"NAME" ~doc:"Content to pre-fetch (repeatable).")
   in
   let probe_node =
     Arg.(value & opt string "Adv" & info [ "probe-node" ] ~docv:"NODE" ~doc:"Node issuing the probe.")
@@ -787,45 +789,37 @@ let topo_cmd =
   let target =
     Arg.(value & opt (some string) None & info [ "target" ] ~docv:"NAME" ~doc:"Name to probe.")
   in
-  let scope =
-    Arg.(value & opt (some int) None & info [ "scope" ] ~docv:"N" ~doc:"Probe scope field.")
-  in
   Cmd.v
     (Cmd.info "topo"
        ~doc:
          "Run fetches and probes in a topology defined in a spec file or \
           generated on the fly (--generate).")
     Term.(
-      const run $ file $ generate $ warm_node $ warm $ probe_node $ target
-      $ scope $ seed_arg $ trace_file_arg $ trace_format_arg $ faults_arg)
+      const run $ source $ warm_node $ warm_arg $ probe_node $ target
+      $ scope_arg $ seed_arg $ sink_arg $ faults_arg)
 
 (* --- flood: graceful degradation under interest flooding --- *)
 
 let flood_cmd =
   let run topology rate duration pit_capacity admission queue_rate queue_depth
-      fetches seed shards trace_file trace_format faults =
-    let tracer =
-      if trace_file <> None then Sim.Trace.create () else Sim.Trace.disabled
-    in
-    let setup = (make_setup_of_topology ?shards topology) ~seed ~tracer in
+      fetches seed shards sink faults =
+    let tracer = tracer_of_sink sink in
+    let setup = make_setup_of_topology ?shards topology ~seed ~tracer in
     let net = setup.Ndn.Network.net in
-    let out = result_formatter trace_file in
+    let out = result_formatter sink in
     install_faults_or_die net faults;
-    (match queue_rate with
-    | None -> ()
-    | Some mbps ->
-      let a = Ndn.Node.label setup.Ndn.Network.router
-      and b = Ndn.Node.label setup.Ndn.Network.producer_host in
-      (match
-         Ndn.Network.set_link_queue net ~a ~b ~rate_mbps:mbps
-           ~depth:queue_depth ()
-       with
-      | Ok () ->
-        Format.fprintf out "queue: %s<->%s at %.2f Mbps, depth %d@." a b mbps
-          queue_depth
-      | Error msg ->
-        Format.eprintf "--queue-rate: %s@." msg;
-        exit 1));
+    Option.iter
+      (fun mbps ->
+        let a = Ndn.Node.label setup.Ndn.Network.router
+        and b = Ndn.Node.label setup.Ndn.Network.producer_host in
+        match
+          Ndn.Network.set_link_queue net ~a ~b ~rate_mbps:mbps ~depth:queue_depth ()
+        with
+        | Ok () ->
+          Format.fprintf out "queue: %s<->%s at %.2f Mbps, depth %d@." a b mbps
+            queue_depth
+        | Error msg -> die "--queue-rate: %s" msg)
+      queue_rate;
     let fl =
       arm_flood ~setup ~rate ~until:duration ~pit_capacity ~admission ~seed
     in
@@ -880,25 +874,23 @@ let flood_cmd =
        mean latency %.2f ms@."
       delivered !completed !give_ups !honest_nacks
       (if delivered = 0 then 0. else !latency_sum /. float_of_int delivered);
-    match trace_file with
-    | Some file -> write_trace ~file ~format:trace_format tracer
-    | None -> ()
+    write_trace sink tracer
   in
   let rate =
     Arg.(
-      value & opt float 1.0
+      value & opt positive 1.0
       & info [ "rate" ] ~docv:"R"
           ~doc:"Flood intensity: unsatisfiable interests per virtual ms.")
   in
   let duration =
     Arg.(
-      value & opt float 2000.
+      value & opt non_negative 2000.
       & info [ "duration" ] ~docv:"MS" ~doc:"Flood window in virtual ms.")
   in
   let queue_rate =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive) None
       & info [ "queue-rate" ] ~docv:"MBPS"
           ~doc:
             "Bound the router-producer link with a transmission queue \
@@ -907,13 +899,13 @@ let flood_cmd =
   in
   let queue_depth =
     Arg.(
-      value & opt int 32
+      value & opt count 32
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:"Packets the bounded link queue holds before dropping.")
   in
   let fetches =
     Arg.(
-      value & opt int 10
+      value & opt natural 10
       & info [ "fetches" ] ~docv:"N"
           ~doc:"Honest backoff-armed fetches spread across the flood window.")
   in
@@ -926,13 +918,12 @@ let flood_cmd =
     Term.(
       const run $ topology_arg $ rate $ duration $ pit_capacity_arg
       $ admission_arg $ queue_rate $ queue_depth $ fetches $ seed_arg
-      $ shards_arg $ trace_file_arg $ trace_format_arg $ faults_arg)
+      $ shards_arg $ sink_arg $ faults_arg)
 
 (* --- chaos: the attack under router churn --- *)
 
 let chaos_cmd =
-  let run topology restart_mean downtime horizon preserve_cs contents runs seed
-      jobs shards trace_file trace_format faults =
+  let run topology restart_mean downtime horizon preserve_cs c faults =
     let schedule =
       match faults with
       | Some s -> s
@@ -942,44 +933,38 @@ let chaos_cmd =
            forwarder is probed. *)
         let router = match topology with `Local -> "host" | _ -> "R" in
         Sim.Fault.random_restarts
-          ~rng:(Sim.Rng.create (seed + 0x5eed))
+          ~rng:(Sim.Rng.create (c.seed + 0x5eed))
           ~nodes:[ router ] ~mean_uptime_ms:restart_mean ~downtime_ms:downtime
           ~horizon_ms:horizon ~preserve_cs ()
     in
-    let out = result_formatter trace_file in
+    let out = result_formatter c.sink in
     Format.fprintf out "fault schedule (%d events):@.%s" (List.length schedule)
       (Sim.Fault.print schedule);
     let result =
-      experiment_or_die (fun () ->
-          Attack.Timing_experiment.run
-            ~make_setup:(make_setup_of_topology ?shards topology)
-            ~contents ~runs ~seed ?jobs ?shards ~faults:schedule
-            ~trace:(trace_file <> None) ())
+      run_campaign c ~faults:schedule
+        (make_setup_of_topology ?shards:c.shards topology)
     in
     Attack.Timing_experiment.pp_result out result;
     let fnr = Attack.Timing_experiment.false_negative_rate result in
     if not (Float.is_nan fnr) then
       Format.fprintf out "attacker false-negative rate under churn: %.2f%%@."
         (100. *. fnr);
-    match trace_file with
-    | Some file ->
-      write_trace ~file ~format:trace_format result.Attack.Timing_experiment.trace
-    | None -> ()
+    write_trace c.sink result.Attack.Timing_experiment.trace
   in
   let restart_mean =
     Arg.(
-      value & opt float 3000.
+      value & opt positive 3000.
       & info [ "restart-mean" ] ~docv:"MS"
           ~doc:"Mean router uptime between crashes (exponential).")
   in
   let downtime =
     Arg.(
-      value & opt float 300.
+      value & opt non_negative 300.
       & info [ "downtime" ] ~docv:"MS" ~doc:"Downtime per crash before restart.")
   in
   let horizon =
     Arg.(
-      value & opt float 20000.
+      value & opt non_negative 20000.
       & info [ "horizon" ] ~docv:"MS" ~doc:"Crash process horizon per run.")
   in
   let preserve_cs =
@@ -987,21 +972,6 @@ let chaos_cmd =
       value & flag
       & info [ "preserve-cs" ]
           ~doc:"Model a persistent Content Store that survives reboots.")
-  in
-  let contents =
-    Arg.(value & opt int 40 & info [ "contents" ] ~docv:"N" ~doc:"Contents per run.")
-  in
-  let runs =
-    Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Independent runs.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Fan runs over $(docv) domains (default: one per hardware \
-             thread).  Results and traces are identical for any value.")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1012,8 +982,7 @@ let chaos_cmd =
           false-negative rate.")
     Term.(
       const run $ topology_arg $ restart_mean $ downtime $ horizon
-      $ preserve_cs $ contents $ runs $ seed_arg $ jobs $ shards_arg
-      $ trace_file_arg $ trace_format_arg $ faults_arg)
+      $ preserve_cs $ campaign_arg ~contents:40 ~runs:3 $ faults_arg)
 
 let analyze_cmd =
   let run file json =
@@ -1023,19 +992,15 @@ let analyze_cmd =
         stdin
       end
       else
-        try open_in_bin file
-        with Sys_error msg ->
-          Format.eprintf "ndnsim analyze: %s@." msg;
-          exit 1
+        try open_in_bin file with Sys_error msg -> die "ndnsim analyze: %s" msg
     in
     let result = Sim.Analyze.of_source (Sim.Trace_reader.of_channel ic) in
     if file <> "-" then close_in ic;
     match result with
     | Error e ->
-      Format.eprintf "ndnsim analyze: %s: %s@."
+      die "ndnsim analyze: %s: %s"
         (if file = "-" then "<stdin>" else file)
-        (Sim.Scan.error_to_string e);
-      exit 1
+        (Sim.Scan.error_to_string e)
     | Ok acc ->
       print_string
         (if json then Sim.Analyze.render_json acc else Sim.Analyze.render_text acc)

@@ -1,5 +1,4 @@
 type result = {
-  related_contents : int;
   trials : int;
   adversary_accuracy : float;
 }
@@ -37,7 +36,6 @@ let run ~grouping ~kdist ~related_contents ~prior_requests ?(trials = 400) () =
     if !saw_hit = requested then incr correct
   done;
   {
-    related_contents;
     trials;
     adversary_accuracy = float_of_int !correct /. float_of_int trials;
   }

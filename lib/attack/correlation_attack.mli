@@ -11,7 +11,6 @@
     single-content guarantee. *)
 
 type result = {
-  related_contents : int;
   trials : int;
   adversary_accuracy : float;
       (** Probability of correctly deciding "was this related set

@@ -34,6 +34,8 @@ let probe_conversation (setup : Ndn.Network.conversation_setup) () =
   else Not_talking
 
 let run ~naming ?(trials = 20) ?(frames = 16) ?(seed = 31) () =
+  if trials < 1 then invalid_arg "Interaction_attack.run: trials must be >= 1";
+  if frames < 1 then invalid_arg "Interaction_attack.run: frames must be >= 1";
   let correct = ref 0 and fp = ref 0 and fn = ref 0 in
   for trial = 0 to trials - 1 do
     let setup = Ndn.Network.conversation ~seed:(seed + trial) () in

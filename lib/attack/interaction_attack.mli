@@ -38,4 +38,5 @@ val run :
 (** Full experiment: per trial, a conversation happens (or not, 50/50);
     the adversary then runs {!probe_conversation}.  With [Predictable]
     naming the accuracy should be ~1; with [Unpredictable _] it must
-    collapse to ~0.5 (the adversary cannot name anything to probe). *)
+    collapse to ~0.5 (the adversary cannot name anything to probe).
+    @raise Invalid_argument if [trials] or [frames] is below 1. *)

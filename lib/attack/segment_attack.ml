@@ -6,7 +6,6 @@ let theoretical_success ~p ~segments =
 let paper_example_row ~segments = theoretical_success ~p:0.59 ~segments
 
 type result = {
-  segments : int;
   per_object_success : float;
   amplified_success : float;
   predicted : float;
@@ -65,7 +64,6 @@ let run ~make_setup ~segments ?(trials = 60) () =
     else float_of_int !single_correct /. float_of_int !single_total
   in
   {
-    segments;
     per_object_success;
     amplified_success = float_of_int !vote_correct /. float_of_int trials;
     predicted = theoretical_success ~p:per_object_success ~segments;

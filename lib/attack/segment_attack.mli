@@ -14,7 +14,6 @@ val paper_example_row : segments:int -> float
 (** The in-text example with p = 0.59 (so failure 0.41). *)
 
 type result = {
-  segments : int;
   per_object_success : float;  (** Measured single-probe success. *)
   amplified_success : float;  (** Measured majority-vote success over all segments. *)
   predicted : float;  (** [theoretical_success] at the measured p. *)

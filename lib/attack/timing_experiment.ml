@@ -252,6 +252,8 @@ let summarize ~bins ~faults (warm_obs, cold_obs, trace) =
 
 let run ~make_setup ?(contents = 100) ?(runs = 10) ?(seed = 7) ?(bins = 40)
     ?jobs ?shards ?trace ?(faults = []) () =
+  if contents < 1 then invalid_arg "Timing_experiment.run: contents must be >= 1";
+  if runs < 1 then invalid_arg "Timing_experiment.run: runs must be >= 1";
   summarize ~bins ~faults
     (collect ?jobs ?shards ?trace ~faults ~make_setup ~contents ~runs ~seed ())
 

@@ -87,8 +87,8 @@ val run :
     user's fetch
     — the adversary cannot observe the fetch, so a router reboot inside
     that window flushes the cache and produces a false negative.
-    @raise Invalid_argument if the schedule names unknown nodes or
-    links. *)
+    @raise Invalid_argument if [contents] or [runs] is below 1, or if
+    the schedule names unknown nodes or links. *)
 
 val false_negative_rate : result -> float
 (** Warm-probe-weighted average of the per-phase false-negative rates;

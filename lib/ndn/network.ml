@@ -1,12 +1,3 @@
-(* Bounded transmission queue discipline for one link direction. *)
-type queue_policy =
-  | Drop_tail
-  | Early_drop
-
-let queue_policy_to_string = function
-  | Drop_tail -> "drop-tail"
-  | Early_drop -> "early-drop"
-
 (* One direction of a link.  [loss] and [latency_factor] start at their
    base values and are perturbed by fault injection; a restore resets
    them to base.  The hot-path invariant: with no faults ever applied,
@@ -27,11 +18,10 @@ type link_dir = {
      none of these fields is ever read on the delivery path.  With a
      rate set, each offered packet serializes for [size / q_rate] ms
      behind the packets already queued ([busy_until]); at most
-     [q_depth] packets may be backlogged, the rest are dropped by
-     [q_policy]. *)
+     [q_depth] packets may be backlogged, the rest are dropped at the
+     tail. *)
   mutable q_rate : float;
   mutable q_depth : int;
-  mutable q_policy : queue_policy;
   mutable busy_until : float;
   mutable qlen : int;
 }
@@ -185,21 +175,12 @@ let deliver sh ~src ~dir ~lat dst face_ref back_ref pkt =
   else if dir.q_rate <= 0. then transmit sh ~dir ~lat src dst face_ref pkt
   else begin
     (* Bounded transmission queue: the packet serializes at [q_rate]
-       bytes/ms behind the current backlog; a full queue (or an
-       early-drop coin) drops it at the tail.  The drop of an Interest
-       is answered with a Congested NACK handed back to the sending
-       forwarder, which relays it downstream along its PIT entry — if
-       its NACK plane is enabled. *)
+       bytes/ms behind the current backlog; a full queue drops it at
+       the tail.  The drop of an Interest is answered with a Congested
+       NACK handed back to the sending forwarder, which relays it
+       downstream along its PIT entry — if its NACK plane is enabled. *)
     let now_t = Sim.Engine.now eng in
-    let full = dir.qlen >= dir.q_depth in
-    let early =
-      (not full)
-      && dir.q_policy = Early_drop
-      && dir.qlen > 0
-      && Sim.Rng.bernoulli dir.rng
-           (float_of_int dir.qlen /. float_of_int dir.q_depth)
-    in
-    if full || early then begin
+    if dir.qlen >= dir.q_depth then begin
       if Sim.Trace.enabled tr then begin
         let pkt_type, name = pkt_name pkt in
         Sim.Trace.emit tr
@@ -212,7 +193,7 @@ let deliver sh ~src ~dir ~lat dst face_ref back_ref pkt =
               [
                 ("dst", Node.label dst);
                 ("pkt", pkt_type);
-                ("policy", queue_policy_to_string dir.q_policy);
+                ("policy", "drop-tail");
                 ("depth", string_of_int dir.qlen);
               ];
           }
@@ -254,7 +235,6 @@ let connect t ?(loss = 0.) ?latency_ba ~latency a b =
       latency_factor = 1.;
       q_rate = 0.;
       q_depth = 0;
-      q_policy = Drop_tail;
       busy_until = 0.;
       qlen = 0;
     }
@@ -325,8 +305,7 @@ let set_link_state t ~a ~b ~up () =
       List.iter (fun d -> d.up <- up) (dirs_of link ~flipped Sim.Fault.Both))
     (find_link t a b)
 
-let set_link_queue t ~a ~b ?(dir = Sim.Fault.Both) ~rate_mbps ~depth
-    ?(policy = Drop_tail) () =
+let set_link_queue t ~a ~b ~rate_mbps ~depth () =
   if not (rate_mbps > 0. && Float.is_finite rate_mbps) then
     Error "link queue: rate_mbps must be positive and finite"
   else if depth <= 0 then Error "link queue: depth must be positive"
@@ -337,9 +316,8 @@ let set_link_queue t ~a ~b ?(dir = Sim.Fault.Both) ~rate_mbps ~depth
           (fun d ->
             (* Mbit/s -> bytes/ms. *)
             d.q_rate <- rate_mbps *. 125.;
-            d.q_depth <- depth;
-            d.q_policy <- policy)
-          (dirs_of link ~flipped dir))
+            d.q_depth <- depth)
+          (dirs_of link ~flipped Sim.Fault.Both))
       (find_link t a b)
 
 let f6 = Printf.sprintf "%.6f"
@@ -740,9 +718,6 @@ type edge_core_setup = {
   edge1 : Node.t;
   edge2 : Node.t;
   core : Node.t;
-  ec_producer_host : Node.t;
-  ec_prefix : Name.t;
-  ec_producer_key : string;
 }
 
 let edge_core ?(seed = 42) ?(producer = default_producer_config) () =
@@ -767,16 +742,15 @@ let edge_core ?(seed = 42) ?(producer = default_producer_config) () =
   let e1_c, _ = connect net ~latency:metro edge1 core in
   let e2_c, _ = connect net ~latency:metro edge2 core in
   let c_p, _ = connect net ~latency:long_haul core producer_host in
-  let ec_prefix = Name.of_string "/prod" in
-  let ec_producer_key = "edge-core-producer-key" in
-  install_producer ~config:producer ~prefix:ec_prefix ~key:ec_producer_key
+  let prefix = Name.of_string "/prod" in
+  install_producer ~config:producer ~prefix ~key:"edge-core-producer-key"
     producer_host;
-  route net victim ~prefix:ec_prefix ~via:v_e1;
-  route net local_adversary ~prefix:ec_prefix ~via:a_e1;
-  route net remote_consumer ~prefix:ec_prefix ~via:r_e2;
-  route net edge1 ~prefix:ec_prefix ~via:e1_c;
-  route net edge2 ~prefix:ec_prefix ~via:e2_c;
-  route net core ~prefix:ec_prefix ~via:c_p;
+  route net victim ~prefix ~via:v_e1;
+  route net local_adversary ~prefix ~via:a_e1;
+  route net remote_consumer ~prefix ~via:r_e2;
+  route net edge1 ~prefix ~via:e1_c;
+  route net edge2 ~prefix ~via:e2_c;
+  route net core ~prefix ~via:c_p;
   {
     ecnet = net;
     victim;
@@ -785,7 +759,4 @@ let edge_core ?(seed = 42) ?(producer = default_producer_config) () =
     edge1;
     edge2;
     core;
-    ec_producer_host = producer_host;
-    ec_prefix;
-    ec_producer_key;
   }

@@ -116,22 +116,14 @@ val set_link_state :
     dropped, which is what an interest-flooding adversary exploits and
     what NACKs ({!Node.set_nacks_enabled}) report downstream. *)
 
-type queue_policy =
-  | Drop_tail  (** Drop the arriving packet when the queue is full. *)
-  | Early_drop
-      (** Additionally drop arrivals with probability
-          [backlog / depth] while filling — a RED-style early signal
-          that spreads drops across flows instead of bursting them at
-          the tail. *)
-
 val set_link_queue :
-  t -> a:string -> b:string -> ?dir:Sim.Fault.direction -> rate_mbps:float ->
-  depth:int -> ?policy:queue_policy -> unit -> (unit, string) result
-(** Give the [a]–[b] link (either orientation; [dir] defaults [Both])
-    a bounded transmission queue: packets serialize at [rate_mbps]
+  t -> a:string -> b:string -> rate_mbps:float -> depth:int -> unit ->
+  (unit, string) result
+(** Give both directions of the [a]–[b] link (either orientation) a
+    bounded transmission queue: packets serialize at [rate_mbps]
     (Mbit/s, using {!Wire.encoded_size} bytes per packet) and at most
-    [depth] may be backlogged; [policy] (default {!Drop_tail}) decides
-    the excess.  A dropped packet is traced as [queue.drop]; a dropped
+    [depth] may be backlogged; an arrival at a full queue is dropped
+    (drop-tail).  A dropped packet is traced as [queue.drop]; a dropped
     {e Interest} is answered with a [Congested] NACK to the sending
     forwarder when that forwarder has NACKs enabled.  Configure before
     traffic runs.  [Error _] if the link does not exist, the rate is
@@ -262,9 +254,6 @@ type edge_core_setup = {
   edge1 : Node.t;
   edge2 : Node.t;
   core : Node.t;
-  ec_producer_host : Node.t;  (** Far from the core (slow link). *)
-  ec_prefix : Name.t;
-  ec_producer_key : string;
 }
 
 val edge_core :

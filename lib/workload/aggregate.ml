@@ -37,7 +37,6 @@ type t = {
   zipf : Zipf.t;
   estimator : Ndn.Consumer.Rtt_estimator.t;
   until : float option;
-  mutable active : bool;
   mutable requests_issued : int;
   mutable responses : int;
   mutable timeouts : int;
@@ -89,25 +88,20 @@ let issue t =
    amplitude changes which candidates become requests, never how much
    randomness the stream eats. *)
 let rec schedule_next t =
-  if t.active then begin
-    let peak = base_rate_per_ms t.config *. (1. +. t.config.diurnal_amplitude) in
-    let dt = Sim.Rng.exponential t.rng ~rate:peak in
-    let fire = Sim.Engine.now t.engine +. dt in
-    match t.until with
-    | Some stop_at when fire > stop_at -> t.active <- false
-    | _ ->
-      (* Keyed through the node so the arrival events stay ordered
-         shard-count-invariantly when the node lives in a Sim.Shard
-         partition (a plain engine FIFO tie-break would depend on what
-         else shares the engine). *)
-      Ndn.Node.schedule_app t.node ~delay:dt (fun () ->
-          if t.active then begin
-            let u = Sim.Rng.float t.rng 1. in
-            if u *. peak <= rate_at t.config (Sim.Engine.now t.engine) then
-              issue t;
-            schedule_next t
-          end)
-  end
+  let peak = base_rate_per_ms t.config *. (1. +. t.config.diurnal_amplitude) in
+  let dt = Sim.Rng.exponential t.rng ~rate:peak in
+  let fire = Sim.Engine.now t.engine +. dt in
+  match t.until with
+  | Some stop_at when fire > stop_at -> ()
+  | _ ->
+    (* Keyed through the node so the arrival events stay ordered
+       shard-count-invariantly when the node lives in a Sim.Shard
+       partition (a plain engine FIFO tie-break would depend on what
+       else shares the engine). *)
+    Ndn.Node.schedule_app t.node ~delay:dt (fun () ->
+        let u = Sim.Rng.float t.rng 1. in
+        if u *. peak <= rate_at t.config (Sim.Engine.now t.engine) then issue t;
+        schedule_next t)
 
 let attach config ~node ~prefix ~rng ?until () =
   validate config;
@@ -121,7 +115,6 @@ let attach config ~node ~prefix ~rng ?until () =
       zipf = Zipf.create ~n:config.catalog ~s:config.zipf_s;
       estimator = Ndn.Consumer.Rtt_estimator.create ();
       until;
-      active = true;
       requests_issued = 0;
       responses = 0;
       timeouts = 0;

@@ -21,7 +21,6 @@ type t = {
   prefix : Ndn.Name.t;
   rng : Sim.Rng.t;
   until : float option;
-  mutable active : bool;
   mutable seq : int;
   mutable interests_issued : int;
   mutable nacks_received : int;
@@ -45,18 +44,14 @@ let issue t =
     name
 
 let rec schedule_next t =
-  if t.active then begin
-    let dt = Sim.Rng.exponential t.rng ~rate:t.config.rate_per_ms in
-    let fire = Sim.Engine.now t.engine +. dt in
-    match t.until with
-    | Some stop_at when fire > stop_at -> t.active <- false
-    | _ ->
-      Ndn.Node.schedule_app t.node ~delay:dt (fun () ->
-          if t.active then begin
-            issue t;
-            schedule_next t
-          end)
-  end
+  let dt = Sim.Rng.exponential t.rng ~rate:t.config.rate_per_ms in
+  let fire = Sim.Engine.now t.engine +. dt in
+  match t.until with
+  | Some stop_at when fire > stop_at -> ()
+  | _ ->
+    Ndn.Node.schedule_app t.node ~delay:dt (fun () ->
+        issue t;
+        schedule_next t)
 
 let attach config ~node ~prefix ~rng ?until () =
   validate config;
@@ -68,7 +63,6 @@ let attach config ~node ~prefix ~rng ?until () =
       prefix;
       rng;
       until;
-      active = true;
       seq = 0;
       interests_issued = 0;
       nacks_received = 0;

@@ -129,6 +129,17 @@ let test_timing_experiment_defeated_by_content_specific_delay () =
     (Printf.sprintf "countermeasure kills the distinguisher (%.3f)" s)
     true (s < 0.62)
 
+(* An empty campaign has no samples to bin: it is refused up front,
+   naming the parameter, not deep inside the histogram. *)
+let test_timing_experiment_rejects_empty () =
+  let make_setup ~seed ~tracer = Ndn.Network.lan ~seed ~tracer () in
+  Alcotest.check_raises "contents 0"
+    (Invalid_argument "Timing_experiment.run: contents must be >= 1") (fun () ->
+      ignore (Attack.Timing_experiment.run ~make_setup ~contents:0 ~runs:2 ()));
+  Alcotest.check_raises "runs 0"
+    (Invalid_argument "Timing_experiment.run: runs must be >= 1") (fun () ->
+      ignore (Attack.Timing_experiment.run ~make_setup ~contents:4 ~runs:0 ()))
+
 (* --- Scope probe --- *)
 
 let test_scope_probe () =
@@ -330,6 +341,16 @@ let test_interaction_attack_defeated_by_unpredictable_names () =
      name a frame, so it always answers Not_talking. *)
   Alcotest.(check int) "no false positives" 0 r.Attack.Interaction_attack.false_positives
 
+(* Zero trials would divide 0 by 0 into a NaN accuracy. *)
+let test_interaction_attack_rejects_empty () =
+  let naming = Core.Interactive_session.Predictable in
+  Alcotest.check_raises "trials 0"
+    (Invalid_argument "Interaction_attack.run: trials must be >= 1") (fun () ->
+      ignore (Attack.Interaction_attack.run ~naming ~trials:0 ()));
+  Alcotest.check_raises "frames 0"
+    (Invalid_argument "Interaction_attack.run: frames must be >= 1") (fun () ->
+      ignore (Attack.Interaction_attack.run ~naming ~trials:2 ~frames:0 ()))
+
 let test_probe_conversation_silent () =
   let setup = Ndn.Network.conversation () in
   Alcotest.(check bool) "silent pair reads Not_talking" true
@@ -475,6 +496,8 @@ let () =
           Alcotest.test_case "producer overlap" `Slow test_timing_experiment_producer_overlap;
           Alcotest.test_case "countermeasure defeats it" `Slow
             test_timing_experiment_defeated_by_content_specific_delay;
+          Alcotest.test_case "empty campaign rejected" `Quick
+            test_timing_experiment_rejects_empty;
         ] );
       ( "scope",
         [
@@ -512,6 +535,8 @@ let () =
           Alcotest.test_case "unpredictable names blind" `Slow
             test_interaction_attack_defeated_by_unpredictable_names;
           Alcotest.test_case "silent pair" `Quick test_probe_conversation_silent;
+          Alcotest.test_case "empty experiment rejected" `Quick
+            test_interaction_attack_rejects_empty;
         ] );
       ( "deployment",
         [

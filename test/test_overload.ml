@@ -295,8 +295,7 @@ let test_queue_congestion_nacks () =
   let net, c = make_pair ~tracer () in
   Ndn.Node.set_nacks_enabled c true;
   (match
-     Ndn.Network.set_link_queue net ~a:"C" ~b:"P" ~dir:Sim.Fault.Ab
-       ~rate_mbps:0.008 ~depth:1 ()
+     Ndn.Network.set_link_queue net ~a:"C" ~b:"P" ~rate_mbps:0.008 ~depth:1 ()
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -433,8 +432,7 @@ let overload_run ?shards ?(watchdog = false) ~seed () =
   Ndn.Node.set_pit_limits r1 ~capacity:6 ~admission:Ndn.Pit.Evict_oldest ();
   Ndn.Node.set_pit_limits r2 ~capacity:8 ~admission:Ndn.Pit.Drop_new ();
   (match
-     Ndn.Network.set_link_queue net ~a:"R1" ~b:"R2" ~rate_mbps:0.5 ~depth:4
-       ~policy:Ndn.Network.Early_drop ()
+     Ndn.Network.set_link_queue net ~a:"R1" ~b:"R2" ~rate_mbps:0.5 ~depth:4 ()
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
